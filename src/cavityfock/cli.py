@@ -11,6 +11,8 @@ import sys
 
 from .errors import CavityFockError, ConfigError, IntegrationError
 from .scenarios import (
+    INT_FIELDS,
+    NUMERIC_FIELDS,
     PRESETS,
     SimulationConfig,
     config_field_names,
@@ -20,14 +22,12 @@ from .scenarios import (
 )
 
 _OPTIONAL_FLOAT_FIELDS = {"gamma_T", "kappa_T"}
-_INT_FIELDS = {"n_max", "stride"}
-_STR_FIELDS = {"scenario", "model", "drive", "output_path"}
 
 
 def _coerce(key: str, raw: str):
-    if key in _STR_FIELDS:
+    if key not in NUMERIC_FIELDS:
         return raw
-    if key in _INT_FIELDS:
+    if key in INT_FIELDS:
         try:
             return int(raw)
         except ValueError:
@@ -53,7 +53,10 @@ def parse_config_file(path: str) -> dict[str, str]:
                     f"{path}:{lineno}: expected key=value, got {stripped!r}"
                 )
             key, _, value = stripped.partition("=")
-            entries[key.strip()] = value.strip()
+            key = key.strip()
+            if key in entries:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            entries[key] = value.strip()
     return entries
 
 

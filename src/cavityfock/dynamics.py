@@ -4,31 +4,39 @@ A classical 4th-order Runge-Kutta scheme with a fixed step is used for both
 the Schroedinger equation and the master equation.  The step is fixed rather
 than adaptive on purpose: the schedules are smooth Gaussians, the matrices
 are tiny, and a fixed step makes every trajectory bitwise reproducible.
+
+Time is taken in chunks of CHUNK_STEPS steps: the controls at all half
+steps of a chunk come from one call, H(t) is one stack of matrices, and
+pure states take exact RK4 one-step matrices built by batched products.
+Observables and conservation checks are computed once per run, from the
+stack of recorded states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import IntegrationError, ModelMismatchError, ParameterDomainError
-from .hamiltonians import ModelConfig, bound_hamiltonian
-from .hilbert import ProductBasis, analytic_eigensystem, atomic_raising, ladder_operators
+from .hamiltonians import Dissipation, LinearHamiltonian, ModelConfig, linear_hamiltonian
+from .hilbert import ProductBasis, atomic_raising, ladder_operators
 from .observables import (
-    ObservablesRecord,
-    dark_state_overlap,
-    mandel_q,
-    mean_photon_number,
-    norm_or_trace,
+    dark_state_overlaps,
+    diagonal_weights,
+    photon_statistics,
     populations,
 )
-from .pulses import ControlSchedule, ControlValues
+from .pulses import ControlValues
 
 # Hard failure thresholds for conservation checks at recorded samples.
 NORM_DRIFT_LIMIT = 1e-6
 NEGATIVITY_LIMIT = -1e-6
+
+# Steps per chunk.  Memory for the controls, H(t) and step matrices is
+# bounded by the chunk, not by the grid; longer chunks are no faster.
+CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -60,108 +68,164 @@ class TimeGrid:
     def n_steps(self) -> int:
         return int(round((self.t_end - self.t_start) / self.dt))
 
-    def time(self, step: int) -> float:
+    def time(self, step):
         return self.t_start + step * self.dt
 
+    @property
+    def sample_steps(self) -> np.ndarray:
+        """Steps after which the state is recorded: every stride-th and the last."""
+        steps = np.arange(0, self.n_steps + 1, self.stride)
+        return steps if steps[-1] == self.n_steps else np.append(steps, self.n_steps)
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class Trajectory:
-    """Time-ordered record of states, control values, and observables."""
+    """Columnar record of a run: each array holds one entry per recorded
+    sample along its first axis.
+
+    ``states`` are pure states (S, d) or density matrices (S, d, d).
+    ``populations`` (S, d) are the basis-state populations in the order of
+    ``basis.labels()``.  ``controls`` holds each channel as an (S,) array,
+    or is None for a constant Hamiltonian.  ``dark_overlap`` and
+    ``mandel_q`` are NaN where undefined: no drive field on, a full-model or
+    constant-Hamiltonian run, or an empty cavity.
+    """
 
     basis: ProductBasis
     is_density: bool
-    model: str | None = None
-    times: list[float] = field(default_factory=list)
-    states: list[np.ndarray] = field(default_factory=list)
-    controls: list[ControlValues | None] = field(default_factory=list)
-    records: list[ObservablesRecord] = field(default_factory=list)
+    model: str | None
+    times: np.ndarray
+    states: np.ndarray
+    controls: ControlValues | None
+    populations: np.ndarray
+    norm_or_trace: np.ndarray
+    dark_overlap: np.ndarray
+    mean_photon_n: np.ndarray
+    mandel_q: np.ndarray
 
     @property
     def final_state(self) -> np.ndarray:
         return self.states[-1]
 
     @property
-    def final_record(self) -> ObservablesRecord:
-        return self.records[-1]
+    def final_populations(self) -> dict[tuple[str, int], float]:
+        return populations(self.final_state, self.basis)
+
+    def population_series(self, level: str, n: int) -> np.ndarray:
+        return self.populations[:, self.basis.index(level, n)]
 
     def max_population(self, level: str, n: int | None = None) -> float:
         """Largest recorded population of |level, n>, or of the whole level
         (summed over n) when n is None."""
-        best = 0.0
-        for record in self.records:
-            if n is None:
-                value = sum(
-                    p for (lvl, _n), p in record.populations.items() if lvl == level
-                )
-            else:
-                value = record.populations.get((level, n), 0.0)
-            best = max(best, value)
-        return best
-
-    def population_series(self, level: str, n: int) -> np.ndarray:
-        key = (level, n)
-        return np.array([record.populations[key] for record in self.records])
+        if n is None:
+            first = self.basis.index(level, 0)
+            series = self.populations[:, first : first + self.basis.n_fock].sum(axis=1)
+        else:
+            series = self.population_series(level, n)
+        return float(np.max(series))
 
 
-class _Recorder:
-    """Assembles ObservablesRecords and runs conservation checks."""
+def _rk4_step_matrices(h: np.ndarray, dt: float) -> np.ndarray:
+    """Exact RK4 one-step matrices I + dt/6 (A0 + 2 B2 + 2 B3 + B4) of
+    d psi/dt = A psi, A = -iH, for the H stack h at the half steps
+    t_0, t_0 + dt/2, ..., t_n of n steps: one (n, d, d) stack."""
+    a = -1j * h
+    start, mid, end = a[:-1:2], a[1::2], a[2::2]
+    b2 = mid + (0.5 * dt) * (mid @ start)
+    b3 = mid + (0.5 * dt) * (mid @ b2)
+    b4 = end + dt * (end @ b3)
+    steps = (dt / 6.0) * (start + 2.0 * b2 + 2.0 * b3 + b4)
+    steps += np.eye(h.shape[-1])
+    return steps
 
-    def __init__(self, trajectory: Trajectory, schedule: ControlSchedule | None):
-        self.trajectory = trajectory
-        self.schedule = schedule
-        self.basis = trajectory.basis
 
-    def sample(self, t: float, state: np.ndarray) -> None:
-        controls = self.schedule.values(t) if self.schedule is not None else None
-        weight = norm_or_trace(state)
-        if abs(weight - 1.0) > NORM_DRIFT_LIMIT:
-            kind = "trace" if self.trajectory.is_density else "norm"
+def _integrate(
+    hamiltonian: LinearHamiltonian,
+    state: np.ndarray,
+    grid: TimeGrid,
+    advance: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    is_density: bool,
+) -> Trajectory:
+    """Integrate over the grid one chunk at a time and record the samples.
+
+    ``advance(state, h, out)`` takes ``len(out)`` steps through the stack h
+    of H at their 2 len(out) + 1 half steps, writes the state after each
+    step to ``out`` and returns the last one.  Each half step is evaluated
+    once: a chunk starts from the end point of the one before.
+    """
+    samples = grid.sample_steps
+    states = np.empty((len(samples),) + state.shape, dtype=complex)
+    states[0] = state
+    values, h = hamiltonian.evaluate(np.array([grid.t_start]))
+    controls = None
+    if values is not None:
+        controls = np.empty((len(samples), len(values)))
+        controls[0] = np.stack(values, axis=-1)[0]
+    chunk = np.empty((CHUNK_STEPS,) + state.shape, dtype=complex)
+    for first in range(0, grid.n_steps, CHUNK_STEPS):
+        last = min(first + CHUNK_STEPS, grid.n_steps)
+        half_steps = np.arange(2 * first + 1, 2 * last + 1)
+        values, h_chunk = hamiltonian.evaluate(grid.t_start + (0.5 * grid.dt) * half_steps)
+        h = np.concatenate((h[-1:], h_chunk))
+        state = advance(state, h, chunk[: last - first])
+        lo, hi = np.searchsorted(samples, (first + 1, last + 1))
+        taken = samples[lo:hi] - first  # steps into the chunk
+        states[lo:hi] = chunk[taken - 1]
+        if controls is not None:
+            controls[lo:hi] = np.stack(values, axis=-1)[2 * taken - 1]
+    if controls is not None:
+        controls = ControlValues(*controls.T)
+    return _record(hamiltonian, is_density, grid.time(samples), states, controls)
+
+
+def _record(
+    hamiltonian: LinearHamiltonian,
+    is_density: bool,
+    times: np.ndarray,
+    states: np.ndarray,
+    controls: ControlValues | None,
+) -> Trajectory:
+    """Check the recorded states and derive the observables from them.
+
+    Every check is written so that NaN fails it.
+    """
+    basis = hamiltonian.basis
+    weights = diagonal_weights(states, is_density)
+    weight = weights.sum(axis=-1)
+    kind = "trace" if is_density else "norm"
+    bad = ~(np.abs(weight - 1.0) <= NORM_DRIFT_LIMIT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise IntegrationError(f"{kind} drifted to {weight[i]:.12f} at t={times[i]:g}; reduce dt")
+    if is_density:
+        smallest = np.linalg.eigvalsh(states)[:, 0]
+        bad = ~(smallest >= NEGATIVITY_LIMIT)
+        if bad.any():
+            i = int(np.argmax(bad))
             raise IntegrationError(
-                f"{kind} drifted to {weight:.12f} at t={t:g}; reduce dt"
+                f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
+                f"at t={times[i]:g}; reduce dt"
             )
-        if self.trajectory.is_density:
-            smallest = float(np.linalg.eigvalsh(state)[0])
-            if smallest < NEGATIVITY_LIMIT:
-                raise IntegrationError(
-                    f"density matrix developed negative eigenvalue "
-                    f"{smallest:.3e} at t={t:g}; reduce dt"
-                )
-        dark = None
-        if (
-            controls is not None
-            and self.schedule.model == "effective"
-            and (controls.omega_r != 0.0 or controls.g != 0.0)
-        ):
-            eig = analytic_eigensystem(
-                controls.omega_r, controls.g, self.schedule.params.delta
-            )
-            dark = dark_state_overlap(state, eig, self.basis)
-        record = ObservablesRecord(
-            t=t,
-            populations=populations(state, self.basis),
-            dark_overlap=dark,
-            mean_photon_n=mean_photon_number(state, self.basis),
-            mandel_q=mandel_q(state, self.basis),
-            norm_or_trace=weight,
-        )
-        self.trajectory.times.append(t)
-        self.trajectory.states.append(state.copy())
-        self.trajectory.controls.append(controls)
-        self.trajectory.records.append(record)
+    model = None if hamiltonian.schedule is None else hamiltonian.schedule.model
+    if model == "effective":
+        dark = dark_state_overlaps(states, is_density, controls.omega_r, controls.g, basis)
+    else:
+        dark = np.full(len(times), np.nan)
+    n_mean, q = photon_statistics(weights, basis)
+    return Trajectory(
+        basis, is_density, model, times, states, controls, weights, weight, dark, n_mean, q
+    )
 
 
 def propagate_schrodinger(
-    hamiltonian: Callable[[float], np.ndarray],
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    basis: ProductBasis,
-    schedule: ControlSchedule | None = None,
+    hamiltonian: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid
 ) -> Trajectory:
     """Integrate i d|psi>/dt = H(t)|psi> over the grid.
 
     The initial state must be normalized; an IntegrationError is raised if
     the norm drifts by more than NORM_DRIFT_LIMIT at any recorded sample.
     """
+    basis = hamiltonian.basis
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.shape != (basis.dimension,):
         raise ParameterDomainError(
@@ -171,39 +235,30 @@ def propagate_schrodinger(
     if abs(np.linalg.norm(psi) - 1.0) > 1e-6:
         raise ParameterDomainError("initial state must be normalized")
 
-    trajectory = Trajectory(
-        basis=basis,
-        is_density=False,
-        model=schedule.model if schedule is not None else None,
-    )
-    recorder = _Recorder(trajectory, schedule)
-    recorder.sample(grid.time(0), psi)
+    def advance(psi, h, out):
+        for step, after in zip(_rk4_step_matrices(h, grid.dt), out):
+            psi = np.matmul(step, psi, out=after)
+        return psi
 
-    dt = grid.dt
-    h_now = np.asarray(hamiltonian(grid.time(0)), dtype=complex)
-    for step in range(grid.n_steps):
-        t = grid.time(step)
-        t_next = grid.time(step + 1)
-        h_mid = np.asarray(hamiltonian(t + 0.5 * dt), dtype=complex)
-        h_next = np.asarray(hamiltonian(t_next), dtype=complex)
-        k1 = -1j * (h_now @ psi)
-        k2 = -1j * (h_mid @ (psi + (0.5 * dt) * k1))
-        k3 = -1j * (h_mid @ (psi + (0.5 * dt) * k2))
-        k4 = -1j * (h_next @ (psi + dt * k3))
-        psi = psi + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        h_now = h_next
-        done = step + 1
-        if done % grid.stride == 0 or done == grid.n_steps:
-            recorder.sample(t_next, psi)
-    return trajectory
+    return _integrate(hamiltonian, psi, grid, advance, is_density=False)
+
+
+def _dissipator(dissipation: Dissipation, basis: ProductBasis) -> np.ndarray:
+    """Superoperator of sum_j rate_j L_j rho L_j^dag on the row-major
+    vec(rho), using vec(A rho B) = (A kron B^T) vec(rho)."""
+    a, _a_dag = ladder_operators(basis)
+    s1 = atomic_raising(basis, "S1").conj().T
+    s2 = atomic_raising(basis, "S2").conj().T
+    jumps = [
+        (dissipation.kappa, a),
+        (0.5 * dissipation.gamma, s1),
+        (0.5 * dissipation.gamma, s2),
+    ]
+    return sum(rate * np.kron(op, op.conj()) for rate, op in jumps)
 
 
 def propagate_lindblad(
-    config: ModelConfig,
-    rho0: np.ndarray,
-    grid: TimeGrid,
-    basis: ProductBasis,
-    schedule: ControlSchedule | None = None,
+    config: ModelConfig, rho0: np.ndarray, grid: TimeGrid, basis: ProductBasis
 ) -> Trajectory:
     """Integrate the master equation for the effective model.
 
@@ -213,8 +268,11 @@ def propagate_lindblad(
     with H' the non-Hermitian Hamiltonian carrying the matching decay terms.
     The spontaneous-emission jump carries rate gamma/2 per ground-state
     branch so that the total rate gamma balances the anti-Hermitian part and
-    the trace is preserved.  After every step rho is replaced by its
-    Hermitian part to suppress floating-point drift.
+    the trace is preserved.  Each RK4 stage takes one matrix product: with
+    G = -iH' and rho Hermitian, -i (H' rho - rho H'^dag) = G rho + (G rho)^dag.
+    The jumps act through one static superoperator on vec(rho).  After every
+    step rho is replaced by its Hermitian part to suppress floating-point
+    drift.
     """
     if config.dissipation is None:
         raise ModelMismatchError("dissipation is not configured")
@@ -229,51 +287,30 @@ def propagate_lindblad(
     if abs(np.real(np.trace(rho)) - 1.0) > 1e-6:
         raise ParameterDomainError("initial density matrix must have unit trace")
 
-    h_nonherm = bound_hamiltonian(config, basis, include_decay=True)
-    a, a_dag = ladder_operators(basis)
-    s1 = atomic_raising(basis, "S1").conj().T
-    s2 = atomic_raising(basis, "S2").conj().T
-    gamma = config.dissipation.gamma
-    kappa = config.dissipation.kappa
-    jumps = [
-        (kappa, a, a_dag),
-        (0.5 * gamma, s1, s1.conj().T),
-        (0.5 * gamma, s2, s2.conj().T),
-    ]
-    jumps = [(rate, op, op_dag) for rate, op, op_dag in jumps if rate > 0.0]
+    hamiltonian = linear_hamiltonian(config, basis, include_decay=True)
+    dissipator = _dissipator(config.dissipation, basis)
+    dt = grid.dt
 
-    def rhs(h: np.ndarray, state: np.ndarray) -> np.ndarray:
-        out = -1j * (h @ state - state @ h.conj().T)
-        for rate, op, op_dag in jumps:
-            out += rate * (op @ state @ op_dag)
+    def rhs(generator: np.ndarray, state: np.ndarray) -> np.ndarray:
+        product = generator @ state
+        out = (dissipator @ state.reshape(-1)).reshape(dim, dim)
+        out += product
+        out += product.conj().T
         return out
 
-    trajectory = Trajectory(
-        basis=basis,
-        is_density=True,
-        model=schedule.model if schedule is not None else config.model,
-    )
-    recorder = _Recorder(trajectory, schedule)
-    recorder.sample(grid.time(0), rho)
+    def advance(rho, h, out):
+        generator = -1j * h
+        for j, after in enumerate(out):
+            start, mid, end = generator[2 * j : 2 * j + 3]
+            k1 = rhs(start, rho)
+            k2 = rhs(mid, rho + (0.5 * dt) * k1)
+            k3 = rhs(mid, rho + (0.5 * dt) * k2)
+            k4 = rhs(end, rho + dt * k3)
+            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            rho = np.multiply(0.5, rho + rho.conj().T, out=after)
+        return rho
 
-    dt = grid.dt
-    h_now = h_nonherm(grid.time(0))
-    for step in range(grid.n_steps):
-        t = grid.time(step)
-        t_next = grid.time(step + 1)
-        h_mid = h_nonherm(t + 0.5 * dt)
-        h_next = h_nonherm(t_next)
-        k1 = rhs(h_now, rho)
-        k2 = rhs(h_mid, rho + (0.5 * dt) * k1)
-        k3 = rhs(h_mid, rho + (0.5 * dt) * k2)
-        k4 = rhs(h_next, rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        h_now = h_next
-        done = step + 1
-        if done % grid.stride == 0 or done == grid.n_steps:
-            recorder.sample(t_next, rho)
-    return trajectory
+    return _integrate(hamiltonian, rho, grid, advance, is_density=True)
 
 
 def elimination_residual(trajectory: Trajectory) -> float:

@@ -3,13 +3,14 @@ atom-cavity models, assembled on a truncated product basis.
 
 The cavity free-evolution term is absorbed into the detunings (the models
 are written in the rotating frame), so both Hamiltonians contain only
-detuning projectors and the drive couplings.  All matrices are dense; the
-default dimensions are 6 (effective) and 8 (full).
+detuning projectors and the drive couplings.  Both are linear in their
+controls, H(t) = H_static + sum_k c_k(t) X_k (LinearHamiltonian).  All
+matrices are dense; the default dimensions are 6 (effective) and 8 (full).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -25,7 +26,7 @@ from .hilbert import (
     number_operator,
     transition_operator,
 )
-from .pulses import ControlSchedule, PulseParameters
+from .pulses import ControlSchedule, ControlValues, PulseParameters
 
 
 @dataclass(frozen=True)
@@ -54,10 +55,7 @@ class ModelConfig:
     dissipation: Dissipation | None = None
 
     def __post_init__(self):
-        if self.model not in ("effective", "full"):
-            raise ParameterDomainError(f"unknown model {self.model!r}")
-        if self.drive not in ("stirap", "tqd"):
-            raise ParameterDomainError(f"unknown drive {self.drive!r}")
+        self.schedule()  # validates model, drive and the auxiliary detuning
 
     def schedule(self) -> ControlSchedule:
         return ControlSchedule(self.pulses, self.model, self.drive)
@@ -102,10 +100,45 @@ def _check_basis(config: ModelConfig, basis: ProductBasis) -> None:
         )
 
 
-def bound_hamiltonian(
+@dataclass(frozen=True, eq=False)
+class LinearHamiltonian:
+    """H(t) = static + sum_k c_k(t) X_k with fixed matrices X_k: the list
+    form [H0, [X1, c1(t)], [X2, c2(t)], ...] of QuTiP.
+
+    ``terms`` maps each control channel (a ControlValues field) to its X_k,
+    and ``schedule`` evaluates the channels.  Without terms and schedule
+    the Hamiltonian is the constant ``static``.
+    """
+
+    basis: ProductBasis
+    static: np.ndarray
+    terms: dict[str, np.ndarray] = field(default_factory=dict)
+    schedule: ControlSchedule | None = None
+
+    def evaluate(self, times: np.ndarray) -> tuple[ControlValues | None, np.ndarray]:
+        """The control values at ``times`` and H at each of them, a
+        (len(times), d, d) stack; all channels come from one schedule call."""
+        d = self.basis.dimension
+        if self.schedule is None:
+            return None, np.broadcast_to(self.static, (len(times), d, d))
+        controls = self.schedule.values(times)
+        columns = np.stack([getattr(controls, name) for name in self.terms], axis=-1)
+        matrices = np.reshape(list(self.terms.values()), (len(self.terms), d * d))
+        return controls, self.static + (columns @ matrices).reshape(len(times), d, d)
+
+
+def linear_hamiltonian(
     config: ModelConfig, basis: ProductBasis, include_decay: bool = False
-) -> Callable[[float], np.ndarray]:
-    """Bind (config, basis) into a fast t -> H(t) closure.
+) -> LinearHamiltonian:
+    """The model Hamiltonian of ``config`` on ``basis``.
+
+    Full model:
+        H = delta |e><e| + delta_m |em><em|
+            + omega_r S1^dag + g S2^dag a + i omega_m F1^dag + g_m F2^dag a + h.c.
+    Effective model, H0 + H1':
+        H0 = delta |e><e| + omega_r S1^dag + g S2^dag a + h.c. carries the plain
+        adiabatic transfer; H1' = i omega1 |g1><g2| a + h.c. is the correction
+        channel, present only with drive="tqd".
 
     With include_decay the anti-Hermitian decay terms -i*gamma/2 |e><e| and
     -i*kappa/2 a^dag a are added (effective model only).
@@ -115,6 +148,9 @@ def bound_hamiltonian(
     schedule = config.schedule()
     pulses = config.pulses
 
+    static = pulses.delta * terms["p_e"]
+    if config.model == "full":
+        static = static + pulses.delta_m * terms["p_em"]
     if include_decay:
         if config.dissipation is None:
             raise ModelMismatchError("dissipation is not configured")
@@ -122,82 +158,27 @@ def bound_hamiltonian(
             raise ModelMismatchError(
                 "dissipative dynamics is only defined for the effective model"
             )
-        decay = (
+        static = static + (
             -0.5j * config.dissipation.gamma * terms["p_e"]
             - 0.5j * config.dissipation.kappa * terms["number"]
         )
-    else:
-        decay = None
 
-    if config.model == "full":
-        static = pulses.delta * terms["p_e"] + pulses.delta_m * terms["p_em"]
-    else:
-        static = pulses.delta * terms["p_e"]
-    if decay is not None:
-        static = static + decay
-
-    x_omega_r = terms["x_omega_r"]
-    x_g = terms["x_g"]
-
-    if config.model == "full":
-        x_omega_m = terms["x_omega_m"]
-        x_g_m = terms["x_g_m"]
-
-        def build(t: float) -> np.ndarray:
-            v = schedule.values(t)
-            h = static + v.omega_r * x_omega_r + v.g * x_g
-            if v.omega_m:
-                h += v.omega_m * x_omega_m + v.g_m * x_g_m
-            return h
-
-    else:
-        x_omega1 = terms["x_omega1"]
-
-        def build(t: float) -> np.ndarray:
-            v = schedule.values(t)
-            h = static + v.omega_r * x_omega_r + v.g * x_g
-            if v.omega1:
-                h += v.omega1 * x_omega1
-            return h
-
-    return build
+    channels = {"omega_r": terms["x_omega_r"], "g": terms["x_g"]}
+    if schedule.correction_active:
+        channels["omega1"] = terms["x_omega1"]
+    if schedule.auxiliary_active:
+        channels["omega_m"] = terms["x_omega_m"]
+        channels["g_m"] = terms["x_g_m"]
+    return LinearHamiltonian(basis, static, channels, schedule)
 
 
-def full_hamiltonian(config: ModelConfig, basis: ProductBasis, t: float) -> np.ndarray:
-    """Four-level model Hamiltonian at time t.
-
-    H = delta |e><e| + delta_m |em><em|
-        + omega_r S1^dag + g S2^dag a + i omega_m F1^dag + g_m F2^dag a + h.c.
-    """
-    if config.model != "full":
-        raise ModelMismatchError(f"full_hamiltonian needs model='full', got {config.model!r}")
-    return bound_hamiltonian(config, basis)(t)
-
-
-def effective_hamiltonian(
-    config: ModelConfig, basis: ProductBasis, t: float
-) -> np.ndarray:
-    """Effective three-level Hamiltonian H0 + H1' at time t.
-
-    H0 = delta |e><e| + omega_r S1^dag + g S2^dag a + h.c. carries the plain
-    adiabatic transfer; H1' = i omega1 |g1><g2| a + h.c. is the correction
-    channel and vanishes identically when drive="stirap".
-    """
-    if config.model != "effective":
-        raise ModelMismatchError(
-            f"effective_hamiltonian needs model='effective', got {config.model!r}"
-        )
-    return bound_hamiltonian(config, basis)(t)
-
-
-def dissipative_hamiltonian(
-    config: ModelConfig, basis: ProductBasis, t: float
-) -> np.ndarray:
-    """Non-Hermitian effective Hamiltonian with the decay terms included:
-    H - i*gamma/2 |e><e| - i*kappa/2 a^dag a."""
-    if config.dissipation is None:
-        raise ModelMismatchError("dissipation is not configured")
-    return bound_hamiltonian(config, basis, include_decay=True)(t)
+def bound_hamiltonian(
+    config: ModelConfig, basis: ProductBasis, include_decay: bool = False
+) -> Callable[[float], np.ndarray]:
+    """t -> H(t), one time at a time, of linear_hamiltonian(config, basis,
+    include_decay)."""
+    model = linear_hamiltonian(config, basis, include_decay)
+    return lambda t: model.evaluate(np.array([t]))[1][0]
 
 
 def effective_raman_coupling(omega_m: float, g_m: float, delta_m: float) -> float:

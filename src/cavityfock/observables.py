@@ -1,15 +1,14 @@
 """Derived quantities: populations, cavity photon statistics, dark-state
-overlap.  Every function accepts either a pure state vector or a density
-matrix."""
+overlap.  Functions of one ``state`` take a pure state vector or a density
+matrix and tell them apart by dimension.  The columnar ones take a stack of
+states and an explicit ``density`` flag, since a stack of pure states has
+the shape of a density matrix, and give NaN where a value is undefined."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
-
 import numpy as np
 
-from .hilbert import EigenSystem, ProductBasis
+from .hilbert import EigenSystem, ProductBasis, number_operator
 
 # Below this mean photon number the Mandel Q factor is reported as undefined
 # rather than as a divergent float.
@@ -20,37 +19,66 @@ def _is_density(state: np.ndarray) -> bool:
     return state.ndim == 2
 
 
-def _diagonal_weights(state: np.ndarray) -> np.ndarray:
-    if _is_density(state):
-        return np.real(np.diagonal(state))
-    return np.abs(state) ** 2
+def diagonal_weights(states: np.ndarray, density: bool) -> np.ndarray:
+    """Population of every basis state, along the last axis: |psi_i|^2 of
+    pure states (..., d), or the real diagonal of density matrices (..., d, d)."""
+    if density:
+        return np.real(np.diagonal(states, axis1=-2, axis2=-1))
+    return np.abs(states) ** 2
 
 
-@lru_cache(maxsize=None)
-def _fock_numbers(basis: ProductBasis) -> np.ndarray:
-    values = np.array(
-        [float(n) for _level in basis.levels for n in range(basis.n_fock)]
-    )
-    values.setflags(write=False)
-    return values
+def photon_statistics(
+    weights: np.ndarray, basis: ProductBasis
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean photon number <n> and Mandel Q factor -1 + (<n^2> - <n>^2) / <n>
+    from diagonal weights (..., d).  Q is NaN where the cavity is essentially
+    empty (<n> below MANDEL_Q_THRESHOLD) and the ratio is undefined."""
+    numbers = np.real(np.diagonal(number_operator(basis)))
+    n_mean = weights @ numbers
+    n_sq = weights @ (numbers * numbers)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = -1.0 + (n_sq - n_mean * n_mean) / n_mean
+    return n_mean, np.where(n_mean < MANDEL_Q_THRESHOLD, np.nan, q)
+
+
+def _overlaps(states: np.ndarray, vectors: np.ndarray, density: bool) -> np.ndarray:
+    """Population |<v|psi>|^2 (pure) or <v|rho|v> (mixed) of each vector in
+    the matching state, over the leading axes."""
+    if density:
+        return np.real(np.einsum("...i,...ij,...j->...", vectors.conj(), states, vectors))
+    return np.abs(np.einsum("...i,...i->...", vectors.conj(), states)) ** 2
+
+
+def dark_state_overlaps(
+    states: np.ndarray, density: bool, omega_r: np.ndarray, g: np.ndarray, basis: ProductBasis
+) -> np.ndarray:
+    """Dark-state population of each state, the dark state at the matching
+    controls being cos(theta)|g1,0> - sin(theta)|g2,1> with
+    tan(theta) = omega_r/g (as in hilbert.analytic_eigensystem).  NaN where
+    both fields are off and the dark state is undefined."""
+    theta = np.arctan2(omega_r, g)
+    dark = np.zeros((len(theta), basis.dimension), dtype=complex)
+    dark[:, basis.index("g1", 0)] = np.cos(theta)
+    dark[:, basis.index("g2", 1)] = -np.sin(theta)
+    driven = (omega_r != 0.0) | (g != 0.0)
+    return np.where(driven, _overlaps(states, dark, density), np.nan)
 
 
 def populations(state: np.ndarray, basis: ProductBasis) -> dict[tuple[str, int], float]:
     """Population per product-basis label |level, n>."""
-    weights = _diagonal_weights(state)
+    weights = diagonal_weights(state, _is_density(state))
     return {label: float(weights[i]) for i, label in enumerate(basis.labels())}
 
 
 def norm_or_trace(state: np.ndarray) -> float:
     """Squared norm of a pure state, or the trace of a density matrix."""
-    if _is_density(state):
-        return float(np.real(np.trace(state)))
-    return float(np.real(np.vdot(state, state)))
+    return float(np.sum(diagonal_weights(state, _is_density(state))))
 
 
 def mean_photon_number(state: np.ndarray, basis: ProductBasis) -> float:
     """Expectation of the cavity number operator."""
-    return float(_diagonal_weights(state) @ _fock_numbers(basis))
+    n_mean, _q = photon_statistics(diagonal_weights(state, _is_density(state)), basis)
+    return float(n_mean)
 
 
 def mandel_q(state: np.ndarray, basis: ProductBasis) -> float | None:
@@ -59,36 +87,12 @@ def mandel_q(state: np.ndarray, basis: ProductBasis) -> float | None:
     Returns None when the cavity is essentially empty (<n> below
     MANDEL_Q_THRESHOLD), where the ratio is undefined.
     """
-    weights = _diagonal_weights(state)
-    numbers = _fock_numbers(basis)
-    n_mean = float(weights @ numbers)
-    if n_mean < MANDEL_Q_THRESHOLD:
-        return None
-    n_sq = float(weights @ (numbers * numbers))
-    return -1.0 + (n_sq - n_mean * n_mean) / n_mean
+    n_mean, q = photon_statistics(diagonal_weights(state, _is_density(state)), basis)
+    return None if n_mean < MANDEL_Q_THRESHOLD else float(q)
 
 
 def dark_state_overlap(
     state: np.ndarray, eigensystem: EigenSystem, basis: ProductBasis
 ) -> float:
     """Dark-state population |<dark|psi>|^2 (pure) or <dark|rho|dark> (mixed)."""
-    dark = eigensystem.embed(basis)
-    if _is_density(state):
-        return float(np.real(dark.conj() @ state @ dark))
-    return float(np.abs(np.vdot(dark, state)) ** 2)
-
-
-@dataclass
-class ObservablesRecord:
-    """One trajectory sample's worth of derived quantities.
-
-    dark_overlap and mandel_q are None where undefined (no drive field, or
-    an empty cavity, respectively).
-    """
-
-    t: float
-    populations: dict[tuple[str, int], float]
-    dark_overlap: float | None
-    mean_photon_n: float
-    mandel_q: float | None
-    norm_or_trace: float
+    return float(_overlaps(state, eigensystem.embed(basis), _is_density(state)))

@@ -68,10 +68,7 @@ def gaussian_pulse(omega0: float, center: float, width: float, t):
     if width <= 0:
         raise ParameterDomainError(f"pulse width must be positive, got {width}")
     u = (np.asarray(t, dtype=float) - center) / width
-    value = omega0 * np.exp(-u * u)
-    if np.ndim(t) == 0:
-        return float(value)
-    return value
+    return omega0 * np.exp(-u * u)
 
 
 def stirap_pair(params: PulseParameters, t):
@@ -110,10 +107,7 @@ def counterdiabatic_amplitude(params: PulseParameters, t):
     damp = np.exp(-np.abs(log_ratio))
     value = prefactor * damp / (1.0 + damp * damp)
     switched_off = (exponent_p < _LOG_TAIL_CLAMP) & (exponent_s < _LOG_TAIL_CLAMP)
-    value = np.where(switched_off, 0.0, value)
-    if np.ndim(t) == 0:
-        return float(value)
-    return value
+    return np.where(switched_off, 0.0, value)
 
 
 def physical_pulse_pair(params: PulseParameters, t):
@@ -140,8 +134,6 @@ def physical_pulse_pair(params: PulseParameters, t):
     beta_scaled = np.sqrt(np.exp(u - peak) + np.exp(v - peak))
     log_num = -(tt * tt + params.tau_s * params.tau_s) / t_sq
     value = alpha * np.exp(log_num - 0.5 * peak) / beta_scaled
-    if np.ndim(t) == 0:
-        value = float(value)
     return value, value
 
 
@@ -191,7 +183,8 @@ def generic_counterdiabatic(
 
 
 class ControlValues(NamedTuple):
-    """All control channels at one instant, in units of 1/T."""
+    """All control channels in units of 1/T, at one time or, as arrays of
+    its shape, at each time of an array."""
 
     omega_r: float
     g: float
@@ -229,14 +222,10 @@ class ControlSchedule:
     def auxiliary_active(self) -> bool:
         return self.model == "full" and self.drive == "tqd"
 
-    def values(self, t: float) -> ControlValues:
+    def values(self, t) -> ControlValues:
+        """Every channel at ``t``, a time or an array of times."""
         omega_r, g = stirap_pair(self.params, t)
-        if self.correction_active:
-            omega1 = counterdiabatic_amplitude(self.params, t)
-        else:
-            omega1 = 0.0
-        if self.auxiliary_active:
-            g_m, omega_m = physical_pulse_pair(self.params, t)
-        else:
-            g_m = omega_m = 0.0
-        return ControlValues(omega_r, g, omega1, g_m, omega_m)
+        off = np.zeros(np.shape(t))
+        omega1 = counterdiabatic_amplitude(self.params, t) if self.correction_active else off
+        auxiliary = physical_pulse_pair(self.params, t) if self.auxiliary_active else (off, off)
+        return ControlValues(omega_r, g, omega1, *auxiliary)

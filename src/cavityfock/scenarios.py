@@ -7,11 +7,17 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import TimeGrid, Trajectory, propagate_lindblad, propagate_schrodinger
-from .errors import ConfigError
-from .hamiltonians import Dissipation, ModelConfig, bound_hamiltonian
+from .dynamics import (
+    NORM_DRIFT_LIMIT,
+    TimeGrid,
+    Trajectory,
+    propagate_lindblad,
+    propagate_schrodinger,
+)
+from .errors import ConfigError, IntegrationError
+from .hamiltonians import Dissipation, ModelConfig, linear_hamiltonian
 from .hilbert import build_basis
-from .pulses import PulseParameters
+from .pulses import ControlValues, PulseParameters
 
 CSV_COLUMNS = (
     "t_over_T",
@@ -54,24 +60,10 @@ class SimulationConfig:
     stride: int = 10
 
 
-# Fields that a sweep may vary.
-NUMERIC_FIELDS = frozenset(
-    {
-        "omega0_T",
-        "delta_T",
-        "delta_m_T",
-        "tau_p_over_T",
-        "tau_s_over_T",
-        "gamma_T",
-        "kappa_T",
-        "t_start_over_T",
-        "t_end_over_T",
-        "dt_over_T",
-        "n_max",
-        "stride",
-    }
-)
-_INT_FIELDS = frozenset({"n_max", "stride"})
+# Fields that a sweep may vary, by their annotations (strings, as
+# annotations are not evaluated in this module).
+NUMERIC_FIELDS = frozenset(f.name for f in fields(SimulationConfig) if f.type != "str")
+INT_FIELDS = frozenset(f.name for f in fields(SimulationConfig) if f.type == "int")
 
 PRESETS: dict[str, dict] = {
     "fig2_stirap": dict(model="effective", drive="stirap", omega0_T=2.0),
@@ -135,28 +127,27 @@ class RunSummary:
     norm_or_trace_drift: float
     wall_time_s: float
 
-    def lines(self) -> list[str]:
-        def fmt(value):
-            return "" if value is None else f"{value:.16e}"
-
+    def figures(self) -> dict[str, str]:
+        """Every summary entry by name, as printed."""
         final = self.final_populations
-        out = [
-            f"scenario={self.scenario}",
-            f"model={self.model}",
-            f"drive={self.drive}",
-            f"final_p_g1_0={fmt(final.get(('g1', 0)))}",
-            f"final_p_e_0={fmt(final.get(('e', 0)))}",
-            f"final_p_g2_1={fmt(final.get(('g2', 1)))}",
-            f"final_p_g2_0={fmt(final.get(('g2', 0)))}",
-            f"final_p_em_0={fmt(final.get(('em', 0)))}",
-            f"max_p_e_0={fmt(self.max_p_e_0)}",
-            f"max_p_em_0={fmt(self.max_p_em_0)}",
-            f"final_n={fmt(self.final_n)}",
-            f"final_q={fmt(self.final_q)}",
-            f"norm_or_trace_drift={fmt(self.norm_or_trace_drift)}",
-            f"wall_time_s={self.wall_time_s:.3f}",
-        ]
-        return out
+        return {
+            "scenario": self.scenario,
+            "model": self.model,
+            "drive": self.drive,
+            **{
+                f"final_p_{level}_{n}": _fmt(final.get((level, n)))
+                for level, n in (("g1", 0), ("e", 0), ("g2", 1), ("g2", 0), ("em", 0))
+            },
+            "max_p_e_0": _fmt(self.max_p_e_0),
+            "max_p_em_0": _fmt(self.max_p_em_0),
+            "final_n": _fmt(self.final_n),
+            "final_q": _fmt(self.final_q),
+            "norm_or_trace_drift": _fmt(self.norm_or_trace_drift),
+            "wall_time_s": f"{self.wall_time_s:.3f}",
+        }
+
+    def lines(self) -> list[str]:
+        return [f"{name}={value}" for name, value in self.figures().items()]
 
 
 def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
@@ -164,31 +155,29 @@ def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
     config = model_config(sim)
     basis = build_basis(sim.model, sim.n_max)
     grid = time_grid(sim)
-    schedule = config.schedule()
     psi0 = basis.state("g1", 0)
 
     started = time.perf_counter()
     if config.dissipation is not None:
         rho0 = np.outer(psi0, psi0.conj())
-        trajectory = propagate_lindblad(config, rho0, grid, basis, schedule=schedule)
+        trajectory = propagate_lindblad(config, rho0, grid, basis)
     else:
-        hamiltonian = bound_hamiltonian(config, basis)
-        trajectory = propagate_schrodinger(
-            hamiltonian, psi0, grid, basis, schedule=schedule
-        )
+        trajectory = propagate_schrodinger(linear_hamiltonian(config, basis), psi0, grid)
     wall = time.perf_counter() - started
 
-    final = trajectory.final_record
-    drift = max(abs(record.norm_or_trace - 1.0) for record in trajectory.records)
+    drift = float(np.max(np.abs(trajectory.norm_or_trace - 1.0)))
+    if not drift <= NORM_DRIFT_LIMIT:
+        raise IntegrationError(f"norm or trace drifted by {drift:.3e}; reduce dt")
+    final_q = float(trajectory.mandel_q[-1])
     summary = RunSummary(
         scenario=sim.scenario,
         model=sim.model,
         drive=sim.drive,
-        final_populations=final.populations,
+        final_populations=trajectory.final_populations,
         max_p_e_0=trajectory.max_population("e", 0),
         max_p_em_0=trajectory.max_population("em", 0) if sim.model == "full" else None,
-        final_n=final.mean_photon_n,
-        final_q=final.mandel_q,
+        final_n=float(trajectory.mean_photon_n[-1]),
+        final_q=None if np.isnan(final_q) else final_q,
         norm_or_trace_drift=drift,
         wall_time_s=wall,
     )
@@ -213,29 +202,38 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     are undefined dark_overlap / mandel_q entries.
     """
     full = trajectory.model == "full"
-    rows = [",".join(CSV_COLUMNS)]
-    for record, controls in zip(trajectory.records, trajectory.controls):
-        pops = record.populations
-        cells = [
-            _fmt(record.t),
-            _fmt(pops.get(("g1", 0))),
-            _fmt(pops.get(("e", 0))),
-            _fmt(pops.get(("g2", 1))),
-            _fmt(pops.get(("g2", 0))),
-            _fmt(pops.get(("em", 0))) if full else "",
-            _fmt(record.dark_overlap) if not full else "",
-            _fmt(record.mean_photon_n),
-            _fmt(record.mandel_q),
-            _fmt(record.norm_or_trace),
-            _fmt(controls.omega_r) if controls is not None else "",
-            _fmt(controls.g) if controls is not None else "",
-            _fmt(controls.omega1) if controls is not None and not full else "",
-            _fmt(controls.g_m) if controls is not None and full else "",
-            _fmt(controls.omega_m) if controls is not None and full else "",
+    undefined = np.full(len(trajectory.times), np.nan)
+    controls = trajectory.controls or ControlValues(*[undefined] * len(ControlValues._fields))
+
+    def population(level: str, n: int) -> np.ndarray:
+        if level not in trajectory.basis.levels:
+            return undefined
+        return trajectory.population_series(level, n)
+
+    table = np.column_stack(
+        [
+            trajectory.times,
+            population("g1", 0),
+            population("e", 0),
+            population("g2", 1),
+            population("g2", 0),
+            population("em", 0),
+            trajectory.dark_overlap,
+            trajectory.mean_photon_n,
+            trajectory.mandel_q,
+            trajectory.norm_or_trace,
+            controls.omega_r,
+            controls.g,
+            undefined if full else controls.omega1,
+            controls.g_m if full else undefined,
+            controls.omega_m if full else undefined,
         ]
-        rows.append(",".join(cells))
+    )
+    cells = table.astype(object)
+    cells[np.isnan(table)] = None
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write("\n".join(rows) + "\n")
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        handle.writelines(",".join(map(_fmt, row)) + "\n" for row in cells)
 
 
 SWEEP_COLUMNS = (
@@ -265,26 +263,16 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
             f"parameter {parameter!r} is not a numeric configuration field; "
             f"choose from {', '.join(sorted(NUMERIC_FIELDS))}"
         )
+    cast = int if parameter in INT_FIELDS else float
+    if cast is int and not all(float(value).is_integer() for value in values):
+        raise ConfigError(f"{parameter} expects integers, got {list(values)}")
     rows = [",".join(SWEEP_COLUMNS)]
     for value in values:
-        typed = int(value) if parameter in _INT_FIELDS else float(value)
+        typed = cast(value)
         config = replace(base, **{parameter: typed})
         _trajectory, summary = simulate(config)
-        final = summary.final_populations
-        cells = [
-            parameter,
-            _fmt(float(typed)),
-            _fmt(final.get(("g1", 0))),
-            _fmt(final.get(("e", 0))),
-            _fmt(final.get(("g2", 1))),
-            _fmt(final.get(("g2", 0))),
-            _fmt(final.get(("em", 0))),
-            _fmt(summary.max_p_e_0),
-            _fmt(summary.max_p_em_0),
-            _fmt(summary.final_n),
-            _fmt(summary.final_q),
-            _fmt(summary.norm_or_trace_drift),
-        ]
+        figures = summary.figures()
+        cells = [parameter, _fmt(float(typed))] + [figures[name] for name in SWEEP_COLUMNS[2:]]
         rows.append(",".join(cells))
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")

@@ -10,11 +10,9 @@ from cavityfock import (
     analytic_eigensystem,
     atomic_raising,
     build_basis,
+    bound_hamiltonian,
     counterdiabatic_amplitude,
-    dissipative_hamiltonian,
-    effective_hamiltonian,
     effective_raman_coupling,
-    full_hamiltonian,
     generic_counterdiabatic,
     ladder_operators,
     level_projector,
@@ -33,6 +31,10 @@ EFFECTIVE_BASIS = build_basis("effective", 1)
 FULL_BASIS = build_basis("full", 1)
 
 
+def hamiltonian_at(config, basis, t, include_decay=False):
+    return bound_hamiltonian(config, basis, include_decay)(t)
+
+
 def _hermiticity_defect(h):
     scale = max(np.max(np.abs(h)), 1.0)
     return np.max(np.abs(h - h.conj().T)) / scale
@@ -41,7 +43,7 @@ def _hermiticity_defect(h):
 class TestFullHamiltonian:
     def test_bare_detunings_on_diagonal(self):
         config = ModelConfig("full", "stirap", PulseParameters(omega0=0.0, delta_m=18.0))
-        h = full_hamiltonian(config, FULL_BASIS, 0.0)
+        h = hamiltonian_at(config, FULL_BASIS, 0.0)
         expected = np.zeros(8)
         for n in (0, 1):
             expected[FULL_BASIS.index("e", n)] = 1.0
@@ -51,38 +53,38 @@ class TestFullHamiltonian:
 
     def test_pump_matrix_element(self):
         for t in (-1.0, 0.0, 0.7):
-            h = full_hamiltonian(FULL_TQD, FULL_BASIS, t)
+            h = hamiltonian_at(FULL_TQD, FULL_BASIS, t)
             omega_r, _ = stirap_pair(PULSES, t)
             assert h[FULL_BASIS.index("e", 0), FULL_BASIS.index("g1", 0)] == omega_r
 
     def test_cavity_matrix_element(self):
         for t in (-0.5, 0.25):
-            h = full_hamiltonian(FULL_TQD, FULL_BASIS, t)
+            h = hamiltonian_at(FULL_TQD, FULL_BASIS, t)
             _, g = stirap_pair(PULSES, t)
             assert h[FULL_BASIS.index("e", 0), FULL_BASIS.index("g2", 1)] == g
 
     def test_auxiliary_pump_is_in_quadrature(self):
         t = 0.3
-        h = full_hamiltonian(FULL_TQD, FULL_BASIS, t)
+        h = hamiltonian_at(FULL_TQD, FULL_BASIS, t)
         g_m, omega_m = physical_pulse_pair(PULSES, t)
         assert h[FULL_BASIS.index("em", 0), FULL_BASIS.index("g1", 0)] == 1j * omega_m
         assert h[FULL_BASIS.index("em", 0), FULL_BASIS.index("g2", 1)] == g_m
 
     def test_hermitian_at_sampled_times(self):
         for t in np.linspace(-4.0, 4.0, 17):
-            assert _hermiticity_defect(full_hamiltonian(FULL_TQD, FULL_BASIS, t)) <= 1e-12
+            assert _hermiticity_defect(hamiltonian_at(FULL_TQD, FULL_BASIS, t)) <= 1e-12
 
     def test_model_mismatch_raises(self):
         with pytest.raises(ModelMismatchError):
-            full_hamiltonian(EFFECTIVE_TQD, FULL_BASIS, 0.0)
+            hamiltonian_at(EFFECTIVE_TQD, FULL_BASIS, 0.0)
         with pytest.raises(ModelMismatchError):
-            full_hamiltonian(FULL_TQD, EFFECTIVE_BASIS, 0.0)
+            hamiltonian_at(FULL_TQD, EFFECTIVE_BASIS, 0.0)
 
 
 class TestEffectiveHamiltonian:
     def test_stirap_drive_is_bare_transfer_hamiltonian(self):
         t = -0.8
-        h = effective_hamiltonian(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, t)
+        h = hamiltonian_at(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, t)
         omega_r, g = stirap_pair(PULSES, t)
         a, _ = ladder_operators(EFFECTIVE_BASIS)
         s1_dag = atomic_raising(EFFECTIVE_BASIS, "S1")
@@ -96,16 +98,16 @@ class TestEffectiveHamiltonian:
         assert h[EFFECTIVE_BASIS.index("g1", 0), EFFECTIVE_BASIS.index("g2", 1)] == 0.0
 
     def test_correction_block_peaks_at_unit_rate(self):
-        h = effective_hamiltonian(EFFECTIVE_TQD, EFFECTIVE_BASIS, 0.0)
+        h = hamiltonian_at(EFFECTIVE_TQD, EFFECTIVE_BASIS, 0.0)
         coupling = h[EFFECTIVE_BASIS.index("g1", 0), EFFECTIVE_BASIS.index("g2", 1)]
         assert abs(coupling) == pytest.approx(1.0, rel=1e-14)
         assert coupling == 1j * counterdiabatic_amplitude(PULSES, 0.0)
 
     def test_correction_leaves_excited_level_alone(self):
         for t in (-1.0, 0.0, 1.5):
-            delta_h = effective_hamiltonian(
+            delta_h = hamiltonian_at(
                 EFFECTIVE_TQD, EFFECTIVE_BASIS, t
-            ) - effective_hamiltonian(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, t)
+            ) - hamiltonian_at(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, t)
             for n in (0, 1):
                 row = EFFECTIVE_BASIS.index("e", n)
                 assert np.linalg.norm(delta_h[row, :]) == 0.0
@@ -113,14 +115,14 @@ class TestEffectiveHamiltonian:
 
     def test_hermitian_at_sampled_times(self):
         for t in np.linspace(-4.0, 4.0, 17):
-            h = effective_hamiltonian(EFFECTIVE_TQD, EFFECTIVE_BASIS, t)
+            h = hamiltonian_at(EFFECTIVE_TQD, EFFECTIVE_BASIS, t)
             assert _hermiticity_defect(h) <= 1e-12
 
     def test_model_mismatch_raises(self):
         with pytest.raises(ModelMismatchError):
-            effective_hamiltonian(FULL_TQD, FULL_BASIS, 0.0)
+            hamiltonian_at(EFFECTIVE_TQD, FULL_BASIS, 0.0)
         with pytest.raises(ModelMismatchError):
-            effective_hamiltonian(EFFECTIVE_TQD, FULL_BASIS, 0.0)
+            hamiltonian_at(EFFECTIVE_STIRAP, build_basis("full", 2), 0.0)
 
 
 class TestEffectiveRamanCoupling:
@@ -141,12 +143,12 @@ class TestEffectiveRamanCoupling:
 class TestDissipativeHamiltonian:
     def test_zero_rates_reduce_to_effective(self):
         config = ModelConfig("effective", "tqd", PULSES, Dissipation(0.0, 0.0))
-        h = dissipative_hamiltonian(config, EFFECTIVE_BASIS, 0.4)
-        assert np.array_equal(h, effective_hamiltonian(config, EFFECTIVE_BASIS, 0.4))
+        h = hamiltonian_at(config, EFFECTIVE_BASIS, 0.4, include_decay=True)
+        assert np.array_equal(h, hamiltonian_at(config, EFFECTIVE_BASIS, 0.4))
 
     def test_decay_terms_on_diagonal(self):
         config = ModelConfig("effective", "stirap", PULSES, Dissipation(5.0, 0.05))
-        h = dissipative_hamiltonian(config, EFFECTIVE_BASIS, 0.0)
+        h = hamiltonian_at(config, EFFECTIVE_BASIS, 0.0, include_decay=True)
         e0 = EFFECTIVE_BASIS.index("e", 0)
         g21 = EFFECTIVE_BASIS.index("g2", 1)
         assert h[e0, e0] == PULSES.delta - 2.5j
@@ -154,12 +156,12 @@ class TestDissipativeHamiltonian:
 
     def test_missing_dissipation_raises(self):
         with pytest.raises(ModelMismatchError):
-            dissipative_hamiltonian(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, 0.0)
+            hamiltonian_at(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, 0.0, include_decay=True)
 
     def test_full_model_dissipation_out_of_scope(self):
         config = ModelConfig("full", "tqd", PULSES, Dissipation(5.0, 0.05))
         with pytest.raises(ModelMismatchError):
-            dissipative_hamiltonian(config, FULL_BASIS, 0.0)
+            hamiltonian_at(config, FULL_BASIS, 0.0, include_decay=True)
 
 
 class TestSpectralProperties:
@@ -170,7 +172,7 @@ class TestSpectralProperties:
             EFFECTIVE_BASIS.index("g2", 1),
         ]
         for t in np.linspace(-3.0, 3.0, 13):
-            h = effective_hamiltonian(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, t)
+            h = hamiltonian_at(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, t)
             block = h[np.ix_(idx, idx)]
             numeric = np.linalg.eigvalsh(block)
             omega_r, g = stirap_pair(PULSES, t)
@@ -186,6 +188,6 @@ class TestSpectralProperties:
 
         for t in np.linspace(-2.5, 2.5, 11):
             h1 = generic_counterdiabatic(transfer, t, 1e-6)
-            h = effective_hamiltonian(EFFECTIVE_TQD, EFFECTIVE_BASIS, t)
+            h = hamiltonian_at(EFFECTIVE_TQD, EFFECTIVE_BASIS, t)
             block = h[EFFECTIVE_BASIS.index("g1", 0), EFFECTIVE_BASIS.index("g2", 1)]
             assert abs(h1[0, 2] - block) <= 1e-6 * abs(block)

@@ -230,6 +230,16 @@ class TestControlSchedule:
                 for t in np.linspace(-4.0, 4.0, 17):
                     assert all(np.isfinite(v) for v in schedule.values(t))
 
+    def test_array_of_times_matches_each_time(self):
+        times = np.linspace(-4.0, 4.0, 33)
+        for model in ("effective", "full"):
+            for drive in ("stirap", "tqd"):
+                schedule = ControlSchedule(STANDARD, model=model, drive=drive)
+                columns = schedule.values(times)
+                for i, t in enumerate(times):
+                    one = schedule.values(float(t))
+                    assert all(c[i] == v for c, v in zip(columns, one))
+
     def test_rejects_unknown_model_or_drive(self):
         with pytest.raises(ParameterDomainError):
             ControlSchedule(STANDARD, model="bogus", drive="stirap")

@@ -205,6 +205,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
 
+    def test_duplicate_key_raises(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("stride=10\nomega0_T=2\n stride = 20\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match="stride"):
+            parse_config_file(str(path))
+
 
 class TestCli:
     def test_presets_command_lists_all(self, capsys):
@@ -277,6 +283,35 @@ class TestCli:
             ]
         )
         assert code == 3
+
+    def test_non_finite_run_is_integration_failure(self, tmp_path, capsys):
+        # the pulses overflow within the first steps and the state turns NaN
+        code = main(
+            [
+                "run",
+                "--preset",
+                "fig2_tqd",
+                "--set",
+                "dt_over_T=0.5",
+                "--set",
+                "stride=16",
+                "--set",
+                "omega0_T=1e200",
+                "--out",
+                str(tmp_path / "nan.csv"),
+            ]
+        )
+        captured = capsys.readouterr()
+        assert code == 3
+        assert "nan" not in captured.out
+        assert "drifted" in captured.err
+
+    def test_sweep_rejects_non_integer_values_of_integer_fields(self, tmp_path, capsys):
+        out = str(tmp_path / "n_max.csv")
+        argv = ["sweep", "--param", "n_max", "--values", "1.5,2.9", "--out", out]
+        assert main(argv) == 2
+        assert "n_max" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         code = main(
