@@ -13,6 +13,7 @@ from .errors import CavityFockError, ConfigError, IntegrationError
 from .scenarios import (
     INT_FIELDS,
     NUMERIC_FIELDS,
+    OPTIONAL_FLOAT_FIELDS,
     PRESETS,
     SimulationConfig,
     config_field_names,
@@ -20,8 +21,6 @@ from .scenarios import (
     run,
     sweep,
 )
-
-_OPTIONAL_FLOAT_FIELDS = {"gamma_T", "kappa_T"}
 
 
 def _coerce(key: str, raw: str):
@@ -32,7 +31,7 @@ def _coerce(key: str, raw: str):
             return int(raw)
         except ValueError:
             raise ConfigError(f"{key} expects an integer, got {raw!r}") from None
-    if key in _OPTIONAL_FLOAT_FIELDS and raw.lower() in ("", "none"):
+    if key in OPTIONAL_FLOAT_FIELDS and raw.lower() in ("", "none"):
         return None
     try:
         return float(raw)

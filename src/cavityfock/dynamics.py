@@ -14,14 +14,15 @@ stack of recorded states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import IntegrationError, ModelMismatchError, ParameterDomainError
-from .hamiltonians import Dissipation, LinearHamiltonian, ModelConfig, linear_hamiltonian
-from .hilbert import ProductBasis, atomic_raising, ladder_operators
+from .hamiltonians import LinearHamiltonian
+from .hilbert import ProductBasis
 from .observables import (
     dark_state_overlaps,
     diagonal_weights,
@@ -49,16 +50,17 @@ class TimeGrid:
     stride: int = 1
 
     def __post_init__(self):
-        if self.t_end <= self.t_start:
-            raise ParameterDomainError(
-                f"t_end must exceed t_start, got [{self.t_start}, {self.t_end}]"
-            )
-        if self.dt <= 0:
-            raise ParameterDomainError(f"dt must be positive, got {self.dt}")
+        # every check is written so that NaN fails it
+        if not 0.0 < self.dt < math.inf:
+            raise ParameterDomainError(f"dt must be finite and positive, got {self.dt}")
         if self.stride < 1:
             raise ParameterDomainError(f"stride must be at least 1, got {self.stride}")
         steps = (self.t_end - self.t_start) / self.dt
-        if abs(steps - round(steps)) > 1e-9 * max(1.0, abs(steps)):
+        if not 0.0 < steps < math.inf:  # also an infinite t_start or t_end
+            raise ParameterDomainError(
+                f"window [{self.t_start}, {self.t_end}] must be finite and of positive length"
+            )
+        if not abs(steps - round(steps)) <= 1e-9 * max(1.0, steps):
             raise ParameterDomainError(
                 f"window [{self.t_start}, {self.t_end}] is not an integer "
                 f"number of steps of dt={self.dt}"
@@ -224,7 +226,10 @@ def propagate_schrodinger(
 
     The initial state must be normalized; an IntegrationError is raised if
     the norm drifts by more than NORM_DRIFT_LIMIT at any recorded sample.
+    A model with Lindblad jumps is rejected: it needs propagate_lindblad.
     """
+    if hamiltonian.jumps:
+        raise ModelMismatchError("an open-system model needs propagate_lindblad")
     basis = hamiltonian.basis
     psi = np.asarray(psi0, dtype=complex).copy()
     if psi.shape != (basis.dimension,):
@@ -232,7 +237,7 @@ def propagate_schrodinger(
             f"state dimension {psi.shape} does not match basis "
             f"dimension {basis.dimension}"
         )
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-6:
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-6:
         raise ParameterDomainError("initial state must be normalized")
 
     def advance(psi, h, out):
@@ -243,52 +248,37 @@ def propagate_schrodinger(
     return _integrate(hamiltonian, psi, grid, advance, is_density=False)
 
 
-def _dissipator(dissipation: Dissipation, basis: ProductBasis) -> np.ndarray:
-    """Superoperator of sum_j rate_j L_j rho L_j^dag on the row-major
-    vec(rho), using vec(A rho B) = (A kron B^T) vec(rho)."""
-    a, _a_dag = ladder_operators(basis)
-    s1 = atomic_raising(basis, "S1").conj().T
-    s2 = atomic_raising(basis, "S2").conj().T
-    jumps = [
-        (dissipation.kappa, a),
-        (0.5 * dissipation.gamma, s1),
-        (0.5 * dissipation.gamma, s2),
-    ]
-    return sum(rate * np.kron(op, op.conj()) for rate, op in jumps)
-
-
 def propagate_lindblad(
-    config: ModelConfig, rho0: np.ndarray, grid: TimeGrid, basis: ProductBasis
+    hamiltonian: LinearHamiltonian, rho0: np.ndarray, grid: TimeGrid
 ) -> Trajectory:
-    """Integrate the master equation for the effective model.
+    """Integrate the master equation of an open-system model.
 
-    d rho/dt = -i (H' rho - rho H'^dag) + kappa a rho a^dag
-               + gamma/2 sum_j S_j rho S_j^dag
+    d rho/dt = -i (H' rho - rho H'^dag) + sum_j rate_j L_j rho L_j^dag
 
-    with H' the non-Hermitian Hamiltonian carrying the matching decay terms.
-    The spontaneous-emission jump carries rate gamma/2 per ground-state
-    branch so that the total rate gamma balances the anti-Hermitian part and
-    the trace is preserved.  Each RK4 stage takes one matrix product: with
-    G = -iH' and rho Hermitian, -i (H' rho - rho H'^dag) = G rho + (G rho)^dag.
-    The jumps act through one static superoperator on vec(rho).  After every
-    step rho is replaced by its Hermitian part to suppress floating-point
-    drift.
+    with the jumps (rate_j, L_j) of ``hamiltonian.jumps`` and H' its
+    non-Hermitian Hamiltonian, which carries the matching decay terms
+    -i/2 sum_j rate_j L_j^dag L_j so that the trace is preserved.  Each RK4
+    stage takes one matrix product: with G = -iH' and rho Hermitian,
+    -i (H' rho - rho H'^dag) = G rho + (G rho)^dag.  The jumps act through
+    one static superoperator on the row-major vec(rho), using
+    vec(A rho B) = (A kron B^T) vec(rho).  After every step rho is replaced
+    by its Hermitian part to suppress floating-point drift.
     """
-    if config.dissipation is None:
+    if not hamiltonian.jumps:
         raise ModelMismatchError("dissipation is not configured")
     rho = np.asarray(rho0, dtype=complex).copy()
-    dim = basis.dimension
+    dim = hamiltonian.basis.dimension
     if rho.shape != (dim, dim):
         raise ParameterDomainError(
             f"density matrix shape {rho.shape} does not match basis dimension {dim}"
         )
-    if np.max(np.abs(rho - rho.conj().T)) > 1e-8:
+    # written so that NaN fails them
+    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-8:
         raise ParameterDomainError("initial density matrix must be Hermitian")
-    if abs(np.real(np.trace(rho)) - 1.0) > 1e-6:
+    if not abs(np.real(np.trace(rho)) - 1.0) <= 1e-6:
         raise ParameterDomainError("initial density matrix must have unit trace")
 
-    hamiltonian = linear_hamiltonian(config, basis, include_decay=True)
-    dissipator = _dissipator(config.dissipation, basis)
+    dissipator = sum(rate * np.kron(op, op.conj()) for rate, op in hamiltonian.jumps)
     dt = grid.dt
 
     def rhs(generator: np.ndarray, state: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ matrices are dense; the default dimensions are 6 (effective) and 8 (full).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -18,12 +19,11 @@ import numpy as np
 
 from .errors import ModelMismatchError, ParameterDomainError
 from .hilbert import (
-    FULL_LEVELS,
     ProductBasis,
     atomic_raising,
+    build_basis,
     ladder_operators,
     level_projector,
-    number_operator,
     transition_operator,
 )
 from .pulses import ControlSchedule, ControlValues, PulseParameters
@@ -38,10 +38,10 @@ class Dissipation:
     kappa: float = 0.0
 
     def __post_init__(self):
-        if self.gamma < 0 or self.kappa < 0:
+        if not (0.0 <= self.gamma < math.inf and 0.0 <= self.kappa < math.inf):
             raise ParameterDomainError(
-                f"decay rates must be non-negative, got gamma={self.gamma}, "
-                f"kappa={self.kappa}"
+                f"decay rates must be finite and non-negative, got "
+                f"gamma={self.gamma}, kappa={self.kappa}"
             )
 
 
@@ -65,10 +65,7 @@ class ModelConfig:
 def _coupling_terms(basis: ProductBasis) -> dict[str, np.ndarray]:
     """Static Hermitian coupling matrices, one per control channel."""
     a, _ = ladder_operators(basis)
-    terms = {
-        "p_e": level_projector(basis, "e"),
-        "number": number_operator(basis),
-    }
+    terms = {"p_e": level_projector(basis, "e")}
     s1_dag = atomic_raising(basis, "S1")
     s2_dag_a = atomic_raising(basis, "S2") @ a
     terms["x_omega_r"] = s1_dag + s1_dag.conj().T
@@ -91,13 +88,32 @@ def _coupling_terms(basis: ProductBasis) -> dict[str, np.ndarray]:
 
 
 def _check_basis(config: ModelConfig, basis: ProductBasis) -> None:
-    expected = 4 if config.model == "full" else 3
-    if len(basis.levels) != expected or (
-        config.model == "full" and basis.levels != FULL_LEVELS
-    ):
+    if basis.levels != build_basis(config.model, basis.n_max).levels:
         raise ModelMismatchError(
             f"model {config.model!r} does not act on basis levels {basis.levels}"
         )
+
+
+Jumps = tuple[tuple[float, np.ndarray], ...]
+
+
+def jump_operators(config: ModelConfig, basis: ProductBasis) -> Jumps:
+    """Lindblad jumps (rate, L) of the master equation: cavity loss
+    (kappa, a) and spontaneous emission of the intermediate excited level
+    into each ground level, (gamma/2, S1) and (gamma/2, S2), so that the
+    total emission rate is gamma.  Empty without dissipation.
+    """
+    if config.dissipation is None:
+        return ()
+    if config.model != "effective":
+        raise ModelMismatchError("dissipative dynamics is only defined for the effective model")
+    a, _ = ladder_operators(basis)
+    gamma, kappa = config.dissipation.gamma, config.dissipation.kappa
+    return (
+        (kappa, a),
+        (0.5 * gamma, atomic_raising(basis, "S1").conj().T),
+        (0.5 * gamma, atomic_raising(basis, "S2").conj().T),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,13 +123,15 @@ class LinearHamiltonian:
 
     ``terms`` maps each control channel (a ControlValues field) to its X_k,
     and ``schedule`` evaluates the channels.  Without terms and schedule
-    the Hamiltonian is the constant ``static``.
+    the Hamiltonian is the constant ``static``.  An open system has
+    ``jumps``, and ``static`` carries their decay terms -i/2 sum_j r_j L_j^dag L_j.
     """
 
     basis: ProductBasis
     static: np.ndarray
     terms: dict[str, np.ndarray] = field(default_factory=dict)
     schedule: ControlSchedule | None = None
+    jumps: Jumps = ()
 
     def evaluate(self, times: np.ndarray) -> tuple[ControlValues | None, np.ndarray]:
         """The control values at ``times`` and H at each of them, a
@@ -127,9 +145,7 @@ class LinearHamiltonian:
         return controls, self.static + (columns @ matrices).reshape(len(times), d, d)
 
 
-def linear_hamiltonian(
-    config: ModelConfig, basis: ProductBasis, include_decay: bool = False
-) -> LinearHamiltonian:
+def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamiltonian:
     """The model Hamiltonian of ``config`` on ``basis``.
 
     Full model:
@@ -140,8 +156,9 @@ def linear_hamiltonian(
         adiabatic transfer; H1' = i omega1 |g1><g2| a + h.c. is the correction
         channel, present only with drive="tqd".
 
-    With include_decay the anti-Hermitian decay terms -i*gamma/2 |e><e| and
-    -i*kappa/2 a^dag a are added (effective model only).
+    With dissipation configured (effective model only) the model carries the
+    jumps of jump_operators and the matching decay terms, so that the master
+    equation preserves the trace.
     """
     _check_basis(config, basis)
     terms = _coupling_terms(basis)
@@ -151,17 +168,9 @@ def linear_hamiltonian(
     static = pulses.delta * terms["p_e"]
     if config.model == "full":
         static = static + pulses.delta_m * terms["p_em"]
-    if include_decay:
-        if config.dissipation is None:
-            raise ModelMismatchError("dissipation is not configured")
-        if config.model != "effective":
-            raise ModelMismatchError(
-                "dissipative dynamics is only defined for the effective model"
-            )
-        static = static + (
-            -0.5j * config.dissipation.gamma * terms["p_e"]
-            - 0.5j * config.dissipation.kappa * terms["number"]
-        )
+    jumps = jump_operators(config, basis)
+    if jumps:
+        static = static - 0.5j * sum(rate * (op.conj().T @ op) for rate, op in jumps)
 
     channels = {"omega_r": terms["x_omega_r"], "g": terms["x_g"]}
     if schedule.correction_active:
@@ -169,15 +178,19 @@ def linear_hamiltonian(
     if schedule.auxiliary_active:
         channels["omega_m"] = terms["x_omega_m"]
         channels["g_m"] = terms["x_g_m"]
-    return LinearHamiltonian(basis, static, channels, schedule)
+    return LinearHamiltonian(basis, static, channels, schedule, jumps)
 
 
 def bound_hamiltonian(
     config: ModelConfig, basis: ProductBasis, include_decay: bool = False
 ) -> Callable[[float], np.ndarray]:
-    """t -> H(t), one time at a time, of linear_hamiltonian(config, basis,
-    include_decay)."""
-    model = linear_hamiltonian(config, basis, include_decay)
+    """t -> H(t), one time at a time, of linear_hamiltonian(config, basis):
+    with include_decay H' with its decay terms, else the model without them."""
+    if not include_decay:
+        config = replace(config, dissipation=None)
+    elif config.dissipation is None:
+        raise ModelMismatchError("dissipation is not configured")
+    model = linear_hamiltonian(config, basis)
     return lambda t: model.evaluate(np.array([t]))[1][0]
 
 

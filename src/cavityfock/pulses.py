@@ -9,7 +9,7 @@ concern).  The module provides
 * the closed-form correction amplitude that makes the transfer exactly
   follow the instantaneous dark state,
 * the physically realizable auxiliary pulse pair that synthesizes the same
-  correction through a far-detuned level, and
+  correction through a far-detuned level, derived from it, and
 * a numerical correction term for arbitrary Hermitian schedules, used as an
   independent oracle for the closed form.
 """
@@ -17,7 +17,7 @@ concern).  The module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -55,6 +55,8 @@ class PulseParameters:
     T: float = 1.0
 
     def __post_init__(self):
+        if not all(math.isfinite(value) for value in astuple(self)):
+            raise ParameterDomainError(f"pulse parameters must be finite, got {self}")
         if self.T <= 0:
             raise ParameterDomainError(f"T must be positive, got {self.T}")
         if self.omega0 < 0:
@@ -93,9 +95,9 @@ def counterdiabatic_amplitude(params: PulseParameters, t):
         2 (tau_p + tau_s) / T**2 * 1 / (r + 1/r),    r = omega_r / g
 
     is evaluated with the Gaussian ratio r taken in log space.  The result is
-    exact in real arithmetic, non-negative, and decays to zero in the tails;
-    it is clamped to exactly zero once both pulses are below
-    TAIL_CLAMP * omega0.
+    exact in real arithmetic, has the sign of tau_p + tau_s, and decays to
+    zero in the tails; it is clamped to exactly zero once both pulses are
+    below TAIL_CLAMP * omega0.
     """
     tt = np.asarray(t, dtype=float)
     t_sq = params.T * params.T
@@ -111,30 +113,20 @@ def counterdiabatic_amplitude(params: PulseParameters, t):
 
 
 def physical_pulse_pair(params: PulseParameters, t):
-    """Equal auxiliary pulse pair (g_m, omega_m) at time t.
+    """Auxiliary pulse pair (g_m, omega_m) at time t.
 
-    Both pulses share the shape alpha * exp(-(t**2 + tau_s**2)/T**2) / beta
-    with beta**2 = exp(-2(t+tau_s)**2/T**2) + exp(-2(t-tau_p)**2/T**2) and
-    alpha**2 = 2*delta_m/T, so that the far-detuned Raman product
-    omega_m * g_m / delta_m reproduces the correction amplitude for the
-    standard pulse arrangement tau_p = tau_s = T/2.
+    omega_m = sqrt(delta_m |omega1|) and g_m = sign(omega1) omega_m, with
+    omega1 the correction amplitude, so that the far-detuned Raman product
+    g_m * omega_m / delta_m reproduces omega1 for every pulse arrangement.
+    Both pulses are exactly zero where omega1 is clamped to zero.
     """
-    if params.delta_m <= 0:
+    if not params.delta_m > 0:
         raise ParameterDomainError(
             f"delta_m must be positive for physical pulses, got {params.delta_m}"
         )
-    tt = np.asarray(t, dtype=float)
-    t_sq = params.T * params.T
-    alpha = math.sqrt(2.0 * params.delta_m / params.T)
-    u = -2.0 * (tt + params.tau_s) ** 2 / t_sq
-    v = -2.0 * (tt - params.tau_p) ** 2 / t_sq
-    peak = np.maximum(u, v)
-    # beta factored as exp(peak/2) * sqrt(...) so the ratio stays finite even
-    # when both exponentials underflow.
-    beta_scaled = np.sqrt(np.exp(u - peak) + np.exp(v - peak))
-    log_num = -(tt * tt + params.tau_s * params.tau_s) / t_sq
-    value = alpha * np.exp(log_num - 0.5 * peak) / beta_scaled
-    return value, value
+    omega1 = counterdiabatic_amplitude(params, t)
+    omega_m = np.sqrt(params.delta_m * np.abs(omega1))
+    return np.copysign(omega_m, omega1), omega_m
 
 
 def generic_counterdiabatic(

@@ -64,6 +64,9 @@ class SimulationConfig:
 # annotations are not evaluated in this module).
 NUMERIC_FIELDS = frozenset(f.name for f in fields(SimulationConfig) if f.type != "str")
 INT_FIELDS = frozenset(f.name for f in fields(SimulationConfig) if f.type == "int")
+OPTIONAL_FLOAT_FIELDS = frozenset(
+    f.name for f in fields(SimulationConfig) if f.type == "float | None"
+)
 
 PRESETS: dict[str, dict] = {
     "fig2_stirap": dict(model="effective", drive="stirap", omega0_T=2.0),
@@ -158,11 +161,11 @@ def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
     psi0 = basis.state("g1", 0)
 
     started = time.perf_counter()
-    if config.dissipation is not None:
-        rho0 = np.outer(psi0, psi0.conj())
-        trajectory = propagate_lindblad(config, rho0, grid, basis)
+    model = linear_hamiltonian(config, basis)
+    if model.jumps:
+        trajectory = propagate_lindblad(model, np.outer(psi0, psi0.conj()), grid)
     else:
-        trajectory = propagate_schrodinger(linear_hamiltonian(config, basis), psi0, grid)
+        trajectory = propagate_schrodinger(model, psi0, grid)
     wall = time.perf_counter() - started
 
     drift = float(np.max(np.abs(trajectory.norm_or_trace - 1.0)))

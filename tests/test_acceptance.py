@@ -97,16 +97,28 @@ def test_criterion_03_correction_identities():
     derivative = (theta(times + step) - theta(times - step)) / (2.0 * step)
     err_theta = np.max(np.abs(closed[mask] - derivative[mask]) / closed[mask])
 
-    g_m, omega_m = physical_pulse_pair(PULSES, times)
-    product = g_m * omega_m / PULSES.delta_m
-    err_product = np.max(np.abs(closed[mask] - product[mask]) / closed[mask])
+    # the auxiliary pair at the paper's offsets, at 20 seeded random ones and
+    # at one reversed pulse order (tau_p + tau_s < 0, where omega1 < 0)
+    rng = np.random.default_rng(20261017)
+    offsets = [(0.5, 0.5)] + [tuple(rng.uniform(0.1, 1.0, size=2)) for _ in range(20)]
+    offsets.append((-0.8, 0.3))
+    err_product = 0.0
+    for tau_p, tau_s in offsets:
+        params = replace(PULSES, tau_p=tau_p, tau_s=tau_s)
+        target = counterdiabatic_amplitude(params, times)
+        g_m, omega_m = physical_pulse_pair(params, times)
+        product = g_m * omega_m / params.delta_m
+        used = np.abs(target) > 1e-8
+        err = np.max(np.abs(target[used] - product[used]) / np.abs(target[used]))
+        err_product = max(err_product, err)
 
     ok = err_theta <= 1e-6 and err_product <= 1e-12
     _report(
         "criterion 3 (correction identities)",
         ok,
         f"max rel err vs angle derivative={err_theta:.2e} (<=1e-6), "
-        f"vs auxiliary product={err_product:.2e} (<=1e-12) on 1e4 points",
+        f"vs auxiliary product={err_product:.2e} (<=1e-12) on 1e4 points "
+        f"at {len(offsets)} pulse offsets (tau_p, tau_s)",
     )
 
 
@@ -181,8 +193,10 @@ def test_criterion_06_master_equation_hygiene(fig2f_results):
     config = ModelConfig("effective", "tqd", PULSES, Dissipation(0.0, 0.0))
     grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
     psi0 = basis.state("g1", 0)
-    pure = propagate_schrodinger(linear_hamiltonian(config, basis), psi0, grid)
-    mixed = propagate_lindblad(config, np.outer(psi0, psi0.conj()), grid, basis)
+    closed = linear_hamiltonian(replace(config, dissipation=None), basis)
+    pure = propagate_schrodinger(closed, psi0, grid)
+    rho0 = np.outer(psi0, psi0.conj())
+    mixed = propagate_lindblad(linear_hamiltonian(config, basis), rho0, grid)
     closed_gap = max(
         float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
         for psi, rho in zip(pure.states, mixed.states)
@@ -198,7 +212,7 @@ def test_criterion_06_master_equation_hygiene(fig2f_results):
     )
     one_photon = basis.state("g2", 1)
     decay = propagate_lindblad(
-        decay_config, np.outer(one_photon, one_photon.conj()), grid, basis
+        linear_hamiltonian(decay_config, basis), np.outer(one_photon, one_photon.conj()), grid
     )
     decay_err = max(
         abs(n_mean - math.exp(-kappa * (t + 4.0)))

@@ -52,6 +52,22 @@ class TestTimeGrid:
         with pytest.raises(ParameterDomainError):
             TimeGrid(0.0, 1.0, 0.1, stride=0)
 
+    @pytest.mark.parametrize(
+        "window",
+        [
+            (math.nan, 1.0, 0.1),
+            (0.0, math.nan, 0.1),
+            (0.0, 1.0, math.nan),
+            (-math.inf, 1.0, 0.1),
+            (0.0, math.inf, 0.1),
+            (0.0, 1.0, math.inf),
+            (-1e308, 1e308, 1.0),  # the step count overflows
+        ],
+    )
+    def test_rejects_non_finite_window_or_step(self, window):
+        with pytest.raises(ParameterDomainError):
+            TimeGrid(*window)
+
 
 class TestSchrodinger:
     def test_zero_hamiltonian_freezes_state(self):
@@ -106,6 +122,18 @@ class TestSchrodinger:
                 LinearHamiltonian(BASIS, np.zeros((6, 6))), np.ones(4) / 2.0, grid
             )
 
+    def test_rejects_non_finite_initial_state(self):
+        grid = TimeGrid(0.0, 1.0, 1e-2)
+        psi0 = np.full(BASIS.dimension, np.nan, dtype=complex)
+        with pytest.raises(ParameterDomainError):
+            propagate_schrodinger(LinearHamiltonian(BASIS, np.zeros((6, 6))), psi0, grid)
+
+    def test_rejects_open_system_model(self):
+        config = ModelConfig("effective", "stirap", PULSES, Dissipation(1.0, 0.1))
+        grid = TimeGrid(0.0, 1.0, 1e-2)
+        with pytest.raises(ModelMismatchError):
+            propagate_schrodinger(linear_hamiltonian(config, BASIS), BASIS.state("g1", 0), grid)
+
     def test_norm_conserved_through_transfer(self):
         config = ModelConfig("effective", "tqd", PULSES)
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=50)
@@ -147,7 +175,7 @@ class TestLindblad:
         )
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
         rho0 = np.outer(BASIS.state("g2", 1), BASIS.state("g2", 1).conj())
-        trajectory = propagate_lindblad(config, rho0, grid, BASIS)
+        trajectory = propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
         for t, n_mean in zip(trajectory.times, trajectory.mean_photon_n):
             expected = math.exp(-kappa * (t + 4.0))
             assert n_mean == pytest.approx(expected, abs=1e-6)
@@ -156,8 +184,10 @@ class TestLindblad:
         config = ModelConfig("effective", "tqd", PULSES, Dissipation(0.0, 0.0))
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=200)
         psi0 = BASIS.state("g1", 0)
-        pure = propagate_schrodinger(linear_hamiltonian(config, BASIS), psi0, grid)
-        mixed = propagate_lindblad(config, np.outer(psi0, psi0.conj()), grid, BASIS)
+        closed = linear_hamiltonian(replace(config, dissipation=None), BASIS)
+        pure = propagate_schrodinger(closed, psi0, grid)
+        rho0 = np.outer(psi0, psi0.conj())
+        mixed = propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
         for psi, rho in zip(pure.states, mixed.states):
             projector = np.outer(psi, psi.conj())
             assert np.max(np.abs(rho - projector)) <= 1e-8
@@ -168,7 +198,7 @@ class TestLindblad:
         )
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
         rho0 = np.outer(BASIS.state("g1", 0), BASIS.state("g1", 0).conj())
-        trajectory = propagate_lindblad(config, rho0, grid, BASIS)
+        trajectory = propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
         drift = np.max(np.abs(trajectory.norm_or_trace - 1.0))
         assert drift <= 1e-8
 
@@ -178,7 +208,7 @@ class TestLindblad:
         )
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=400)
         rho0 = np.outer(BASIS.state("g1", 0), BASIS.state("g1", 0).conj())
-        trajectory = propagate_lindblad(config, rho0, grid, BASIS)
+        trajectory = propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
         for rho in trajectory.states:
             assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
@@ -187,7 +217,7 @@ class TestLindblad:
         grid = TimeGrid(0.0, 1.0, 1e-2)
         rho0 = np.outer(BASIS.state("g1", 0), BASIS.state("g1", 0).conj())
         with pytest.raises(ModelMismatchError):
-            propagate_lindblad(config, rho0, grid, BASIS)
+            propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
 
     def test_rejects_invalid_initial_density(self):
         config = ModelConfig("effective", "stirap", PULSES, Dissipation(1.0, 0.1))
@@ -195,10 +225,16 @@ class TestLindblad:
         skew = np.zeros((6, 6), dtype=complex)
         skew[0, 1] = 1.0
         skew[0, 0] = 1.0
+        model = linear_hamiltonian(config, BASIS)
         with pytest.raises(ParameterDomainError):
-            propagate_lindblad(config, skew, grid, BASIS)
+            propagate_lindblad(model, skew, grid)
         with pytest.raises(ParameterDomainError):
-            propagate_lindblad(config, np.zeros((6, 6), dtype=complex), grid, BASIS)
+            propagate_lindblad(model, np.zeros((6, 6), dtype=complex), grid)
+        for entry in ((0, 0), (0, 1)):
+            rho0 = np.outer(BASIS.state("g1", 0), BASIS.state("g1", 0).conj())
+            rho0[entry] = np.nan
+            with pytest.raises(ParameterDomainError):
+                propagate_lindblad(model, rho0, grid)
 
 
 class TestEliminationResidual:
@@ -335,9 +371,11 @@ class TestMemory:
             # the same 11 recorded samples whatever the step count
             grid = TimeGrid(-4.0, 4.0, 8.0 / n_steps, stride=n_steps // 10)
             if dissipative:
-                propagate_lindblad(config, np.outer(psi0, psi0.conj()), grid, BASIS)
+                model = linear_hamiltonian(config, BASIS)
+                propagate_lindblad(model, np.outer(psi0, psi0.conj()), grid)
             else:
-                propagate_schrodinger(linear_hamiltonian(config, BASIS), psi0, grid)
+                model = linear_hamiltonian(replace(config, dissipation=None), BASIS)
+                propagate_schrodinger(model, psi0, grid)
 
         run(1000)  # fill the operator caches
         peaks = []

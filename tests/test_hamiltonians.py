@@ -14,8 +14,10 @@ from cavityfock import (
     counterdiabatic_amplitude,
     effective_raman_coupling,
     generic_counterdiabatic,
+    jump_operators,
     ladder_operators,
     level_projector,
+    linear_hamiltonian,
     physical_pulse_pair,
     single_excitation_matrix,
     stirap_pair,
@@ -162,6 +164,44 @@ class TestDissipativeHamiltonian:
         config = ModelConfig("full", "tqd", PULSES, Dissipation(5.0, 0.05))
         with pytest.raises(ModelMismatchError):
             hamiltonian_at(config, FULL_BASIS, 0.0, include_decay=True)
+
+
+class TestJumpOperators:
+    def test_none_without_dissipation(self):
+        assert jump_operators(EFFECTIVE_TQD, EFFECTIVE_BASIS) == ()
+        assert linear_hamiltonian(EFFECTIVE_TQD, EFFECTIVE_BASIS).jumps == ()
+
+    def test_cavity_loss_and_both_emission_branches(self):
+        config = ModelConfig("effective", "tqd", PULSES, Dissipation(5.0, 0.05))
+        a, _ = ladder_operators(EFFECTIVE_BASIS)
+        expected = [
+            (0.05, a),
+            (2.5, atomic_raising(EFFECTIVE_BASIS, "S1").conj().T),
+            (2.5, atomic_raising(EFFECTIVE_BASIS, "S2").conj().T),
+        ]
+        for jumps in (
+            jump_operators(config, EFFECTIVE_BASIS),
+            linear_hamiltonian(config, EFFECTIVE_BASIS).jumps,
+        ):
+            assert [rate for rate, _ in jumps] == [rate for rate, _ in expected]
+            for (_, op), (_, want) in zip(jumps, expected):
+                assert np.array_equal(op, want)
+
+    def test_decay_terms_match_jumps_so_trace_is_preserved(self):
+        """d tr(rho)/dt = 0 for any rho: the decay terms of H' balance the
+        jump terms, checked for a random density matrix at n_max = 3."""
+        basis = build_basis("effective", 3)
+        config = ModelConfig("effective", "tqd", PULSES, Dissipation(1.3, 0.7))
+        rng = np.random.default_rng(21)
+        shape = (basis.dimension, basis.dimension)
+        raw = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        rho = raw @ raw.conj().T
+        rho /= np.trace(rho)
+        h = bound_hamiltonian(config, basis, include_decay=True)(0.3)
+        rhs = -1j * (h @ rho - rho @ h.conj().T)
+        for rate, op in jump_operators(config, basis):
+            rhs += rate * (op @ rho @ op.conj().T)
+        assert abs(np.trace(rhs)) <= 1e-14
 
 
 class TestSpectralProperties:

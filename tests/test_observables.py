@@ -10,6 +10,11 @@ from cavityfock import (
     norm_or_trace,
     populations,
 )
+from cavityfock.observables import (
+    dark_state_overlaps,
+    diagonal_weights,
+    photon_statistics,
+)
 
 BASIS = build_basis("effective", 1)
 
@@ -106,3 +111,50 @@ class TestDarkStateOverlap:
         bright = eig.embed(BASIS, eig.bright_lower)
         rho = 0.7 * np.outer(dark, dark.conj()) + 0.3 * np.outer(bright, bright.conj())
         assert dark_state_overlap(rho, eig, BASIS) == pytest.approx(0.7, rel=1e-12)
+
+
+class TestColumnar:
+    """The stacked forms used for trajectories agree with the single-state
+    functions, on pure states and on density matrices."""
+
+    @staticmethod
+    def _stacks(basis, rng, count):
+        pure = rng.normal(size=(count, basis.dimension)) + 1j * rng.normal(
+            size=(count, basis.dimension)
+        )
+        pure[0] = basis.state("g1", 0)  # empty cavity: Q undefined
+        pure /= np.linalg.norm(pure, axis=1, keepdims=True)
+        mixed = np.einsum("si,sj->sij", pure, pure.conj())
+        mixed[1:] = 0.6 * mixed[1:] + 0.4 * mixed[:0:-1]
+        return {False: pure, True: mixed}
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_dark_state_overlaps_match_single_state(self, density):
+        rng = np.random.default_rng(14)
+        states = self._stacks(BASIS, rng, 12)[density]
+        omega_r = rng.uniform(0.0, 3.0, size=12)
+        g = rng.uniform(0.0, 3.0, size=12)
+        omega_r[3] = 0.0
+        omega_r[5] = g[5] = 0.0  # no field: the dark state is undefined
+        overlaps = dark_state_overlaps(states, density, omega_r, g, BASIS)
+        for state, w_r, w_g, overlap in zip(states, omega_r, g, overlaps):
+            if w_r == 0.0 and w_g == 0.0:
+                assert np.isnan(overlap)
+            else:
+                eig = analytic_eigensystem(w_r, w_g, 1.0)
+                assert overlap == pytest.approx(dark_state_overlap(state, eig, BASIS), abs=1e-15)
+
+    @pytest.mark.parametrize("density", [False, True])
+    def test_photon_statistics_match_single_state(self, density):
+        basis = build_basis("effective", 3)
+        rng = np.random.default_rng(15)
+        states = self._stacks(basis, rng, 9)[density]
+        n_mean, q = photon_statistics(diagonal_weights(states, density), basis)
+        assert np.isnan(q[0])
+        for state, n_one, q_one in zip(states, n_mean, q):
+            assert n_one == pytest.approx(mean_photon_number(state, basis), abs=1e-15)
+            expected = mandel_q(state, basis)
+            if expected is None:
+                assert np.isnan(q_one)
+            else:
+                assert q_one == pytest.approx(expected, rel=1e-12)

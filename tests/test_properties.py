@@ -1,0 +1,80 @@
+"""Property test of the command line over every numeric configuration field.
+
+A run either succeeds with finite figures or fails with a typed error and its
+exit code: 2 for a rejected configuration, 3 for an integration failure.  It
+never raises and never prints NaN as a result, and a non-finite setting is
+always rejected as a configuration error.
+"""
+
+import contextlib
+import io
+import math
+import os
+import tempfile
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cavityfock import PRESETS
+from cavityfock.cli import main
+from cavityfock.dynamics import NORM_DRIFT_LIMIT
+
+# Finite ranges reach past the physical domain and into unstable steps; the
+# window stays a whole number of coarse steps.
+OVERRIDES = {
+    "omega0_T": st.floats(-1.0, 1e3),
+    "delta_T": st.floats(-1e3, 1e3),
+    "delta_m_T": st.floats(-50.0, 1e3),
+    "tau_p_over_T": st.floats(-2.0, 2.0),
+    "tau_s_over_T": st.floats(-2.0, 2.0),
+    "gamma_T": st.none() | st.floats(-1.0, 1e3),
+    "kappa_T": st.none() | st.floats(-1.0, 1e3),
+    "t_start_over_T": st.sampled_from([-4.0, -2.0, 0.0]),
+    "t_end_over_T": st.sampled_from([-1.0, 2.0, 4.0]),
+    "n_max": st.integers(0, 2),
+    "stride": st.integers(0, 40),
+}
+FLOAT_FIELDS = sorted(set(OVERRIDES) - {"n_max", "stride"})
+# At most one field set to a non-finite value, which must be rejected.
+NON_FINITE = st.none() | st.tuples(
+    st.sampled_from(FLOAT_FIELDS), st.sampled_from([math.nan, math.inf, -math.inf])
+)
+
+
+def _summary(stdout: str) -> dict[str, str]:
+    return dict(line.split("=", 1) for line in stdout.splitlines())
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(
+    preset=st.sampled_from(sorted(PRESETS)),
+    overrides=st.fixed_dictionaries({}, optional=OVERRIDES),
+    non_finite=NON_FINITE,
+)
+def test_run_succeeds_with_finite_figures_or_fails_typed(preset, overrides, non_finite):
+    if non_finite is not None:
+        overrides[non_finite[0]] = non_finite[1]
+    sets = ["dt_over_T=0.01"] + [f"{key}={value!r}" for key, value in overrides.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "run.csv")
+        argv = ["run", "--preset", preset, "--out", out]
+        for setting in sets:
+            argv += ["--set", setting]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with np.errstate(all="ignore"):
+                code = main(argv)
+        assert code in (0, 2, 3), stderr.getvalue()
+        assert non_finite is None or code == 2, stderr.getvalue()
+        if code != 0:
+            assert stderr.getvalue().startswith("error: ")
+            return
+        figures = _summary(stdout.getvalue())
+        for name in ("final_p_g1_0", "final_p_g2_1", "max_p_e_0", "final_n"):
+            assert math.isfinite(float(figures[name])), figures
+        assert float(figures["norm_or_trace_drift"]) <= NORM_DRIFT_LIMIT
+        with open(out, encoding="utf-8") as handle:
+            handle.readline()
+            cells = [cell for line in handle for cell in line.rstrip("\n").split(",") if cell]
+        assert all(math.isfinite(float(cell)) for cell in cells)

@@ -28,6 +28,12 @@ class TestPulseParameters:
         with pytest.raises(ParameterDomainError):
             PulseParameters(omega0=-0.1)
 
+    @pytest.mark.parametrize("name", ["omega0", "tau_p", "tau_s", "delta", "delta_m", "T"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(ParameterDomainError):
+            PulseParameters(**{"omega0": 2.0, name: value})
+
 
 class TestGaussianPulse:
     def test_peak_at_center(self):
@@ -115,6 +121,23 @@ class TestCounterdiabaticAmplitude:
         assert np.max(jumps) <= np.max(slope) * dt * (1.0 + 1e-3)
 
 
+def closed_form_pulse_pair(params, t):
+    """The paper's closed form of the equal auxiliary pulses,
+    alpha * exp(-(t**2 + tau_s**2)/T**2) / beta with
+    beta**2 = exp(-2(t+tau_s)**2/T**2) + exp(-2(t-tau_p)**2/T**2) and
+    alpha**2 = 2*delta_m/T, valid for tau_p = tau_s = T/2 only; beta is
+    factored as exp(peak/2) * sqrt(...) so both exponentials may underflow."""
+    tt = np.asarray(t, dtype=float)
+    t_sq = params.T * params.T
+    alpha = math.sqrt(2.0 * params.delta_m / params.T)
+    u = -2.0 * (tt + params.tau_s) ** 2 / t_sq
+    v = -2.0 * (tt - params.tau_p) ** 2 / t_sq
+    peak = np.maximum(u, v)
+    beta_scaled = np.sqrt(np.exp(u - peak) + np.exp(v - peak))
+    log_num = -(tt * tt + params.tau_s * params.tau_s) / t_sq
+    return alpha * np.exp(log_num - 0.5 * peak) / beta_scaled
+
+
 class TestPhysicalPulsePair:
     def test_channels_constructed_equal(self):
         times = np.linspace(-4.0, 4.0, 101)
@@ -130,6 +153,13 @@ class TestPhysicalPulsePair:
         rel = np.abs(product[mask] - target[mask]) / target[mask]
         assert np.max(rel) <= 1e-12
 
+    def test_matches_closed_form_at_half_width_offsets(self):
+        times = np.linspace(-4.0, 4.0, 8001)
+        g_m, omega_m = physical_pulse_pair(STANDARD, times)
+        expected = closed_form_pulse_pair(STANDARD, times)
+        for channel in (g_m, omega_m):
+            assert np.max(np.abs(channel - expected) / expected) <= 1e-14
+
     def test_peak_from_direct_evaluation(self):
         alpha = math.sqrt(2.0 * STANDARD.delta_m)
         beta0 = math.sqrt(2.0 * math.exp(-2.0 * 0.25))  # sqrt(2) * exp(-1/4)
@@ -137,11 +167,27 @@ class TestPhysicalPulsePair:
         g_m, _ = physical_pulse_pair(STANDARD, 0.0)
         assert g_m == pytest.approx(expected, rel=1e-14)
 
-    def test_positive_and_finite_in_far_tails(self):
+    def test_finite_and_reproduce_correction_in_far_tails(self):
+        # omega1 is clamped to exactly zero beyond |t| of about 8.8 T, and
+        # the pair with it
         times = np.linspace(-50.0, 50.0, 201)
         g_m, omega_m = physical_pulse_pair(STANDARD, times)
-        assert np.all(np.isfinite(g_m))
-        assert np.all(g_m > 0.0)
+        target = counterdiabatic_amplitude(STANDARD, times)
+        assert np.all(np.isfinite(g_m)) and np.all(np.isfinite(omega_m))
+        assert np.array_equal(g_m[target == 0.0], np.zeros(np.sum(target == 0.0)))
+        assert np.any(target == 0.0) and np.any(target > 0.0)
+        product = g_m * omega_m / STANDARD.delta_m
+        assert np.allclose(product, target, rtol=1e-13, atol=0.0)
+
+    def test_sign_follows_correction_for_reversed_order(self):
+        params = PulseParameters(omega0=2.0, tau_p=-0.6, tau_s=0.2)
+        times = np.linspace(-4.0, 4.0, 801)
+        g_m, omega_m = physical_pulse_pair(params, times)
+        target = counterdiabatic_amplitude(params, times)
+        assert np.all(target < 0.0)
+        assert np.all(omega_m > 0.0) and np.all(g_m < 0.0)
+        rel = np.abs(g_m * omega_m / params.delta_m - target) / np.abs(target)
+        assert np.max(rel) <= 1e-12
 
     def test_rejects_nonpositive_detuning(self):
         bad = PulseParameters(omega0=2.0, delta_m=0.0)

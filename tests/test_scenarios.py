@@ -128,6 +128,12 @@ class TestRun:
         _trajectory, summary = simulate(resolve_preset(name))
         assert summary.norm_or_trace_drift <= 1e-8
 
+    @pytest.mark.parametrize("tau_p, tau_s", [(0.7, 0.5), (0.5, 0.3)])
+    def test_full_model_transfer_off_the_paper_geometry(self, tau_p, tau_s):
+        sim = replace(resolve_preset("fig3_full"), tau_p_over_T=tau_p, tau_s_over_T=tau_s)
+        _trajectory, summary = simulate(sim)
+        assert summary.final_populations[("g2", 1)] >= 0.985
+
     def test_rerun_is_byte_identical(self, tmp_path):
         paths = []
         for i in (0, 1):
@@ -305,6 +311,28 @@ class TestCli:
         assert code == 3
         assert "nan" not in captured.out
         assert "drifted" in captured.err
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            "dt_over_T=nan",
+            "t_end_over_T=inf",
+            "t_start_over_T=-inf",
+            "omega0_T=nan",
+            "tau_p_over_T=nan",
+            "tau_s_over_T=inf",
+            "gamma_T=nan",
+            "kappa_T=inf",
+            "delta_T=inf",
+            "delta_m_T=nan",
+        ],
+    )
+    def test_non_finite_value_is_usage_error(self, setting, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        argv = ["run", "--preset", "fig2f_dissipative_tqd", "--set", setting, "--out", out]
+        assert main(argv) == 2
+        assert "must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_sweep_rejects_non_integer_values_of_integer_fields(self, tmp_path, capsys):
         out = str(tmp_path / "n_max.csv")
