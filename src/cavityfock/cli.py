@@ -96,12 +96,9 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    try:
-        values = [float(v) for v in args.values.split(",")] if args.values else []
-    except ValueError:
-        raise ConfigError(
-            f"--values expects a comma-separated number list, got {args.values!r}"
-        ) from None
+    values = [_coerce(args.param, raw) for raw in args.values.split(",")] if args.values else []
+    if None in values:
+        raise ConfigError(f"--values expects numbers for {args.param}, got {args.values!r}")
     out = args.out or "sweep.csv"
     path = sweep(config, args.param, values, out)
     print(f"rows={len(values)}")

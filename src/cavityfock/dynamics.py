@@ -1,7 +1,8 @@
 """Fixed-step time integration for pure states and density matrices.
 
 A classical 4th-order Runge-Kutta scheme with a fixed step is used for both
-the Schroedinger equation and the master equation.  The step is fixed rather
+the Schroedinger equation and the master equation; ``propagate`` takes the
+master equation for a model with Lindblad jumps.  The step is fixed rather
 than adaptive on purpose: the schedules are smooth Gaussians, the matrices
 are tiny, and a fixed step makes every trajectory bitwise reproducible.
 
@@ -21,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, ModelMismatchError, ParameterDomainError
-from .hamiltonians import LinearHamiltonian
+from .hamiltonians import Jumps, LinearHamiltonian
 from .hilbert import ProductBasis
 from .observables import (
     dark_state_overlaps,
@@ -60,7 +61,12 @@ class TimeGrid:
             raise ParameterDomainError(
                 f"window [{self.t_start}, {self.t_end}] must be finite and of positive length"
             )
-        if not abs(steps - round(steps)) <= 1e-9 * max(1.0, steps):
+        tolerance = 1e-9 * max(1.0, steps)
+        if not tolerance < 0.5:
+            raise ParameterDomainError(
+                f"{steps:.3g} steps of dt={self.dt} are too many to resolve a fractional step"
+            )
+        if not abs(steps - round(steps)) <= tolerance:
             raise ParameterDomainError(
                 f"window [{self.t_start}, {self.t_end}] is not an integer "
                 f"number of steps of dt={self.dt}"
@@ -146,7 +152,6 @@ def _integrate(
     state: np.ndarray,
     grid: TimeGrid,
     advance: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    is_density: bool,
 ) -> Trajectory:
     """Integrate over the grid one chunk at a time and record the samples.
 
@@ -177,12 +182,11 @@ def _integrate(
             controls[lo:hi] = np.stack(values, axis=-1)[2 * taken - 1]
     if controls is not None:
         controls = ControlValues(*controls.T)
-    return _record(hamiltonian, is_density, grid.time(samples), states, controls)
+    return _record(hamiltonian, grid.time(samples), states, controls)
 
 
 def _record(
     hamiltonian: LinearHamiltonian,
-    is_density: bool,
     times: np.ndarray,
     states: np.ndarray,
     controls: ControlValues | None,
@@ -192,6 +196,7 @@ def _record(
     Every check is written so that NaN fails it.
     """
     basis = hamiltonian.basis
+    is_density = states.ndim == 3
     weights = diagonal_weights(states, is_density)
     weight = weights.sum(axis=-1)
     kind = "trace" if is_density else "norm"
@@ -219,67 +224,52 @@ def _record(
     )
 
 
-def propagate_schrodinger(
-    hamiltonian: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid
-) -> Trajectory:
-    """Integrate i d|psi>/dt = H(t)|psi> over the grid.
+def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Trajectory:
+    """Integrate the model from the pure state psi0 over the grid.
 
-    The initial state must be normalized; an IntegrationError is raised if
-    the norm drifts by more than NORM_DRIFT_LIMIT at any recorded sample.
-    A model with Lindblad jumps is rejected: it needs propagate_lindblad.
+    A model without jumps follows the Schroedinger equation
+    i d|psi>/dt = H(t)|psi>, and the trajectory records pure states.  A
+    model with Lindblad jumps (rate_j, L_j) follows the master equation
+    from rho0 = |psi0><psi0|,
+
+        d rho/dt = -i (H' rho - rho H'^dag) + sum_j rate_j L_j rho L_j^dag,
+
+    where the non-Hermitian H' carries the matching decay terms
+    -i/2 sum_j rate_j L_j^dag L_j so that the trace is preserved, and the
+    trajectory records density matrices.  The initial state must be
+    finite and normalized; an IntegrationError is raised if the norm or
+    trace drifts by more than NORM_DRIFT_LIMIT at any recorded sample.
     """
-    if hamiltonian.jumps:
-        raise ModelMismatchError("an open-system model needs propagate_lindblad")
-    basis = hamiltonian.basis
+    dim = model.basis.dimension
     psi = np.asarray(psi0, dtype=complex).copy()
-    if psi.shape != (basis.dimension,):
+    if psi.shape != (dim,):
         raise ParameterDomainError(
-            f"state dimension {psi.shape} does not match basis "
-            f"dimension {basis.dimension}"
+            f"state dimension {psi.shape} does not match basis dimension {dim}"
         )
-    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-6:
-        raise ParameterDomainError("initial state must be normalized")
+    if not abs(np.linalg.norm(psi) - 1.0) <= 1e-6:  # NaN and inf fail it
+        raise ParameterDomainError("initial state must be finite and normalized")
+    if model.jumps:
+        advance = _master_equation_advance(model.jumps, dim, grid.dt)
+        return _integrate(model, np.outer(psi, psi.conj()), grid, advance)
 
     def advance(psi, h, out):
         for step, after in zip(_rk4_step_matrices(h, grid.dt), out):
             psi = np.matmul(step, psi, out=after)
         return psi
 
-    return _integrate(hamiltonian, psi, grid, advance, is_density=False)
+    return _integrate(model, psi, grid, advance)
 
 
-def propagate_lindblad(
-    hamiltonian: LinearHamiltonian, rho0: np.ndarray, grid: TimeGrid
-) -> Trajectory:
-    """Integrate the master equation of an open-system model.
+def _master_equation_advance(jumps: Jumps, dim: int, dt: float) -> Callable:
+    """``advance`` of _integrate for the master equation.
 
-    d rho/dt = -i (H' rho - rho H'^dag) + sum_j rate_j L_j rho L_j^dag
-
-    with the jumps (rate_j, L_j) of ``hamiltonian.jumps`` and H' its
-    non-Hermitian Hamiltonian, which carries the matching decay terms
-    -i/2 sum_j rate_j L_j^dag L_j so that the trace is preserved.  Each RK4
-    stage takes one matrix product: with G = -iH' and rho Hermitian,
-    -i (H' rho - rho H'^dag) = G rho + (G rho)^dag.  The jumps act through
-    one static superoperator on the row-major vec(rho), using
+    Each RK4 stage takes one matrix product: with G = -iH' and rho
+    Hermitian, -i (H' rho - rho H'^dag) = G rho + (G rho)^dag.  The jumps
+    act through one static superoperator on the row-major vec(rho), using
     vec(A rho B) = (A kron B^T) vec(rho).  After every step rho is replaced
     by its Hermitian part to suppress floating-point drift.
     """
-    if not hamiltonian.jumps:
-        raise ModelMismatchError("dissipation is not configured")
-    rho = np.asarray(rho0, dtype=complex).copy()
-    dim = hamiltonian.basis.dimension
-    if rho.shape != (dim, dim):
-        raise ParameterDomainError(
-            f"density matrix shape {rho.shape} does not match basis dimension {dim}"
-        )
-    # written so that NaN fails them
-    if not np.max(np.abs(rho - rho.conj().T)) <= 1e-8:
-        raise ParameterDomainError("initial density matrix must be Hermitian")
-    if not abs(np.real(np.trace(rho)) - 1.0) <= 1e-6:
-        raise ParameterDomainError("initial density matrix must have unit trace")
-
-    dissipator = sum(rate * np.kron(op, op.conj()) for rate, op in hamiltonian.jumps)
-    dt = grid.dt
+    dissipator = sum(rate * np.kron(op, op.conj()) for rate, op in jumps)
 
     def rhs(generator: np.ndarray, state: np.ndarray) -> np.ndarray:
         product = generator @ state
@@ -300,7 +290,7 @@ def propagate_lindblad(
             rho = np.multiply(0.5, rho + rho.conj().T, out=after)
         return rho
 
-    return _integrate(hamiltonian, rho, grid, advance, is_density=True)
+    return advance
 
 
 def elimination_residual(trajectory: Trajectory) -> float:

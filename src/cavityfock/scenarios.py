@@ -7,14 +7,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .dynamics import (
-    NORM_DRIFT_LIMIT,
-    TimeGrid,
-    Trajectory,
-    propagate_lindblad,
-    propagate_schrodinger,
-)
-from .errors import ConfigError, IntegrationError
+from .dynamics import TimeGrid, Trajectory, propagate
+from .errors import ConfigError
 from .hamiltonians import Dissipation, ModelConfig, linear_hamiltonian
 from .hilbert import build_basis
 from .pulses import ControlValues, PulseParameters
@@ -158,19 +152,12 @@ def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
     config = model_config(sim)
     basis = build_basis(sim.model, sim.n_max)
     grid = time_grid(sim)
-    psi0 = basis.state("g1", 0)
 
     started = time.perf_counter()
-    model = linear_hamiltonian(config, basis)
-    if model.jumps:
-        trajectory = propagate_lindblad(model, np.outer(psi0, psi0.conj()), grid)
-    else:
-        trajectory = propagate_schrodinger(model, psi0, grid)
+    trajectory = propagate(linear_hamiltonian(config, basis), basis.state("g1", 0), grid)
     wall = time.perf_counter() - started
 
     drift = float(np.max(np.abs(trajectory.norm_or_trace - 1.0)))
-    if not drift <= NORM_DRIFT_LIMIT:
-        raise IntegrationError(f"norm or trace drifted by {drift:.3e}; reduce dt")
     final_q = float(trajectory.mandel_q[-1])
     summary = RunSummary(
         scenario=sim.scenario,
@@ -232,11 +219,11 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
             controls.omega_m if full else undefined,
         ]
     )
-    cells = table.astype(object)
-    cells[np.isnan(table)] = None
+    row = ",".join(["%.16e"] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(",".join(CSV_COLUMNS) + "\n")
-        handle.writelines(",".join(map(_fmt, row)) + "\n" for row in cells)
+        # NaN cells are the only ones that format as "nan"
+        handle.writelines((row % tuple(cells)).replace("nan", "") for cells in table.tolist())
 
 
 SWEEP_COLUMNS = (

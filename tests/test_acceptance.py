@@ -24,8 +24,7 @@ from cavityfock import (
     generic_counterdiabatic,
     linear_hamiltonian,
     physical_pulse_pair,
-    propagate_lindblad,
-    propagate_schrodinger,
+    propagate,
     resolve_preset,
     run,
     simulate,
@@ -194,9 +193,8 @@ def test_criterion_06_master_equation_hygiene(fig2f_results):
     grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
     psi0 = basis.state("g1", 0)
     closed = linear_hamiltonian(replace(config, dissipation=None), basis)
-    pure = propagate_schrodinger(closed, psi0, grid)
-    rho0 = np.outer(psi0, psi0.conj())
-    mixed = propagate_lindblad(linear_hamiltonian(config, basis), rho0, grid)
+    pure = propagate(closed, psi0, grid)
+    mixed = propagate(linear_hamiltonian(config, basis), psi0, grid)
     closed_gap = max(
         float(np.max(np.abs(rho - np.outer(psi, psi.conj()))))
         for psi, rho in zip(pure.states, mixed.states)
@@ -210,10 +208,7 @@ def test_criterion_06_master_equation_hygiene(fig2f_results):
         PulseParameters(omega0=0.0, delta=0.0),
         Dissipation(gamma=0.0, kappa=kappa),
     )
-    one_photon = basis.state("g2", 1)
-    decay = propagate_lindblad(
-        linear_hamiltonian(decay_config, basis), np.outer(one_photon, one_photon.conj()), grid
-    )
+    decay = propagate(linear_hamiltonian(decay_config, basis), basis.state("g2", 1), grid)
     decay_err = max(
         abs(n_mean - math.exp(-kappa * (t + 4.0)))
         for t, n_mean in zip(decay.times, decay.mean_photon_n)

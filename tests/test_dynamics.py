@@ -22,8 +22,7 @@ from cavityfock import (
     elimination_residual,
     ladder_operators,
     linear_hamiltonian,
-    propagate_lindblad,
-    propagate_schrodinger,
+    propagate,
     resolve_preset,
     simulate,
 )
@@ -62,6 +61,7 @@ class TestTimeGrid:
             (0.0, math.inf, 0.1),
             (0.0, 1.0, math.inf),
             (-1e308, 1e308, 1.0),  # the step count overflows
+            (0.0, 1.0, 1e-9),  # 1e-9 * steps cannot resolve a fractional step
         ],
     )
     def test_rejects_non_finite_window_or_step(self, window):
@@ -69,12 +69,20 @@ class TestTimeGrid:
             TimeGrid(*window)
 
 
+def closed_and_open_models():
+    config = ModelConfig("effective", "stirap", PULSES, Dissipation(1.0, 0.1))
+    return [
+        linear_hamiltonian(replace(config, dissipation=None), BASIS),
+        linear_hamiltonian(config, BASIS),
+    ]
+
+
 class TestSchrodinger:
     def test_zero_hamiltonian_freezes_state(self):
         grid = TimeGrid(0.0, 1.0, 1e-2)
         psi0 = BASIS.state("g1", 0)
         zero = np.zeros((BASIS.dimension, BASIS.dimension), dtype=complex)
-        trajectory = propagate_schrodinger(LinearHamiltonian(BASIS, zero), psi0, grid)
+        trajectory = propagate(LinearHamiltonian(BASIS, zero), psi0, grid)
         assert np.array_equal(trajectory.final_state, psi0)
 
     def test_eigenstate_accumulates_pure_phase(self):
@@ -84,7 +92,7 @@ class TestSchrodinger:
             h[BASIS.index("e", n), BASIS.index("e", n)] = delta
         grid = TimeGrid(0.0, 2.0, 1e-3)
         psi0 = BASIS.state("e", 0)
-        trajectory = propagate_schrodinger(LinearHamiltonian(BASIS, h), psi0, grid)
+        trajectory = propagate(LinearHamiltonian(BASIS, h), psi0, grid)
         amplitude = trajectory.final_state[BASIS.index("e", 0)]
         assert abs(amplitude) == pytest.approx(1.0, abs=1e-10)
         assert amplitude == pytest.approx(np.exp(-1j * delta * 2.0), abs=1e-9)
@@ -96,7 +104,7 @@ class TestSchrodinger:
         psi0 = rng.normal(size=6) + 1j * rng.normal(size=6)
         psi0 /= np.linalg.norm(psi0)
         grid = TimeGrid(0.0, 1.0, 1e-3)
-        trajectory = propagate_schrodinger(LinearHamiltonian(BASIS, h), psi0, grid)
+        trajectory = propagate(LinearHamiltonian(BASIS, h), psi0, grid)
         exact = expm(-1j * h * 1.0) @ psi0
         assert np.max(np.abs(trajectory.final_state - exact)) <= 1e-9
 
@@ -106,38 +114,35 @@ class TestSchrodinger:
         grid = TimeGrid(0.0, 4.0, 1.0, stride=1)
         psi0 = BASIS.state("g1", 0)
         with pytest.raises(IntegrationError):
-            propagate_schrodinger(LinearHamiltonian(BASIS, h), psi0, grid)
+            propagate(LinearHamiltonian(BASIS, h), psi0, grid)
+
+    # The initial-state checks hold for a closed and an open model alike.
 
     def test_rejects_unnormalized_initial_state(self):
         grid = TimeGrid(0.0, 1.0, 1e-2)
-        with pytest.raises(ParameterDomainError):
-            propagate_schrodinger(
-                LinearHamiltonian(BASIS, np.zeros((6, 6))), 2.0 * BASIS.state("g1", 0), grid
-            )
+        for model in closed_and_open_models():
+            with pytest.raises(ParameterDomainError):
+                propagate(model, 2.0 * BASIS.state("g1", 0), grid)
 
     def test_rejects_dimension_mismatch(self):
         grid = TimeGrid(0.0, 1.0, 1e-2)
-        with pytest.raises(ParameterDomainError):
-            propagate_schrodinger(
-                LinearHamiltonian(BASIS, np.zeros((6, 6))), np.ones(4) / 2.0, grid
-            )
+        for model in closed_and_open_models():
+            with pytest.raises(ParameterDomainError):
+                propagate(model, np.ones(4) / 2.0, grid)
 
     def test_rejects_non_finite_initial_state(self):
         grid = TimeGrid(0.0, 1.0, 1e-2)
-        psi0 = np.full(BASIS.dimension, np.nan, dtype=complex)
-        with pytest.raises(ParameterDomainError):
-            propagate_schrodinger(LinearHamiltonian(BASIS, np.zeros((6, 6))), psi0, grid)
-
-    def test_rejects_open_system_model(self):
-        config = ModelConfig("effective", "stirap", PULSES, Dissipation(1.0, 0.1))
-        grid = TimeGrid(0.0, 1.0, 1e-2)
-        with pytest.raises(ModelMismatchError):
-            propagate_schrodinger(linear_hamiltonian(config, BASIS), BASIS.state("g1", 0), grid)
+        for model in closed_and_open_models():
+            for value in (np.nan, np.inf):
+                psi0 = BASIS.state("g1", 0)
+                psi0[1] = value
+                with pytest.raises(ParameterDomainError):
+                    propagate(model, psi0, grid)
 
     def test_norm_conserved_through_transfer(self):
         config = ModelConfig("effective", "tqd", PULSES)
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=50)
-        trajectory = propagate_schrodinger(
+        trajectory = propagate(
             linear_hamiltonian(config, BASIS), BASIS.state("g1", 0), grid
         )
         drift = np.max(np.abs(trajectory.norm_or_trace - 1.0))
@@ -148,7 +153,7 @@ class TestSchrodinger:
 def lossless_tqd_trajectory():
     config = ModelConfig("effective", "tqd", PULSES)
     grid = TimeGrid(-4.0, 4.0, 1e-3, stride=10)
-    return propagate_schrodinger(linear_hamiltonian(config, BASIS), BASIS.state("g1", 0), grid)
+    return propagate(linear_hamiltonian(config, BASIS), BASIS.state("g1", 0), grid)
 
 
 class TestTransitionlessTracking:
@@ -164,6 +169,16 @@ class TestTransitionlessTracking:
 
 
 class TestLindblad:
+    def test_jumps_select_the_master_equation(self):
+        grid = TimeGrid(0.0, 1.0, 1e-2, stride=50)
+        psi0 = BASIS.state("g1", 0)
+        closed, open_ = closed_and_open_models()
+        pure = propagate(closed, psi0, grid)
+        mixed = propagate(open_, psi0, grid)
+        assert not pure.is_density and pure.states.shape == (3, 6)
+        assert mixed.is_density and mixed.states.shape == (3, 6, 6)
+        assert np.array_equal(mixed.states[0], np.outer(psi0, psi0.conj()))
+
     def test_pure_cavity_decay_matches_exponential(self):
         """Oracle: scalar exponential exp(-kappa * (t - t0))."""
         kappa = 0.5
@@ -174,8 +189,7 @@ class TestLindblad:
             Dissipation(gamma=0.0, kappa=kappa),
         )
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
-        rho0 = np.outer(BASIS.state("g2", 1), BASIS.state("g2", 1).conj())
-        trajectory = propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
+        trajectory = propagate(linear_hamiltonian(config, BASIS), BASIS.state("g2", 1), grid)
         for t, n_mean in zip(trajectory.times, trajectory.mean_photon_n):
             expected = math.exp(-kappa * (t + 4.0))
             assert n_mean == pytest.approx(expected, abs=1e-6)
@@ -185,9 +199,8 @@ class TestLindblad:
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=200)
         psi0 = BASIS.state("g1", 0)
         closed = linear_hamiltonian(replace(config, dissipation=None), BASIS)
-        pure = propagate_schrodinger(closed, psi0, grid)
-        rho0 = np.outer(psi0, psi0.conj())
-        mixed = propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
+        pure = propagate(closed, psi0, grid)
+        mixed = propagate(linear_hamiltonian(config, BASIS), psi0, grid)
         for psi, rho in zip(pure.states, mixed.states):
             projector = np.outer(psi, psi.conj())
             assert np.max(np.abs(rho - projector)) <= 1e-8
@@ -197,8 +210,7 @@ class TestLindblad:
             "effective", "tqd", PulseParameters(omega0=5.0), Dissipation(5.0, 0.05)
         )
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
-        rho0 = np.outer(BASIS.state("g1", 0), BASIS.state("g1", 0).conj())
-        trajectory = propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
+        trajectory = propagate(linear_hamiltonian(config, BASIS), BASIS.state("g1", 0), grid)
         drift = np.max(np.abs(trajectory.norm_or_trace - 1.0))
         assert drift <= 1e-8
 
@@ -207,34 +219,9 @@ class TestLindblad:
             "effective", "stirap", PULSES, Dissipation(1.0, 0.1)
         )
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=400)
-        rho0 = np.outer(BASIS.state("g1", 0), BASIS.state("g1", 0).conj())
-        trajectory = propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
+        trajectory = propagate(linear_hamiltonian(config, BASIS), BASIS.state("g1", 0), grid)
         for rho in trajectory.states:
             assert np.max(np.abs(rho - rho.conj().T)) == 0.0
-
-    def test_requires_dissipation(self):
-        config = ModelConfig("effective", "stirap", PULSES)
-        grid = TimeGrid(0.0, 1.0, 1e-2)
-        rho0 = np.outer(BASIS.state("g1", 0), BASIS.state("g1", 0).conj())
-        with pytest.raises(ModelMismatchError):
-            propagate_lindblad(linear_hamiltonian(config, BASIS), rho0, grid)
-
-    def test_rejects_invalid_initial_density(self):
-        config = ModelConfig("effective", "stirap", PULSES, Dissipation(1.0, 0.1))
-        grid = TimeGrid(0.0, 1.0, 1e-2)
-        skew = np.zeros((6, 6), dtype=complex)
-        skew[0, 1] = 1.0
-        skew[0, 0] = 1.0
-        model = linear_hamiltonian(config, BASIS)
-        with pytest.raises(ParameterDomainError):
-            propagate_lindblad(model, skew, grid)
-        with pytest.raises(ParameterDomainError):
-            propagate_lindblad(model, np.zeros((6, 6), dtype=complex), grid)
-        for entry in ((0, 0), (0, 1)):
-            rho0 = np.outer(BASIS.state("g1", 0), BASIS.state("g1", 0).conj())
-            rho0[entry] = np.nan
-            with pytest.raises(ParameterDomainError):
-                propagate_lindblad(model, rho0, grid)
 
 
 class TestEliminationResidual:
@@ -246,7 +233,7 @@ class TestEliminationResidual:
         basis = build_basis("full", 1)
         config = ModelConfig("full", "stirap", PULSES)
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
-        trajectory = propagate_schrodinger(
+        trajectory = propagate(
             linear_hamiltonian(config, basis), basis.state("g1", 0), grid
         )
         assert elimination_residual(trajectory) == 0.0
@@ -255,7 +242,7 @@ class TestEliminationResidual:
         basis = build_basis("full", 1)
         config = ModelConfig("full", "tqd", PULSES)
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
-        trajectory = propagate_schrodinger(
+        trajectory = propagate(
             linear_hamiltonian(config, basis), basis.state("g1", 0), grid
         )
         assert 0.0 < elimination_residual(trajectory) < 0.1
@@ -269,7 +256,7 @@ class TestTruncationIndependence:
         for n_max in (1, 3):
             basis = build_basis("effective", n_max)
             config = ModelConfig("effective", "tqd", PULSES)
-            trajectory = propagate_schrodinger(
+            trajectory = propagate(
                 linear_hamiltonian(config, basis), basis.state("g1", 0), grids
             )
             results[n_max] = trajectory
@@ -370,12 +357,8 @@ class TestMemory:
         def run(n_steps):
             # the same 11 recorded samples whatever the step count
             grid = TimeGrid(-4.0, 4.0, 8.0 / n_steps, stride=n_steps // 10)
-            if dissipative:
-                model = linear_hamiltonian(config, BASIS)
-                propagate_lindblad(model, np.outer(psi0, psi0.conj()), grid)
-            else:
-                model = linear_hamiltonian(replace(config, dissipation=None), BASIS)
-                propagate_schrodinger(model, psi0, grid)
+            chosen = config if dissipative else replace(config, dissipation=None)
+            propagate(linear_hamiltonian(chosen, BASIS), psi0, grid)
 
         run(1000)  # fill the operator caches
         peaks = []

@@ -334,11 +334,27 @@ class TestCli:
         assert "must be finite" in capsys.readouterr().err
         assert not os.path.exists(out)
 
+    def test_too_many_steps_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        argv = ["run", "--preset", "fig2_tqd", "--set", "dt_over_T=1e-300", "--out", out]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: 8e+300 steps")
+        assert not os.path.exists(out)
+
     def test_sweep_rejects_non_integer_values_of_integer_fields(self, tmp_path, capsys):
         out = str(tmp_path / "n_max.csv")
-        argv = ["sweep", "--param", "n_max", "--values", "1.5,2.9", "--out", out]
-        assert main(argv) == 2
-        assert "n_max" in capsys.readouterr().err
+        # parsed as --set parses them: "2.0" is not an integer either
+        for values in ("1.5,2.9", "2.0"):
+            argv = ["sweep", "--param", "n_max", "--values", values, "--out", out]
+            assert main(argv) == 2
+            assert "n_max" in capsys.readouterr().err
+            assert not os.path.exists(out)
+
+    def test_sweep_rejects_none_values(self, tmp_path, capsys):
+        out = str(tmp_path / "gamma.csv")
+        argv = ["sweep", "--preset", "fig2f_dissipative_tqd", "--param", "gamma_T"]
+        assert main(argv + ["--values", "1,none", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith("error: --values expects numbers")
         assert not os.path.exists(out)
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
