@@ -97,8 +97,6 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
     values = [_coerce(args.param, raw) for raw in args.values.split(",")] if args.values else []
-    if None in values:
-        raise ConfigError(f"--values expects numbers for {args.param}, got {args.values!r}")
     out = args.out or "sweep.csv"
     path = sweep(config, args.param, values, out)
     print(f"rows={len(values)}")

@@ -6,11 +6,16 @@ master equation for a model with Lindblad jumps.  The step is fixed rather
 than adaptive on purpose: the schedules are smooth Gaussians, the matrices
 are tiny, and a fixed step makes every trajectory bitwise reproducible.
 
-Time is taken in chunks of CHUNK_STEPS steps: the controls at all half
-steps of a chunk come from one call, H(t) is one stack of matrices, and
-pure states take exact RK4 one-step matrices built by batched products.
-Observables and conservation checks are computed once per run, from the
-stack of recorded states.
+Time is taken in chunks of CHUNK_STEPS steps, and the controls at all
+half steps of a chunk come from one call.  Pure states take exact RK4
+one-step matrices, built by batched products from the stack of -iH(t) at
+the chunk's half steps.  Density matrices are stepped in their d^2 real coordinates (diagonal, real
+upper triangle, imaginary upper triangle), where the master equation is one
+real matrix linear in the controls, L_static + sum_k c_k(t) L_k: each RK4
+stage is one product with the stacked (L_static; L_1; ...; L_K), built once
+per run, and H(t) is never formed.  A matrix rebuilt from real coordinates
+is exactly Hermitian.  Observables and conservation checks are computed
+once per run, from the stack of recorded states.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, ModelMismatchError, ParameterDomainError
-from .hamiltonians import Jumps, LinearHamiltonian
+from .hamiltonians import LinearHamiltonian
 from .hilbert import ProductBasis
 from .observables import (
     dark_state_overlaps,
@@ -133,56 +138,51 @@ class Trajectory:
         return float(np.max(series))
 
 
-def _rk4_step_matrices(h: np.ndarray, dt: float) -> np.ndarray:
-    """Exact RK4 one-step matrices I + dt/6 (A0 + 2 B2 + 2 B3 + B4) of
-    d psi/dt = A psi, A = -iH, for the H stack h at the half steps
-    t_0, t_0 + dt/2, ..., t_n of n steps: one (n, d, d) stack."""
-    a = -1j * h
-    start, mid, end = a[:-1:2], a[1::2], a[2::2]
-    b2 = mid + (0.5 * dt) * (mid @ start)
-    b3 = mid + (0.5 * dt) * (mid @ b2)
-    b4 = end + dt * (end @ b3)
-    steps = (dt / 6.0) * (start + 2.0 * b2 + 2.0 * b3 + b4)
-    steps += np.eye(h.shape[-1])
-    return steps
-
-
 def _integrate(
     hamiltonian: LinearHamiltonian,
     state: np.ndarray,
     grid: TimeGrid,
     advance: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-) -> Trajectory:
-    """Integrate over the grid one chunk at a time and record the samples.
+    restore: Callable[[np.ndarray], np.ndarray] = np.asarray,
+) -> tuple[np.ndarray, ControlValues | None]:
+    """Integrate over the grid one chunk at a time; return the states and
+    the control values at the recorded samples.
 
-    ``advance(state, h, out)`` takes ``len(out)`` steps through the stack h
-    of H at their 2 len(out) + 1 half steps, writes the state after each
-    step to ``out`` and returns the last one.  Each half step is evaluated
-    once: a chunk starts from the end point of the one before.
+    ``advance(state, columns, out)`` takes ``len(out)`` steps through the
+    control columns (2 len(out) + 1, K) at their half steps, writes the
+    state after each step to ``out`` and returns the last one.  Each half
+    step is evaluated once: a chunk starts from the end point of the one
+    before.  ``restore`` turns a stack of stepped states into the states
+    recorded, one chunk at a time.
     """
     samples = grid.sample_steps
-    states = np.empty((len(samples),) + state.shape, dtype=complex)
-    states[0] = state
-    values, h = hamiltonian.evaluate(np.array([grid.t_start]))
+    initial = restore(state[None])
+    states = np.empty((len(samples),) + initial.shape[1:], dtype=complex)
+    states[0] = initial[0]
+    values, columns = hamiltonian.evaluate(np.array([grid.t_start]))
     controls = None
     if values is not None:
         controls = np.empty((len(samples), len(values)))
         controls[0] = np.stack(values, axis=-1)[0]
-    chunk = np.empty((CHUNK_STEPS,) + state.shape, dtype=complex)
-    for first in range(0, grid.n_steps, CHUNK_STEPS):
-        last = min(first + CHUNK_STEPS, grid.n_steps)
-        half_steps = np.arange(2 * first + 1, 2 * last + 1)
-        values, h_chunk = hamiltonian.evaluate(grid.t_start + (0.5 * grid.dt) * half_steps)
-        h = np.concatenate((h[-1:], h_chunk))
-        state = advance(state, h, chunk[: last - first])
-        lo, hi = np.searchsorted(samples, (first + 1, last + 1))
-        taken = samples[lo:hi] - first  # steps into the chunk
-        states[lo:hi] = chunk[taken - 1]
-        if controls is not None:
-            controls[lo:hi] = np.stack(values, axis=-1)[2 * taken - 1]
+    chunk = np.empty((CHUNK_STEPS,) + state.shape, dtype=state.dtype)
+    # A diverging run overflows to inf and NaN; _record reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for first in range(0, grid.n_steps, CHUNK_STEPS):
+            last = min(first + CHUNK_STEPS, grid.n_steps)
+            half_steps = np.arange(2 * first + 1, 2 * last + 1)
+            values, chunk_columns = hamiltonian.evaluate(
+                grid.t_start + (0.5 * grid.dt) * half_steps
+            )
+            columns = np.concatenate((columns[-1:], chunk_columns))
+            state = advance(state, columns, chunk[: last - first])
+            lo, hi = np.searchsorted(samples, (first + 1, last + 1))
+            taken = samples[lo:hi] - first  # steps into the chunk
+            states[lo:hi] = restore(chunk[taken - 1])
+            if controls is not None:
+                controls[lo:hi] = np.stack(values, axis=-1)[2 * taken - 1]
     if controls is not None:
         controls = ControlValues(*controls.T)
-    return _record(hamiltonian, grid.time(samples), states, controls)
+    return states, controls
 
 
 def _record(
@@ -248,47 +248,155 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
         )
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-6:  # NaN and inf fail it
         raise ParameterDomainError("initial state must be finite and normalized")
+    times = grid.time(grid.sample_steps)
     if model.jumps:
-        advance = _master_equation_advance(model.jumps, dim, grid.dt)
-        return _integrate(model, np.outer(psi, psi.conj()), grid, advance)
+        x0 = _coordinates(np.outer(psi, psi.conj()))
+        advance = _master_equation_advance(model, grid.dt)
+        return _record(model, times, *_integrate(model, x0, grid, advance, _density_matrices))
 
-    def advance(psi, h, out):
-        for step, after in zip(_rk4_step_matrices(h, grid.dt), out):
+    advance = _schroedinger_advance(model, grid.dt)
+    return _record(model, times, *_integrate(model, psi, grid, advance))
+
+
+def _schroedinger_advance(model: LinearHamiltonian, dt: float) -> Callable:
+    """``advance`` of _integrate for pure states.
+
+    The generator A = -iH at the chunk's half steps is one product of the
+    control columns with the stacked -i X_k, plus -i H_static (a product
+    with -i only swaps and negates components, so this is -iH exactly).
+    The exact RK4 one-step matrices I + dt/6 (A0 + 2 B2 + 2 B3 + B4) are
+    built from it for the whole chunk by batched products, and a
+    matrix-vector scan applies them.  Everything is written into buffers
+    allocated once per run: a chunk that allocated its large arrays anew
+    could make the heap shrink and fault them back in, chunk after chunk.
+    """
+    d = model.basis.dimension
+    static = -1j * model.static
+    terms = -1j * np.reshape(list(model.terms.values()), (len(model.terms), d * d))
+    generators = np.empty((2 * CHUNK_STEPS + 1, d * d), dtype=complex)
+    buffers = np.empty((4, CHUNK_STEPS, d, d), dtype=complex)
+    identity = np.eye(d)
+
+    def advance(psi, columns, out):
+        n = len(out)
+        a = np.matmul(columns, terms, out=generators[: 2 * n + 1]).reshape(2 * n + 1, d, d)
+        a += static
+        start, mid, end = a[:-1:2], a[1::2], a[2::2]
+        b2, b3, b4, steps = buffers[:, :n]
+        # B2 = mid + dt/2 mid start, B3 = mid + dt/2 mid B2, B4 = end + dt end B3
+        stages = ((b2, mid, start, 0.5 * dt), (b3, mid, b2, 0.5 * dt), (b4, end, b3, dt))
+        for b, left, right, scale in stages:
+            np.matmul(left, right, out=b)
+            b *= scale
+            b += left
+        np.multiply(2.0, b2, out=steps)
+        steps += start
+        b3 *= 2.0
+        steps += b3
+        steps += b4
+        steps *= dt / 6.0
+        steps += identity
+        for step, after in zip(steps, out):
             psi = np.matmul(step, psi, out=after)
         return psi
 
-    return _integrate(model, psi, grid, advance)
+    return advance
 
 
-def _master_equation_advance(jumps: Jumps, dim: int, dt: float) -> Callable:
-    """``advance`` of _integrate for the master equation.
+def _triangles(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices of a d x d matrix: its diagonal, its upper triangle,
+    and the mirror image of each upper entry in the lower triangle."""
+    rows, cols = np.triu_indices(dim, 1)
+    return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
 
-    Each RK4 stage takes one matrix product: with G = -iH' and rho
-    Hermitian, -i (H' rho - rho H'^dag) = G rho + (G rho)^dag.  The jumps
-    act through one static superoperator on the row-major vec(rho), using
-    vec(A rho B) = (A kron B^T) vec(rho).  After every step rho is replaced
-    by its Hermitian part to suppress floating-point drift.
+
+def _coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real coordinates (..., d^2) of Hermitian matrices (..., d, d): the
+    diagonal, then the real parts of the upper triangle, then their
+    imaginary parts."""
+    dim = rho.shape[-1]
+    diagonal, upper, _ = _triangles(dim)
+    flat = rho.reshape(rho.shape[:-2] + (dim * dim,))
+    return np.concatenate(
+        (flat[..., diagonal].real, flat[..., upper].real, flat[..., upper].imag), axis=-1
+    )
+
+
+def _density_matrices(x: np.ndarray) -> np.ndarray:
+    """The Hermitian matrices (..., d, d) of real coordinates x (..., d^2).
+    Each lower entry is the conjugate of the same two reals as its upper
+    mirror, so every matrix is exactly Hermitian."""
+    dim = math.isqrt(x.shape[-1])
+    diagonal, upper, lower = _triangles(dim)
+    re, im = np.split(x[..., dim:], 2, axis=-1)
+    rho = np.empty(x.shape[:-1] + (dim * dim,), dtype=complex)
+    rho[..., np.concatenate((diagonal, upper, lower))] = np.concatenate(
+        (x[..., :dim], re + 1j * im, re - 1j * im), axis=-1
+    )
+    return rho.reshape(x.shape[:-1] + (dim, dim))
+
+
+def _real_liouvillian(model: LinearHamiltonian) -> np.ndarray:
+    """The master equation in real coordinates, linear in the controls:
+    dx/dt = (L_static + sum_k c_k(t) L_k) x, as the real stack
+    (L_static; L_1; ...; L_K) of shape ((K+1) d^2, d^2).
+
+    Column i of each block holds the coordinates of the matrix-form
+    generator applied to the i-th coordinate unit matrix E_i, one batched
+    product per block: with G = -iH' and E Hermitian,
+    L_static E = G E + (G E)^dag + sum_j rate_j L_j E L_j^dag, and with
+    G_k = -iX_k, L_k E = G_k E + (G_k E)^dag = -i [X_k, E].
     """
-    dissipator = sum(rate * np.kron(op, op.conj()) for rate, op in jumps)
+    dim = model.basis.dimension
+    units = _density_matrices(np.eye(dim * dim))
+    generators = [-1j * h for h in (model.static, *model.terms.values())]
+    blocks = np.empty((len(generators), dim * dim, dim * dim))  # (block, coordinate, unit)
+    for block, generator in zip(blocks, generators):
+        images = generator @ units
+        images += images.conj().swapaxes(-1, -2)
+        block[...] = _coordinates(images).T
+    for rate, op in model.jumps:
+        blocks[0] += rate * _coordinates(op @ units @ op.conj().T).T
+    return blocks.reshape(-1, dim * dim)
 
-    def rhs(generator: np.ndarray, state: np.ndarray) -> np.ndarray:
-        product = generator @ state
-        out = (dissipator @ state.reshape(-1)).reshape(dim, dim)
-        out += product
-        out += product.conj().T
-        return out
 
-    def advance(rho, h, out):
-        generator = -1j * h
-        for j, after in enumerate(out):
-            start, mid, end = generator[2 * j : 2 * j + 3]
-            k1 = rhs(start, rho)
-            k2 = rhs(mid, rho + (0.5 * dt) * k1)
-            k3 = rhs(mid, rho + (0.5 * dt) * k2)
-            k4 = rhs(end, rho + dt * k3)
-            rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = np.multiply(0.5, rho + rho.conj().T, out=after)
-        return rho
+def _master_equation_advance(model: LinearHamiltonian, dt: float) -> Callable:
+    """``advance`` of _integrate for the master equation in real coordinates.
+
+    Each RK4 stage takes one product of the real stack with the stage's
+    coordinates, giving the term of every block at once.  Contracted with
+    the next stage's step fraction times (1, c_1, ..., c_K), and added to
+    the step's start, it gives the next stage's coordinates; the step's
+    increment contracts the products of all four stages with the RK4
+    weights.  The coefficient rows of a whole chunk are built at once.
+    (``np.dot`` has less call overhead than ``np.matmul`` on these sizes.)
+    """
+    stack = _real_liouvillian(model)
+    size = stack.shape[1]
+    blocks = len(stack) // size
+    products = np.empty((4, blocks * size))  # stack @ coordinates at each stage
+    product1, product2, product3, product4 = products
+    terms1, terms2, terms3, _ = products.reshape(4, blocks, size)
+    all_terms = products.reshape(4 * blocks, size)
+    shift = np.empty(size)
+    stage = np.empty(size)
+    dot, add = np.dot, np.add
+
+    def advance(x, columns, out):
+        coefficients = np.concatenate((np.ones((len(columns), 1)), columns), axis=1)
+        start, mid, end = coefficients[:-1:2], coefficients[1::2], coefficients[2::2]
+        nudges = np.stack(((0.5 * dt) * start, (0.5 * dt) * mid, dt * mid), axis=1)
+        weights = (dt / 6.0) * np.concatenate((start, 2.0 * mid, 2.0 * mid, end), axis=1)
+        for (nudge1, nudge2, nudge3), weight, after in zip(nudges, weights, out):
+            dot(stack, x, out=product1)
+            add(x, dot(nudge1, terms1, out=shift), out=stage)
+            dot(stack, stage, out=product2)
+            add(x, dot(nudge2, terms2, out=shift), out=stage)
+            dot(stack, stage, out=product3)
+            add(x, dot(nudge3, terms3, out=shift), out=stage)
+            dot(stack, stage, out=product4)
+            x = add(x, dot(weight, all_terms, out=shift), out=after)
+        return x
 
     return advance
 

@@ -134,15 +134,13 @@ class LinearHamiltonian:
     jumps: Jumps = ()
 
     def evaluate(self, times: np.ndarray) -> tuple[ControlValues | None, np.ndarray]:
-        """The control values at ``times`` and H at each of them, a
-        (len(times), d, d) stack; all channels come from one schedule call."""
-        d = self.basis.dimension
+        """The control values at ``times``, all channels from one schedule
+        call, and their columns c_k: a (len(times), K) array in the order of
+        ``terms``.  A constant Hamiltonian has no values and no columns."""
         if self.schedule is None:
-            return None, np.broadcast_to(self.static, (len(times), d, d))
+            return None, np.empty((len(times), 0))
         controls = self.schedule.values(times)
-        columns = np.stack([getattr(controls, name) for name in self.terms], axis=-1)
-        matrices = np.reshape(list(self.terms.values()), (len(self.terms), d * d))
-        return controls, self.static + (columns @ matrices).reshape(len(times), d, d)
+        return controls, np.stack([getattr(controls, name) for name in self.terms], axis=-1)
 
 
 def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamiltonian:
@@ -191,7 +189,9 @@ def bound_hamiltonian(
     elif config.dissipation is None:
         raise ModelMismatchError("dissipation is not configured")
     model = linear_hamiltonian(config, basis)
-    return lambda t: model.evaluate(np.array([t]))[1][0]
+    d = basis.dimension
+    matrices = np.reshape(list(model.terms.values()), (len(model.terms), d * d))
+    return lambda t: model.static + (model.evaluate(np.array([t]))[1] @ matrices).reshape(d, d)
 
 
 def effective_raman_coupling(omega_m: float, g_m: float, delta_m: float) -> float:

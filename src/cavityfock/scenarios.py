@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -242,23 +243,36 @@ SWEEP_COLUMNS = (
 )
 
 
+def _sweep_value(parameter: str, value) -> int | float:
+    """A sweep value as its field's type: a real number, and an integer
+    for an integer field.  Nothing else is coerced."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{parameter} expects a number, got {value!r}")
+    if parameter not in INT_FIELDS:
+        try:
+            return float(value)
+        except OverflowError:  # an int beyond the float range
+            raise ConfigError(f"{parameter} expects a number, got {value!r}") from None
+    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
+        raise ConfigError(f"{parameter} expects an integer, got {value!r}")
+    return int(value)
+
+
 def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
     """Re-run the base configuration once per parameter value.
 
     One summary row is written per value, in input order.  Only numeric
-    configuration fields can be swept.
+    configuration fields can be swept, and every value is checked before
+    the first run.
     """
     if parameter not in NUMERIC_FIELDS:
         raise ConfigError(
             f"parameter {parameter!r} is not a numeric configuration field; "
             f"choose from {', '.join(sorted(NUMERIC_FIELDS))}"
         )
-    cast = int if parameter in INT_FIELDS else float
-    if cast is int and not all(float(value).is_integer() for value in values):
-        raise ConfigError(f"{parameter} expects integers, got {list(values)}")
+    typed_values = [_sweep_value(parameter, value) for value in values]
     rows = [",".join(SWEEP_COLUMNS)]
-    for value in values:
-        typed = cast(value)
+    for typed in typed_values:
         config = replace(base, **{parameter: typed})
         _trajectory, summary = simulate(config)
         figures = summary.figures()

@@ -26,6 +26,7 @@ from cavityfock import (
     resolve_preset,
     simulate,
 )
+from cavityfock.dynamics import _coordinates, _density_matrices, _real_liouvillian
 from cavityfock.scenarios import model_config, time_grid
 
 PULSES = PulseParameters(omega0=2.0)
@@ -214,12 +215,14 @@ class TestLindblad:
         drift = np.max(np.abs(trajectory.norm_or_trace - 1.0))
         assert drift <= 1e-8
 
-    def test_sampled_states_stay_hermitian(self):
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_sampled_states_stay_hermitian(self, n_max):
+        basis = build_basis("effective", n_max)
         config = ModelConfig(
             "effective", "stirap", PULSES, Dissipation(1.0, 0.1)
         )
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=400)
-        trajectory = propagate(linear_hamiltonian(config, BASIS), BASIS.state("g1", 0), grid)
+        trajectory = propagate(linear_hamiltonian(config, basis), basis.state("g1", 0), grid)
         for rho in trajectory.states:
             assert np.max(np.abs(rho - rho.conj().T)) == 0.0
 
@@ -288,16 +291,21 @@ def reference_schrodinger(hamiltonian, psi, grid):
     return np.array(states)
 
 
-def reference_lindblad(config, rho, grid, basis):
-    """Per-step RK4 loop of the master equation with explicit jump
-    products, the reference for the matrix-form chunked propagator."""
-    h_nonherm = bound_hamiltonian(config, basis, include_decay=True)
+def reference_jumps(config, basis):
+    """The Lindblad jumps (rate, L, L^dag) written out by hand."""
     a, a_dag = ladder_operators(basis)
     s1 = atomic_raising(basis, "S1").conj().T
     s2 = atomic_raising(basis, "S2").conj().T
     gamma, kappa = config.dissipation.gamma, config.dissipation.kappa
     jumps = [(kappa, a, a_dag), (0.5 * gamma, s1, s1.conj().T), (0.5 * gamma, s2, s2.conj().T)]
-    jumps = [(rate, op, op_dag) for rate, op, op_dag in jumps if rate > 0.0]
+    return [(rate, op, op_dag) for rate, op, op_dag in jumps if rate > 0.0]
+
+
+def reference_lindblad(config, rho, grid, basis):
+    """Per-step RK4 loop of the master equation with explicit jump
+    products, the reference for the real-coordinate chunked propagator."""
+    h_nonherm = bound_hamiltonian(config, basis, include_decay=True)
+    jumps = reference_jumps(config, basis)
 
     def rhs(h, state):
         out = -1j * (h @ state - state @ h.conj().T)
@@ -348,17 +356,47 @@ class TestAgainstReferenceLoops:
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
 
 
+class TestRealLiouvillian:
+    """The master equation steps in real coordinates through one stacked
+    real Liouvillian (L_static; L_1; ...; L_K)."""
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_stack_reproduces_the_matrix_form_generator(self, n_max):
+        basis = build_basis("effective", n_max)
+        d = basis.dimension
+        config = ModelConfig("effective", "tqd", PULSES, Dissipation(5.0, 0.05))
+        model = linear_hamiltonian(config, basis)
+        stack = _real_liouvillian(model)
+        assert stack.shape == ((len(model.terms) + 1) * d * d, d * d)
+        assert stack.dtype == np.float64
+        rng = np.random.default_rng(n_max)
+        raw = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = raw + raw.conj().T  # exactly Hermitian
+        rho /= np.trace(rho).real
+        x = _coordinates(rho)
+        assert np.array_equal(_density_matrices(x), rho)
+        for controls in rng.normal(scale=3.0, size=(5, len(model.terms))):
+            h = model.static + sum(c * term for c, term in zip(controls, model.terms.values()))
+            expected = -1j * (h @ rho - rho @ h.conj().T)
+            for rate, op, op_dag in reference_jumps(config, basis):
+                expected += rate * (op @ rho @ op_dag)
+            blocks = (stack @ x).reshape(-1, d * d)
+            derivative = np.concatenate(([1.0], controls)) @ blocks
+            assert np.max(np.abs(_density_matrices(derivative) - expected)) <= 1e-13
+
+
 class TestMemory:
-    @pytest.mark.parametrize("dissipative", [False, True])
-    def test_peak_allocation_does_not_grow_with_step_count(self, dissipative):
+    @pytest.mark.parametrize("dissipative, n_max", [(False, 1), (True, 1), (True, 3)])
+    def test_peak_allocation_does_not_grow_with_step_count(self, dissipative, n_max):
+        basis = build_basis("effective", n_max)
         config = ModelConfig("effective", "tqd", PULSES, Dissipation(1.0, 0.1))
-        psi0 = BASIS.state("g1", 0)
+        psi0 = basis.state("g1", 0)
 
         def run(n_steps):
             # the same 11 recorded samples whatever the step count
             grid = TimeGrid(-4.0, 4.0, 8.0 / n_steps, stride=n_steps // 10)
             chosen = config if dissipative else replace(config, dissipation=None)
-            propagate(linear_hamiltonian(chosen, BASIS), psi0, grid)
+            propagate(linear_hamiltonian(chosen, basis), psi0, grid)
 
         run(1000)  # fill the operator caches
         peaks = []

@@ -160,6 +160,26 @@ class TestSweep:
         with pytest.raises(ConfigError):
             sweep(SimulationConfig(), "model", [1.0], str(tmp_path / "x.csv"))
 
+    @pytest.mark.parametrize(
+        "parameter, value",
+        [
+            ("gamma_T", None),
+            ("gamma_T", "abc"),
+            ("omega0_T", "2.0"),
+            ("omega0_T", True),
+            ("omega0_T", 10**400),
+            ("n_max", 1.5),
+            ("n_max", "2"),
+            ("n_max", float("inf")),
+        ],
+    )
+    def test_rejects_a_value_that_is_not_a_number_of_the_field(self, parameter, value, tmp_path):
+        out = tmp_path / "x.csv"
+        base = resolve_preset("fig2f_dissipative_tqd")
+        with pytest.raises(ConfigError, match=parameter):
+            sweep(base, parameter, [1, value], str(out))
+        assert not out.exists()
+
     def test_rows_preserve_input_order(self, tmp_path):
         out = str(tmp_path / "order.csv")
         base = SimulationConfig(dt_over_T=1e-2, stride=100)
@@ -292,25 +312,29 @@ class TestCli:
 
     def test_non_finite_run_is_integration_failure(self, tmp_path, capsys):
         # the pulses overflow within the first steps and the state turns NaN
-        code = main(
-            [
-                "run",
-                "--preset",
-                "fig2_tqd",
-                "--set",
-                "dt_over_T=0.5",
-                "--set",
-                "stride=16",
-                "--set",
-                "omega0_T=1e200",
-                "--out",
-                str(tmp_path / "nan.csv"),
-            ]
-        )
-        captured = capsys.readouterr()
-        assert code == 3
-        assert "nan" not in captured.out
-        assert "drifted" in captured.err
+        for preset in ("fig2_tqd", "fig2f_dissipative_tqd"):
+            code = main(
+                [
+                    "run",
+                    "--preset",
+                    preset,
+                    "--set",
+                    "dt_over_T=0.5",
+                    "--set",
+                    "stride=16",
+                    "--set",
+                    "omega0_T=1e200",
+                    "--out",
+                    str(tmp_path / "nan.csv"),
+                ]
+            )
+            captured = capsys.readouterr()
+            assert code == 3
+            assert "nan" not in captured.out
+            # the one error line, and no numpy warning before it
+            assert captured.err.startswith("error: ")
+            assert "drifted" in captured.err
+            assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "setting",
@@ -354,7 +378,7 @@ class TestCli:
         out = str(tmp_path / "gamma.csv")
         argv = ["sweep", "--preset", "fig2f_dissipative_tqd", "--param", "gamma_T"]
         assert main(argv + ["--values", "1,none", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith("error: --values expects numbers")
+        assert capsys.readouterr().err.startswith("error: gamma_T expects a number")
         assert not os.path.exists(out)
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
