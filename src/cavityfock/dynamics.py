@@ -6,16 +6,21 @@ master equation for a model with Lindblad jumps.  The step is fixed rather
 than adaptive on purpose: the schedules are smooth Gaussians, the matrices
 are tiny, and a fixed step makes every trajectory bitwise reproducible.
 
-Time is taken in chunks of CHUNK_STEPS steps, and the controls at all
-half steps of a chunk come from one call.  Pure states take exact RK4
-one-step matrices, built by batched products from the stack of -iH(t) at
-the chunk's half steps.  Density matrices are stepped in their d^2 real coordinates (diagonal, real
-upper triangle, imaginary upper triangle), where the master equation is one
-real matrix linear in the controls, L_static + sum_k c_k(t) L_k: each RK4
-stage is one product with the stacked (L_static; L_1; ...; L_K), built once
-per run, and H(t) is never formed.  A matrix rebuilt from real coordinates
-is exactly Hermitian.  Observables and conservation checks are computed
-once per run, from the stack of recorded states.
+Both equations are one linear ODE dx/dt = (A_static + sum_k c_k(t) A_k) x,
+and one stepper takes them.  A pure state is its own coordinates, with
+A = -iH.  A density matrix is stepped in its d^2 real coordinates (diagonal,
+real upper triangle, imaginary upper triangle), where the blocks are the
+real Liouvillian of each term; H(t) is never formed, and a matrix rebuilt
+from real coordinates is exactly Hermitian.  Only the coordinates that the
+initial state reaches through the blocks' nonzero patterns are stepped: the
+Jaynes-Cummings coupling conserves the excitation number and loss only feeds
+populations, so every preset steps 3, 4 or 10 of them whatever n_max is.
+
+Time is taken in chunks of CHUNK_STEPS steps, and the controls at all half
+steps of a chunk come from one call.  The exact RK4 one-step matrices of a
+chunk are built by batched products from its generators, and a
+matrix-vector scan applies them.  Observables and conservation checks are
+computed once per run, from the stack of recorded states.
 """
 
 from __future__ import annotations
@@ -140,23 +145,27 @@ class Trajectory:
 
 def _integrate(
     hamiltonian: LinearHamiltonian,
-    state: np.ndarray,
     grid: TimeGrid,
-    advance: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
-    restore: Callable[[np.ndarray], np.ndarray] = np.asarray,
+    blocks: np.ndarray,
+    x0: np.ndarray,
+    restore: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[np.ndarray, ControlValues | None]:
-    """Integrate over the grid one chunk at a time; return the states and
-    the control values at the recorded samples.
+    """Integrate dx/dt = (A_static + sum_k c_k(t) A_k) x from x0 over the
+    grid one chunk at a time; return the recorded states and the control
+    values at the recorded samples.
 
-    ``advance(state, columns, out)`` takes ``len(out)`` steps through the
-    control columns (2 len(out) + 1, K) at their half steps, writes the
-    state after each step to ``out`` and returns the last one.  Each half
-    step is evaluated once: a chunk starts from the end point of the one
-    before.  ``restore`` turns a stack of stepped states into the states
-    recorded, one chunk at a time.
+    ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the
+    coordinates that x0 reaches (_reachable) are stepped; every other one
+    stays exactly zero.  The controls of a chunk are evaluated at all its
+    half steps in one call, and each half step once: a chunk starts from
+    the end point of the one before.  The recorded steps of each chunk are
+    lifted back to full size by one scatter into zeros, and ``restore``
+    turns them into the states recorded.
     """
     samples = grid.sample_steps
-    initial = restore(state[None])
+    reached = _reachable(blocks, x0)
+    advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt)
+    initial = restore(x0[None])
     states = np.empty((len(samples),) + initial.shape[1:], dtype=complex)
     states[0] = initial[0]
     values, columns = hamiltonian.evaluate(np.array([grid.t_start]))
@@ -164,7 +173,8 @@ def _integrate(
     if values is not None:
         controls = np.empty((len(samples), len(values)))
         controls[0] = np.stack(values, axis=-1)[0]
-    chunk = np.empty((CHUNK_STEPS,) + state.shape, dtype=state.dtype)
+    state = x0[reached]
+    chunk = np.empty((CHUNK_STEPS, len(reached)), dtype=x0.dtype)
     # A diverging run overflows to inf and NaN; _record reports it.
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, grid.n_steps, CHUNK_STEPS):
@@ -177,12 +187,76 @@ def _integrate(
             state = advance(state, columns, chunk[: last - first])
             lo, hi = np.searchsorted(samples, (first + 1, last + 1))
             taken = samples[lo:hi] - first  # steps into the chunk
-            states[lo:hi] = restore(chunk[taken - 1])
+            lifted = np.zeros((hi - lo, len(x0)), dtype=x0.dtype)
+            lifted[:, reached] = chunk[taken - 1]
+            states[lo:hi] = restore(lifted)
             if controls is not None:
                 controls[lo:hi] = np.stack(values, axis=-1)[2 * taken - 1]
     if controls is not None:
         controls = ControlValues(*controls.T)
     return states, controls
+
+
+def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """Indices of the coordinates that dx/dt = A(t) x can make nonzero from
+    x0 for any controls: the support of x0, grown through the union of the
+    blocks' nonzero patterns until it stops changing.  Every other
+    coordinate has a zero derivative as long as all reached ones do."""
+    pattern = (blocks != 0).any(axis=0)  # (to, from)
+    reached = x0 != 0
+    while True:
+        grown = reached | pattern[:, reached].any(axis=1)
+        if np.array_equal(grown, reached):
+            return np.flatnonzero(reached)
+        reached = grown
+
+
+def _linear_advance(blocks: np.ndarray, dt: float) -> Callable:
+    """``advance(x, columns, out)`` for dx/dt = (A_static + sum_k c_k A_k) x,
+    with ``blocks`` the stack (A_static, A_1, ..., A_K) of shape (K+1, r, r).
+
+    It takes ``len(out)`` steps through the control columns
+    (2 len(out) + 1, K) at their half steps, writes the state after each
+    step to ``out`` and returns the last one.  The generators A at the
+    chunk's half steps are one product of the control columns with the
+    stacked A_k, plus A_static.  The exact RK4 one-step matrices
+    I + dt/6 (A0 + 2 B2 + 2 B3 + B4) are built from them for the whole
+    chunk by batched products, and a matrix-vector scan applies them.
+    Everything is written into buffers allocated once per run: a chunk
+    that allocated its large arrays anew could make the heap shrink and
+    fault them back in, chunk after chunk.
+    """
+    size = blocks.shape[-1]
+    static = blocks[0]
+    terms = blocks[1:].reshape(len(blocks) - 1, size * size)
+    generators = np.empty((2 * CHUNK_STEPS + 1, size * size), dtype=blocks.dtype)
+    buffers = np.empty((4, CHUNK_STEPS, size, size), dtype=blocks.dtype)
+    identity = np.eye(size)
+
+    def advance(x, columns, out):
+        n = len(out)
+        a = np.matmul(columns, terms, out=generators[: 2 * n + 1]).reshape(2 * n + 1, size, size)
+        a += static
+        start, mid, end = a[:-1:2], a[1::2], a[2::2]
+        b2, b3, b4, steps = buffers[:, :n]
+        # B2 = mid + dt/2 mid start, B3 = mid + dt/2 mid B2, B4 = end + dt end B3
+        stages = ((b2, mid, start, 0.5 * dt), (b3, mid, b2, 0.5 * dt), (b4, end, b3, dt))
+        for b, left, right, scale in stages:
+            np.matmul(left, right, out=b)
+            b *= scale
+            b += left
+        np.multiply(2.0, b2, out=steps)
+        steps += start
+        b3 *= 2.0
+        steps += b3
+        steps += b4
+        steps *= dt / 6.0
+        steps += identity
+        for step, after in zip(steps, out):
+            x = np.matmul(step, x, out=after)
+        return x
+
+    return advance
 
 
 def _record(
@@ -249,58 +323,20 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-6:  # NaN and inf fail it
         raise ParameterDomainError("initial state must be finite and normalized")
     times = grid.time(grid.sample_steps)
-    if model.jumps:
-        x0 = _coordinates(np.outer(psi, psi.conj()))
-        advance = _master_equation_advance(model, grid.dt)
-        return _record(model, times, *_integrate(model, x0, grid, advance, _density_matrices))
-
-    advance = _schroedinger_advance(model, grid.dt)
-    return _record(model, times, *_integrate(model, psi, grid, advance))
+    return _record(model, times, *_integrate(model, grid, *_linear_form(model, psi)))
 
 
-def _schroedinger_advance(model: LinearHamiltonian, dt: float) -> Callable:
-    """``advance`` of _integrate for pure states.
-
-    The generator A = -iH at the chunk's half steps is one product of the
-    control columns with the stacked -i X_k, plus -i H_static (a product
-    with -i only swaps and negates components, so this is -iH exactly).
-    The exact RK4 one-step matrices I + dt/6 (A0 + 2 B2 + 2 B3 + B4) are
-    built from it for the whole chunk by batched products, and a
-    matrix-vector scan applies them.  Everything is written into buffers
-    allocated once per run: a chunk that allocated its large arrays anew
-    could make the heap shrink and fault them back in, chunk after chunk.
-    """
-    d = model.basis.dimension
-    static = -1j * model.static
-    terms = -1j * np.reshape(list(model.terms.values()), (len(model.terms), d * d))
-    generators = np.empty((2 * CHUNK_STEPS + 1, d * d), dtype=complex)
-    buffers = np.empty((4, CHUNK_STEPS, d, d), dtype=complex)
-    identity = np.eye(d)
-
-    def advance(psi, columns, out):
-        n = len(out)
-        a = np.matmul(columns, terms, out=generators[: 2 * n + 1]).reshape(2 * n + 1, d, d)
-        a += static
-        start, mid, end = a[:-1:2], a[1::2], a[2::2]
-        b2, b3, b4, steps = buffers[:, :n]
-        # B2 = mid + dt/2 mid start, B3 = mid + dt/2 mid B2, B4 = end + dt end B3
-        stages = ((b2, mid, start, 0.5 * dt), (b3, mid, b2, 0.5 * dt), (b4, end, b3, dt))
-        for b, left, right, scale in stages:
-            np.matmul(left, right, out=b)
-            b *= scale
-            b += left
-        np.multiply(2.0, b2, out=steps)
-        steps += start
-        b3 *= 2.0
-        steps += b3
-        steps += b4
-        steps *= dt / 6.0
-        steps += identity
-        for step, after in zip(steps, out):
-            psi = np.matmul(step, psi, out=after)
-        return psi
-
-    return advance
+def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:
+    """The model as dx/dt = (A_static + sum_k c_k(t) A_k) x: the stack of
+    blocks (A_static, A_1, ..., A_K), the initial coordinates x0 and the
+    map from stepped coordinates to recorded states.  A pure state is its
+    own coordinates, with A = -iH; a density matrix |psi><psi| steps in its
+    d^2 real coordinates through the blocks of _real_liouvillian."""
+    if not model.jumps:
+        return -1j * np.array([model.static, *model.terms.values()]), psi, np.asarray
+    size = model.basis.dimension ** 2
+    blocks = _real_liouvillian(model).reshape(-1, size, size)
+    return blocks, _coordinates(np.outer(psi, psi.conj())), _density_matrices
 
 
 def _triangles(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -358,47 +394,6 @@ def _real_liouvillian(model: LinearHamiltonian) -> np.ndarray:
     for rate, op in model.jumps:
         blocks[0] += rate * _coordinates(op @ units @ op.conj().T).T
     return blocks.reshape(-1, dim * dim)
-
-
-def _master_equation_advance(model: LinearHamiltonian, dt: float) -> Callable:
-    """``advance`` of _integrate for the master equation in real coordinates.
-
-    Each RK4 stage takes one product of the real stack with the stage's
-    coordinates, giving the term of every block at once.  Contracted with
-    the next stage's step fraction times (1, c_1, ..., c_K), and added to
-    the step's start, it gives the next stage's coordinates; the step's
-    increment contracts the products of all four stages with the RK4
-    weights.  The coefficient rows of a whole chunk are built at once.
-    (``np.dot`` has less call overhead than ``np.matmul`` on these sizes.)
-    """
-    stack = _real_liouvillian(model)
-    size = stack.shape[1]
-    blocks = len(stack) // size
-    products = np.empty((4, blocks * size))  # stack @ coordinates at each stage
-    product1, product2, product3, product4 = products
-    terms1, terms2, terms3, _ = products.reshape(4, blocks, size)
-    all_terms = products.reshape(4 * blocks, size)
-    shift = np.empty(size)
-    stage = np.empty(size)
-    dot, add = np.dot, np.add
-
-    def advance(x, columns, out):
-        coefficients = np.concatenate((np.ones((len(columns), 1)), columns), axis=1)
-        start, mid, end = coefficients[:-1:2], coefficients[1::2], coefficients[2::2]
-        nudges = np.stack(((0.5 * dt) * start, (0.5 * dt) * mid, dt * mid), axis=1)
-        weights = (dt / 6.0) * np.concatenate((start, 2.0 * mid, 2.0 * mid, end), axis=1)
-        for (nudge1, nudge2, nudge3), weight, after in zip(nudges, weights, out):
-            dot(stack, x, out=product1)
-            add(x, dot(nudge1, terms1, out=shift), out=stage)
-            dot(stack, stage, out=product2)
-            add(x, dot(nudge2, terms2, out=shift), out=stage)
-            dot(stack, stage, out=product3)
-            add(x, dot(nudge3, terms3, out=shift), out=stage)
-            dot(stack, stage, out=product4)
-            x = add(x, dot(weight, all_terms, out=shift), out=after)
-        return x
-
-    return advance
 
 
 def elimination_residual(trajectory: Trajectory) -> float:

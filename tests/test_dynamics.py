@@ -26,7 +26,13 @@ from cavityfock import (
     resolve_preset,
     simulate,
 )
-from cavityfock.dynamics import _coordinates, _density_matrices, _real_liouvillian
+from cavityfock.dynamics import (
+    _coordinates,
+    _density_matrices,
+    _linear_form,
+    _reachable,
+    _real_liouvillian,
+)
 from cavityfock.scenarios import model_config, time_grid
 
 PULSES = PulseParameters(omega0=2.0)
@@ -385,8 +391,65 @@ class TestRealLiouvillian:
             assert np.max(np.abs(_density_matrices(derivative) - expected)) <= 1e-13
 
 
+class TestReachableSubspace:
+    """propagate steps only the coordinates that the initial state reaches
+    through the blocks' nonzero patterns."""
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize("name", ["fig2f_dissipative_stirap", "fig2f_dissipative_tqd"])
+    def test_master_equation_steps_one_hermitian_block_and_one_population(self, name, n_max):
+        sim = replace(resolve_preset(name), n_max=n_max)
+        basis = build_basis(sim.model, n_max)
+        model = linear_hamiltonian(model_config(sim), basis)
+        blocks, x0, _ = _linear_form(model, basis.state("g1", 0))
+        # upper entries 1+1j mark both the real and the imaginary coordinate
+        mask = np.zeros((basis.dimension, basis.dimension), dtype=complex)
+        block = [basis.index(*label) for label in (("g1", 0), ("e", 0), ("g2", 1))]
+        mask[np.ix_(block, block)] = 1.0 + 1.0j
+        mask[basis.index("g2", 0), basis.index("g2", 0)] = 1.0
+        expected = np.flatnonzero(_coordinates(mask))
+        assert len(expected) == 10
+        assert np.array_equal(_reachable(blocks, x0), expected)
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize(
+        "name", sorted(name for name in PRESETS if resolve_preset(name).gamma_T is None)
+    )
+    def test_closed_presets_step_three_or_four_basis_states(self, name, n_max):
+        sim = replace(resolve_preset(name), n_max=n_max)
+        basis = build_basis(sim.model, n_max)
+        model = linear_hamiltonian(model_config(sim), basis)
+        blocks, x0, _ = _linear_form(model, basis.state("g1", 0))
+        labels = [("g1", 0), ("e", 0), ("g2", 1)]
+        if sim.model == "full":
+            labels.append(("em", 0))
+        expected = sorted(basis.index(*label) for label in labels)
+        assert np.array_equal(_reachable(blocks, x0), expected)
+
+    @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
+    def test_full_support_state_steps_every_coordinate(self, dissipation):
+        basis = build_basis("effective", 3)
+        d = basis.dimension
+        config = ModelConfig("effective", "tqd", PULSES, dissipation)
+        model = linear_hamiltonian(config, basis)
+        rng = np.random.default_rng(7)
+        psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi0 /= np.linalg.norm(psi0)
+        blocks, x0, _ = _linear_form(model, psi0)
+        assert np.all(x0 != 0)
+        assert np.array_equal(_reachable(blocks, x0), np.arange(len(x0)))
+        grid = TimeGrid(-4.0, 4.0, 1e-2, stride=40)
+        trajectory = propagate(model, psi0, grid)
+        if dissipation is None:
+            expected = reference_schrodinger(bound_hamiltonian(config, basis), psi0, grid)
+        else:
+            expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, basis)
+        assert trajectory.states.shape == expected.shape
+        assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
+
+
 class TestMemory:
-    @pytest.mark.parametrize("dissipative, n_max", [(False, 1), (True, 1), (True, 3)])
+    @pytest.mark.parametrize("dissipative, n_max", [(False, 1), (False, 3), (True, 1), (True, 3)])
     def test_peak_allocation_does_not_grow_with_step_count(self, dissipative, n_max):
         basis = build_basis("effective", n_max)
         config = ModelConfig("effective", "tqd", PULSES, Dissipation(1.0, 0.1))
