@@ -6,34 +6,35 @@ master equation for a model with Lindblad jumps.  The step is fixed rather
 than adaptive on purpose: the schedules are smooth Gaussians, the matrices
 are tiny, and a fixed step makes every trajectory bitwise reproducible.
 
-Both equations are one linear ODE dx/dt = (A_static + sum_k c_k(t) A_k) x,
-and one stepper takes them.  A pure state is its own coordinates, with
-A = -iH.  A density matrix is stepped in its d^2 real coordinates (diagonal,
-real upper triangle, imaginary upper triangle), where the blocks are the
-real Liouvillian of each term; H(t) is never formed, and a matrix rebuilt
-from real coordinates is exactly Hermitian.  Only the coordinates that the
+Both equations are one real linear ODE dx/dt = (A_static + sum_k c_k A_k) x,
+and one stepper takes them.  A pure state steps in x = (Re psi, Im psi), where
+-iH is the block [[Im H, Re H], [-Re H, Im H]]; a density matrix in its d^2
+real coordinates (diagonal, real and imaginary upper triangle), where the
+blocks are the real Liouvillian of each term, so H(t) is never formed and a
+matrix rebuilt from them is exactly Hermitian.  Only the coordinates that the
 initial state reaches through the blocks' nonzero patterns are stepped: the
 Jaynes-Cummings coupling conserves the excitation number and loss only feeds
-populations, so every preset steps 3, 4 or 10 of them whatever n_max is.
+populations, so every preset steps 6, 8 or 10 of them whatever n_max is.
 
-Time is taken in chunks of CHUNK_STEPS steps, and the controls at all half
-steps of a chunk come from one call.  The exact RK4 one-step matrices of a
-chunk are built by batched products from its generators, and a
-matrix-vector scan applies them.  Observables and conservation checks are
-computed once per run, from the stack of recorded states.
+Time is taken in chunks, and the controls at all half steps of a chunk come
+from one call.  The exact RK4 one-step matrices of a chunk are built by
+batched products, and a log-depth doubling scan turns them into the states.
+Observables and conservation checks are computed once per run, from the
+stack of recorded states.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import IntegrationError, ModelMismatchError, ParameterDomainError
 from .hamiltonians import LinearHamiltonian
-from .hilbert import ProductBasis
+from .hilbert import ProductBasis, _read_only
 from .observables import (
     dark_state_overlaps,
     diagonal_weights,
@@ -45,10 +46,6 @@ from .pulses import ControlValues
 # Hard failure thresholds for conservation checks at recorded samples.
 NORM_DRIFT_LIMIT = 1e-6
 NEGATIVITY_LIMIT = -1e-6
-
-# Steps per chunk.  Memory for the controls, H(t) and step matrices is
-# bounded by the chunk, not by the grid; longer chunks are no faster.
-CHUNK_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -164,7 +161,10 @@ def _integrate(
     """
     samples = grid.sample_steps
     reached = _reachable(blocks, x0)
-    advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt)
+    # 256 steps a chunk, or fewer where the r x r step matrices would outgrow
+    # those of 64 steps at full support at n_max = 3 (r = 144)
+    length = max(1, min(256, 64 * 144**2 // len(reached) ** 2))
+    advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt, length)
     initial = restore(x0[None])
     states = np.empty((len(samples),) + initial.shape[1:], dtype=complex)
     states[0] = initial[0]
@@ -174,11 +174,11 @@ def _integrate(
         controls = np.empty((len(samples), len(values)))
         controls[0] = np.stack(values, axis=-1)[0]
     state = x0[reached]
-    chunk = np.empty((CHUNK_STEPS, len(reached)), dtype=x0.dtype)
+    chunk = np.empty((length, len(reached)))
     # A diverging run overflows to inf and NaN; _record reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, grid.n_steps, CHUNK_STEPS):
-            last = min(first + CHUNK_STEPS, grid.n_steps)
+        for first in range(0, grid.n_steps, length):
+            last = min(first + length, grid.n_steps)
             half_steps = np.arange(2 * first + 1, 2 * last + 1)
             values, chunk_columns = hamiltonian.evaluate(
                 grid.t_start + (0.5 * grid.dt) * half_steps
@@ -187,7 +187,7 @@ def _integrate(
             state = advance(state, columns, chunk[: last - first])
             lo, hi = np.searchsorted(samples, (first + 1, last + 1))
             taken = samples[lo:hi] - first  # steps into the chunk
-            lifted = np.zeros((hi - lo, len(x0)), dtype=x0.dtype)
+            lifted = np.zeros((hi - lo, len(x0)))
             lifted[:, reached] = chunk[taken - 1]
             states[lo:hi] = restore(lifted)
             if controls is not None:
@@ -211,26 +211,27 @@ def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
         reached = grown
 
 
-def _linear_advance(blocks: np.ndarray, dt: float) -> Callable:
+def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
     """``advance(x, columns, out)`` for dx/dt = (A_static + sum_k c_k A_k) x,
-    with ``blocks`` the stack (A_static, A_1, ..., A_K) of shape (K+1, r, r).
+    with ``blocks`` the real stack (A_static, A_1, ..., A_K) of shape
+    (K+1, r, r), in chunks of at most ``length`` steps.
 
-    It takes ``len(out)`` steps through the control columns
-    (2 len(out) + 1, K) at their half steps, writes the state after each
-    step to ``out`` and returns the last one.  The generators A at the
-    chunk's half steps are one product of the control columns with the
-    stacked A_k, plus A_static.  The exact RK4 one-step matrices
-    I + dt/6 (A0 + 2 B2 + 2 B3 + B4) are built from them for the whole
-    chunk by batched products, and a matrix-vector scan applies them.
-    Everything is written into buffers allocated once per run: a chunk
-    that allocated its large arrays anew could make the heap shrink and
-    fault them back in, chunk after chunk.
+    It takes n = len(out) steps through the control columns (2n + 1, K) at
+    their half steps, writes the state after each step to ``out`` and
+    returns the last one.  The generators at the half steps are one product
+    of the columns with the stacked A_k, plus A_static; the RK4 one-step
+    matrices S_j = I + dt/6 (A0 + 2 B2 + 2 B3 + B4) are batched products of
+    them, and so are the prefixes P_j = S_j ... S_1, by doubling in
+    ceil(log2 n) passes (Hillis & Steele, CACM 29, 1170 (1986)).  One
+    product of the P_j with x gives every state.  The scan passes between
+    the step matrices and a stage buffer, all allocated once per run: large
+    arrays allocated anew per chunk could be faulted back in every chunk.
     """
     size = blocks.shape[-1]
     static = blocks[0]
     terms = blocks[1:].reshape(len(blocks) - 1, size * size)
-    generators = np.empty((2 * CHUNK_STEPS + 1, size * size), dtype=blocks.dtype)
-    buffers = np.empty((4, CHUNK_STEPS, size, size), dtype=blocks.dtype)
+    generators = np.empty((2 * length + 1, size * size))
+    buffers = np.empty((4, length, size, size))
     identity = np.eye(size)
 
     def advance(x, columns, out):
@@ -252,9 +253,12 @@ def _linear_advance(blocks: np.ndarray, dt: float) -> Callable:
         steps += b4
         steps *= dt / 6.0
         steps += identity
-        for step, after in zip(steps, out):
-            x = np.matmul(step, x, out=after)
-        return x
+        prefix, spare, shift = steps, b2, 1
+        while shift < n:
+            np.matmul(prefix[shift:], prefix[:-shift], out=spare[shift:])
+            spare[:shift] = prefix[:shift]
+            prefix, spare, shift = spare, prefix, 2 * shift
+        return np.matmul(prefix, x, out=out)[-1]  # x may be a row of out
 
     return advance
 
@@ -327,23 +331,34 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
 
 
 def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:
-    """The model as dx/dt = (A_static + sum_k c_k(t) A_k) x: the stack of
-    blocks (A_static, A_1, ..., A_K), the initial coordinates x0 and the
-    map from stepped coordinates to recorded states.  A pure state is its
-    own coordinates, with A = -iH; a density matrix |psi><psi| steps in its
-    d^2 real coordinates through the blocks of _real_liouvillian."""
+    """The model as the real dx/dt = (A_static + sum_k c_k(t) A_k) x: the
+    blocks (A_static, A_1, ..., A_K), the initial coordinates x0 and the map
+    from them to recorded states.  A pure state steps in (Re psi, Im psi),
+    with -iH the block [[Im H, Re H], [-Re H, Im H]]; a density matrix
+    |psi><psi| in its d^2 real coordinates, with _real_liouvillian."""
     if not model.jumps:
-        return -1j * np.array([model.static, *model.terms.values()]), psi, np.asarray
+        h, dim = np.array([model.static, *model.terms.values()]), len(psi)
+        blocks = np.block([[h.imag, h.real], [-h.real, h.imag]])
+        x0 = np.concatenate((psi.real, psi.imag))
+        return blocks, x0, lambda x: x[..., :dim] + 1j * x[..., dim:]
     size = model.basis.dimension ** 2
     blocks = _real_liouvillian(model).reshape(-1, size, size)
     return blocks, _coordinates(np.outer(psi, psi.conj())), _density_matrices
 
 
+@lru_cache(maxsize=None)
 def _triangles(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Flat indices of a d x d matrix: its diagonal, its upper triangle,
     and the mirror image of each upper entry in the lower triangle."""
     rows, cols = np.triu_indices(dim, 1)
-    return np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
+    indices = np.arange(dim) * (dim + 1), rows * dim + cols, cols * dim + rows
+    return tuple(map(_read_only, indices))
+
+
+@lru_cache(maxsize=None)
+def _unit_matrices(dim: int) -> np.ndarray:
+    """The d^2 coordinate unit matrices E_i (d^2, d, d), read-only."""
+    return _read_only(_density_matrices(np.eye(dim * dim)))
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
@@ -384,7 +399,7 @@ def _real_liouvillian(model: LinearHamiltonian) -> np.ndarray:
     G_k = -iX_k, L_k E = G_k E + (G_k E)^dag = -i [X_k, E].
     """
     dim = model.basis.dimension
-    units = _density_matrices(np.eye(dim * dim))
+    units = _unit_matrices(dim)
     generators = [-1j * h for h in (model.static, *model.terms.values())]
     blocks = np.empty((len(generators), dim * dim, dim * dim))  # (block, coordinate, unit)
     for block, generator in zip(blocks, generators):

@@ -362,6 +362,27 @@ class TestAgainstReferenceLoops:
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
 
 
+class TestScanLengths:
+    """Chunks of every length, not only powers of two, and a partial last
+    chunk: the prefix scan gives the states of the per-step loops."""
+
+    @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 255, 256, 257])
+    @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
+    def test_every_recorded_state_matches(self, dissipation, n_steps):
+        config = ModelConfig("effective", "tqd", PULSES, dissipation)
+        psi0 = BASIS.state("g1", 0)
+        dt = 1e-2
+        grid = TimeGrid(-1.0, -1.0 + n_steps * dt, dt, stride=7)
+        assert grid.n_steps == n_steps
+        trajectory = propagate(linear_hamiltonian(config, BASIS), psi0, grid)
+        if dissipation is None:
+            expected = reference_schrodinger(bound_hamiltonian(config, BASIS), psi0, grid)
+        else:
+            expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, BASIS)
+        assert trajectory.states.shape == expected.shape
+        assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
+
+
 class TestRealLiouvillian:
     """The master equation steps in real coordinates through one stacked
     real Liouvillian (L_static; L_1; ...; L_K)."""
@@ -423,7 +444,10 @@ class TestReachableSubspace:
         labels = [("g1", 0), ("e", 0), ("g2", 1)]
         if sim.model == "full":
             labels.append(("em", 0))
-        expected = sorted(basis.index(*label) for label in labels)
+        states = sorted(basis.index(*label) for label in labels)
+        # the real, then the imaginary coordinate of each of those states
+        expected = states + [basis.dimension + i for i in states]
+        assert len(expected) == 2 * len(labels)
         assert np.array_equal(_reachable(blocks, x0), expected)
 
     @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
@@ -471,3 +495,26 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_full_support_peak_allocation_stays_at_its_bound(self):
+        """A seeded random full-support state steps all r = d^2 = 144 real
+        coordinates of the master equation at n_max = 3, the largest chunk
+        matrices of any run here.  With 64-step chunks its peak was 65.5 MB on
+        these 800 steps; a longer chunk at this r raises it severalfold."""
+        basis = build_basis("effective", 3)
+        d = basis.dimension
+        model = linear_hamiltonian(
+            ModelConfig("effective", "tqd", PULSES, Dissipation(1.0, 0.1)), basis
+        )
+        rng = np.random.default_rng(7)
+        psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
+        psi0 /= np.linalg.norm(psi0)
+        grid = TimeGrid(-4.0, 4.0, 8.0 / 800, stride=80)
+        propagate(model, psi0, grid)  # fill the operator caches
+        tracemalloc.start()
+        try:
+            propagate(model, psi0, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 65.5e6
