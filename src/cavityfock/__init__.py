@@ -1,12 +1,7 @@
 """Simulator for single-photon Fock-state production in an atom-cavity
 system, driven by adiabatic-passage and shortcut pulse schedules."""
 
-from .dynamics import (
-    TimeGrid,
-    Trajectory,
-    elimination_residual,
-    propagate,
-)
+from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import (
     CavityFockError,
     ConfigError,
@@ -36,13 +31,7 @@ from .hilbert import (
     single_excitation_matrix,
     transition_operator,
 )
-from .observables import (
-    dark_state_overlap,
-    mandel_q,
-    mean_photon_number,
-    norm_or_trace,
-    populations,
-)
+from .observables import dark_state_overlap, populations
 from .pulses import (
     ControlSchedule,
     ControlValues,
@@ -64,7 +53,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 __all__ = [
     "CavityFockError",
@@ -93,16 +82,12 @@ __all__ = [
     "counterdiabatic_amplitude",
     "dark_state_overlap",
     "effective_raman_coupling",
-    "elimination_residual",
     "gaussian_pulse",
     "generic_counterdiabatic",
     "jump_operators",
     "ladder_operators",
     "level_projector",
     "linear_hamiltonian",
-    "mandel_q",
-    "mean_photon_number",
-    "norm_or_trace",
     "number_operator",
     "physical_pulse_pair",
     "populations",

@@ -69,7 +69,10 @@ def _resolve_config(args) -> SimulationConfig:
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
 
-    scenario = args.preset or overrides.pop("scenario", None)
+    scenario = overrides.pop("scenario", None)
+    if args.preset and scenario not in (None, args.preset):
+        raise ConfigError(f"scenario={scenario} disagrees with --preset {args.preset}")
+    scenario = args.preset or scenario
     config = resolve_preset(scenario) if scenario else SimulationConfig()
 
     known = set(config_field_names())

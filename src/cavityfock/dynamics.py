@@ -20,7 +20,8 @@ Time is taken in chunks, and the controls at all half steps of a chunk come
 from one call.  The exact RK4 one-step matrices of a chunk are built by
 batched products, and a log-depth doubling scan turns them into the states.
 Observables and conservation checks are computed once per run, from the
-stack of recorded states.
+stack of recorded states, and the recorded controls from one schedule call
+at the recorded times.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationError, ModelMismatchError, ParameterDomainError
+from .errors import IntegrationError, ParameterDomainError
 from .hamiltonians import LinearHamiltonian
 from .hilbert import ProductBasis, _read_only
 from .observables import (
@@ -100,18 +101,18 @@ class Trajectory:
 
     ``states`` are pure states (S, d) or density matrices (S, d, d).
     ``populations`` (S, d) are the basis-state populations in the order of
-    ``basis.labels()``.  ``controls`` holds each channel as an (S,) array,
-    or is None for a constant Hamiltonian.  ``dark_overlap`` and
-    ``mandel_q`` are NaN where undefined: no drive field on, a full-model or
-    constant-Hamiltonian run, or an empty cavity.
+    ``basis.labels()``.  ``model`` is the schedule's model, "effective" or
+    "full", and ``controls`` holds each of its channels as an (S,) array.
+    ``dark_overlap`` and ``mandel_q`` are NaN where undefined: no drive
+    field on, a full-model run, or an empty cavity.
     """
 
     basis: ProductBasis
     is_density: bool
-    model: str | None
+    model: str
     times: np.ndarray
     states: np.ndarray
-    controls: ControlValues | None
+    controls: ControlValues
     populations: np.ndarray
     norm_or_trace: np.ndarray
     dark_overlap: np.ndarray
@@ -146,10 +147,9 @@ def _integrate(
     blocks: np.ndarray,
     x0: np.ndarray,
     restore: Callable[[np.ndarray], np.ndarray],
-) -> tuple[np.ndarray, ControlValues | None]:
+) -> np.ndarray:
     """Integrate dx/dt = (A_static + sum_k c_k(t) A_k) x from x0 over the
-    grid one chunk at a time; return the recorded states and the control
-    values at the recorded samples.
+    grid one chunk at a time; return the recorded states.
 
     ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the
     coordinates that x0 reaches (_reachable) are stepped; every other one
@@ -168,11 +168,7 @@ def _integrate(
     initial = restore(x0[None])
     states = np.empty((len(samples),) + initial.shape[1:], dtype=complex)
     states[0] = initial[0]
-    values, columns = hamiltonian.evaluate(np.array([grid.t_start]))
-    controls = None
-    if values is not None:
-        controls = np.empty((len(samples), len(values)))
-        controls[0] = np.stack(values, axis=-1)[0]
+    columns = hamiltonian.evaluate(np.array([grid.t_start]))
     state = x0[reached]
     chunk = np.empty((length, len(reached)))
     # A diverging run overflows to inf and NaN; _record reports it.
@@ -180,21 +176,14 @@ def _integrate(
         for first in range(0, grid.n_steps, length):
             last = min(first + length, grid.n_steps)
             half_steps = np.arange(2 * first + 1, 2 * last + 1)
-            values, chunk_columns = hamiltonian.evaluate(
-                grid.t_start + (0.5 * grid.dt) * half_steps
-            )
+            chunk_columns = hamiltonian.evaluate(grid.t_start + (0.5 * grid.dt) * half_steps)
             columns = np.concatenate((columns[-1:], chunk_columns))
             state = advance(state, columns, chunk[: last - first])
             lo, hi = np.searchsorted(samples, (first + 1, last + 1))
-            taken = samples[lo:hi] - first  # steps into the chunk
             lifted = np.zeros((hi - lo, len(x0)))
-            lifted[:, reached] = chunk[taken - 1]
+            lifted[:, reached] = chunk[samples[lo:hi] - first - 1]
             states[lo:hi] = restore(lifted)
-            if controls is not None:
-                controls[lo:hi] = np.stack(values, axis=-1)[2 * taken - 1]
-    if controls is not None:
-        controls = ControlValues(*controls.T)
-    return states, controls
+    return states
 
 
 def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -263,13 +252,9 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
     return advance
 
 
-def _record(
-    hamiltonian: LinearHamiltonian,
-    times: np.ndarray,
-    states: np.ndarray,
-    controls: ControlValues | None,
-) -> Trajectory:
-    """Check the recorded states and derive the observables from them.
+def _record(hamiltonian: LinearHamiltonian, times: np.ndarray, states: np.ndarray) -> Trajectory:
+    """Check the recorded states, derive the observables from them, and
+    evaluate the controls at the recorded times.
 
     Every check is written so that NaN fails it.
     """
@@ -291,7 +276,8 @@ def _record(
                 f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
                 f"at t={times[i]:g}; reduce dt"
             )
-    model = None if hamiltonian.schedule is None else hamiltonian.schedule.model
+    model = hamiltonian.schedule.model
+    controls = hamiltonian.schedule.values(times)
     if model == "effective":
         dark = dark_state_overlaps(states, is_density, controls.omega_r, controls.g, basis)
     else:
@@ -327,7 +313,7 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-6:  # NaN and inf fail it
         raise ParameterDomainError("initial state must be finite and normalized")
     times = grid.time(grid.sample_steps)
-    return _record(model, times, *_integrate(model, grid, *_linear_form(model, psi)))
+    return _record(model, times, _integrate(model, grid, *_linear_form(model, psi)))
 
 
 def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:
@@ -409,16 +395,3 @@ def _real_liouvillian(model: LinearHamiltonian) -> np.ndarray:
     for rate, op in model.jumps:
         blocks[0] += rate * _coordinates(op @ units @ op.conj().T).T
     return blocks.reshape(-1, dim * dim)
-
-
-def elimination_residual(trajectory: Trajectory) -> float:
-    """Largest recorded population of the auxiliary excited level.
-
-    Small values certify that eliminating the far-detuned level is a good
-    approximation for the run in question.
-    """
-    if trajectory.model != "full":
-        raise ModelMismatchError(
-            "elimination residual requires a full-model trajectory"
-        )
-    return trajectory.max_population("em")

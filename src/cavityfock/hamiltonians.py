@@ -11,7 +11,7 @@ matrices are dense; the default dimensions are 6 (effective) and 8 (full).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -26,7 +26,7 @@ from .hilbert import (
     level_projector,
     transition_operator,
 )
-from .pulses import ControlSchedule, ControlValues, PulseParameters
+from .pulses import ControlSchedule, PulseParameters
 
 
 @dataclass(frozen=True)
@@ -55,7 +55,7 @@ class ModelConfig:
     dissipation: Dissipation | None = None
 
     def __post_init__(self):
-        self.schedule()  # validates model, drive and the auxiliary detuning
+        self.schedule()  # validates model and drive; physical_pulse_pair checks delta_m
 
     def schedule(self) -> ControlSchedule:
         return ControlSchedule(self.pulses, self.model, self.drive)
@@ -122,25 +122,21 @@ class LinearHamiltonian:
     form [H0, [X1, c1(t)], [X2, c2(t)], ...] of QuTiP.
 
     ``terms`` maps each control channel (a ControlValues field) to its X_k,
-    and ``schedule`` evaluates the channels.  Without terms and schedule
-    the Hamiltonian is the constant ``static``.  An open system has
-    ``jumps``, and ``static`` carries their decay terms -i/2 sum_j r_j L_j^dag L_j.
+    and ``schedule`` evaluates the channels.  An open system has ``jumps``,
+    and ``static`` carries their decay terms -i/2 sum_j r_j L_j^dag L_j.
     """
 
     basis: ProductBasis
     static: np.ndarray
-    terms: dict[str, np.ndarray] = field(default_factory=dict)
-    schedule: ControlSchedule | None = None
+    terms: dict[str, np.ndarray]
+    schedule: ControlSchedule
     jumps: Jumps = ()
 
-    def evaluate(self, times: np.ndarray) -> tuple[ControlValues | None, np.ndarray]:
-        """The control values at ``times``, all channels from one schedule
-        call, and their columns c_k: a (len(times), K) array in the order of
-        ``terms``.  A constant Hamiltonian has no values and no columns."""
-        if self.schedule is None:
-            return None, np.empty((len(times), 0))
+    def evaluate(self, times: np.ndarray) -> np.ndarray:
+        """The control columns c_k at ``times``, all channels from one
+        schedule call: a (len(times), K) array in the order of ``terms``."""
         controls = self.schedule.values(times)
-        return controls, np.stack([getattr(controls, name) for name in self.terms], axis=-1)
+        return np.stack([getattr(controls, name) for name in self.terms], axis=-1)
 
 
 def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamiltonian:
@@ -191,7 +187,7 @@ def bound_hamiltonian(
     model = linear_hamiltonian(config, basis)
     d = basis.dimension
     matrices = np.reshape(list(model.terms.values()), (len(model.terms), d * d))
-    return lambda t: model.static + (model.evaluate(np.array([t]))[1] @ matrices).reshape(d, d)
+    return lambda t: model.static + (model.evaluate(np.array([t])) @ matrices).reshape(d, d)
 
 
 def effective_raman_coupling(omega_m: float, g_m: float, delta_m: float) -> float:

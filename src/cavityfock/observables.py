@@ -1,8 +1,10 @@
 """Derived quantities: populations, cavity photon statistics, dark-state
-overlap.  Functions of one ``state`` take a pure state vector or a density
-matrix and tell them apart by dimension.  The columnar ones take a stack of
-states and an explicit ``density`` flag, since a stack of pure states has
-the shape of a density matrix, and give NaN where a value is undefined."""
+overlap.  The columnar functions take a stack of states and an explicit
+``density`` flag, since a stack of pure states has the shape of a density
+matrix, and give NaN where a value is undefined.  ``populations`` and
+``dark_state_overlap`` take one pure state vector or density matrix and
+tell them apart by dimension; the latter is the independent reference for
+``dark_state_overlaps``."""
 
 from __future__ import annotations
 
@@ -68,27 +70,6 @@ def populations(state: np.ndarray, basis: ProductBasis) -> dict[tuple[str, int],
     """Population per product-basis label |level, n>."""
     weights = diagonal_weights(state, _is_density(state))
     return {label: float(weights[i]) for i, label in enumerate(basis.labels())}
-
-
-def norm_or_trace(state: np.ndarray) -> float:
-    """Squared norm of a pure state, or the trace of a density matrix."""
-    return float(np.sum(diagonal_weights(state, _is_density(state))))
-
-
-def mean_photon_number(state: np.ndarray, basis: ProductBasis) -> float:
-    """Expectation of the cavity number operator."""
-    n_mean, _q = photon_statistics(diagonal_weights(state, _is_density(state)), basis)
-    return float(n_mean)
-
-
-def mandel_q(state: np.ndarray, basis: ProductBasis) -> float | None:
-    """Mandel Q factor -1 + (<n^2> - <n>^2) / <n>.
-
-    Returns None when the cavity is essentially empty (<n> below
-    MANDEL_Q_THRESHOLD), where the ratio is undefined.
-    """
-    n_mean, q = photon_statistics(diagonal_weights(state, _is_density(state)), basis)
-    return None if n_mean < MANDEL_Q_THRESHOLD else float(q)
 
 
 def dark_state_overlap(

@@ -1,9 +1,9 @@
 """Control-field synthesis for the dark-state transfer scheme.
 
 All rates are expressed in units of 1/T and all times in units of T, where T
-is the common Gaussian width of the pump and Stokes pulses (fixed to 1
-internally; converting to a physical pulse length is a presentation-layer
-concern).  The module provides
+is the common Gaussian width of the pump and Stokes pulses, so every width
+is 1 here; converting to a physical pulse length is a presentation-layer
+concern.  The module provides
 
 * the counter-intuitively ordered pump/Stokes Gaussian pair,
 * the closed-form correction amplitude that makes the transfer exactly
@@ -44,7 +44,6 @@ class PulseParameters:
     tau_s    Stokes-pulse center offset, Stokes peaks at -tau_s (T)
     delta    one-photon detuning of the intermediate excited level (1/T)
     delta_m  detuning of the auxiliary excited level (1/T)
-    T        characteristic pulse width; the unit of time
     """
 
     omega0: float
@@ -52,24 +51,19 @@ class PulseParameters:
     tau_s: float = 0.5
     delta: float = 1.0
     delta_m: float = 18.0
-    T: float = 1.0
 
     def __post_init__(self):
         if not all(math.isfinite(value) for value in astuple(self)):
             raise ParameterDomainError(f"pulse parameters must be finite, got {self}")
-        if self.T <= 0:
-            raise ParameterDomainError(f"T must be positive, got {self.T}")
         if self.omega0 < 0:
             raise ParameterDomainError(
                 f"omega0 must be non-negative, got {self.omega0}"
             )
 
 
-def gaussian_pulse(omega0: float, center: float, width: float, t):
-    """Gaussian envelope omega0 * exp(-((t - center) / width)**2)."""
-    if width <= 0:
-        raise ParameterDomainError(f"pulse width must be positive, got {width}")
-    u = (np.asarray(t, dtype=float) - center) / width
+def gaussian_pulse(omega0: float, center: float, t):
+    """Gaussian envelope omega0 * exp(-(t - center)**2) of unit width."""
+    u = np.asarray(t, dtype=float) - center
     return omega0 * np.exp(-u * u)
 
 
@@ -80,8 +74,8 @@ def stirap_pair(params: PulseParameters, t):
     pump, which peaks at +tau_p: the counter-intuitive ordering required for
     dark-state transfer.
     """
-    omega_r = gaussian_pulse(params.omega0, params.tau_p, params.T, t)
-    g = gaussian_pulse(params.omega0, -params.tau_s, params.T, t)
+    omega_r = gaussian_pulse(params.omega0, params.tau_p, t)
+    g = gaussian_pulse(params.omega0, -params.tau_s, t)
     return omega_r, g
 
 
@@ -92,7 +86,7 @@ def counterdiabatic_amplitude(params: PulseParameters, t):
     (g*domega_r - dg*omega_r) / (omega_r**2 + g**2) underflows to 0/0 in the
     far tails, so the equivalent form
 
-        2 (tau_p + tau_s) / T**2 * 1 / (r + 1/r),    r = omega_r / g
+        2 (tau_p + tau_s) / (r + 1/r),    r = omega_r / g
 
     is evaluated with the Gaussian ratio r taken in log space.  The result is
     exact in real arithmetic, has the sign of tau_p + tau_s, and decays to
@@ -100,11 +94,10 @@ def counterdiabatic_amplitude(params: PulseParameters, t):
     below TAIL_CLAMP * omega0.
     """
     tt = np.asarray(t, dtype=float)
-    t_sq = params.T * params.T
-    exponent_p = -((tt - params.tau_p) ** 2) / t_sq
-    exponent_s = -((tt + params.tau_s) ** 2) / t_sq
+    exponent_p = -((tt - params.tau_p) ** 2)
+    exponent_s = -((tt + params.tau_s) ** 2)
     log_ratio = exponent_p - exponent_s  # log(omega_r / g); omega0 cancels
-    prefactor = 2.0 * (params.tau_p + params.tau_s) / t_sq
+    prefactor = 2.0 * (params.tau_p + params.tau_s)
     # 1 / (r + 1/r) rewritten so neither exponential can overflow.
     damp = np.exp(-np.abs(log_ratio))
     value = prefactor * damp / (1.0 + damp * damp)
@@ -203,8 +196,6 @@ class ControlSchedule:
             raise ParameterDomainError(f"unknown model {self.model!r}")
         if self.drive not in ("stirap", "tqd"):
             raise ParameterDomainError(f"unknown drive {self.drive!r}")
-        if self.auxiliary_active and self.params.delta_m <= 0:
-            raise ParameterDomainError("auxiliary pulses require delta_m > 0")
 
     @property
     def correction_active(self) -> bool:

@@ -12,7 +12,7 @@ from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import ConfigError
 from .hamiltonians import Dissipation, ModelConfig, linear_hamiltonian
 from .hilbert import build_basis
-from .pulses import ControlValues, PulseParameters
+from .pulses import PulseParameters
 
 CSV_COLUMNS = (
     "t_over_T",
@@ -194,7 +194,7 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     """
     full = trajectory.model == "full"
     undefined = np.full(len(trajectory.times), np.nan)
-    controls = trajectory.controls or ControlValues(*[undefined] * len(ControlValues._fields))
+    controls = trajectory.controls
 
     def population(level: str, n: int) -> np.ndarray:
         if level not in trajectory.basis.levels:

@@ -18,14 +18,15 @@ from cavityfock import (
 class TestBuildBasis:
     @pytest.mark.parametrize(
         "model,n_max,dimension",
-        [("effective", 1, 6), ("full", 1, 8), ("effective", 3, 12)],
+        [("effective", 1, 6), ("full", 1, 8), ("effective", 3, 12), ("effective", 10, 33)],
     )
     def test_dimensions(self, model, n_max, dimension):
         assert build_basis(model, n_max).dimension == dimension
 
-    def test_rejects_small_n_max(self):
-        with pytest.raises(ParameterDomainError):
-            build_basis("effective", 0)
+    @pytest.mark.parametrize("n_max", [0, 11])
+    def test_rejects_n_max_outside_range(self, n_max):
+        with pytest.raises(ParameterDomainError, match="n_max must be in 1..10"):
+            build_basis("effective", n_max)
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ParameterDomainError):

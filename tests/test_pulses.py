@@ -20,15 +20,11 @@ STANDARD = PulseParameters(omega0=2.0)
 
 
 class TestPulseParameters:
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ParameterDomainError):
-            PulseParameters(omega0=1.0, T=0.0)
-
     def test_rejects_negative_amplitude(self):
         with pytest.raises(ParameterDomainError):
             PulseParameters(omega0=-0.1)
 
-    @pytest.mark.parametrize("name", ["omega0", "tau_p", "tau_s", "delta", "delta_m", "T"])
+    @pytest.mark.parametrize("name", ["omega0", "tau_p", "tau_s", "delta", "delta_m"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_values(self, name, value):
         with pytest.raises(ParameterDomainError):
@@ -37,28 +33,22 @@ class TestPulseParameters:
 
 class TestGaussianPulse:
     def test_peak_at_center(self):
-        assert gaussian_pulse(2.0, 0.5, 1.0, 0.5) == pytest.approx(2.0, abs=0)
+        assert gaussian_pulse(2.0, 0.5, 0.5) == pytest.approx(2.0, abs=0)
 
     def test_one_width_from_center(self):
         expected = 2.0 * math.exp(-1.0)
-        assert gaussian_pulse(2.0, 0.5, 1.0, 1.5) == pytest.approx(expected, rel=1e-15)
+        assert gaussian_pulse(2.0, 0.5, 1.5) == pytest.approx(expected, rel=1e-15)
 
     def test_symmetric_about_center(self):
-        left = gaussian_pulse(2.0, 0.5, 1.0, -0.5)
-        right = gaussian_pulse(2.0, 0.5, 1.0, 1.5)
+        left = gaussian_pulse(2.0, 0.5, -0.5)
+        right = gaussian_pulse(2.0, 0.5, 1.5)
         assert left == pytest.approx(right, rel=1e-15)
-
-    def test_rejects_nonpositive_width(self):
-        with pytest.raises(ParameterDomainError):
-            gaussian_pulse(1.0, 0.0, 0.0, 0.0)
-        with pytest.raises(ParameterDomainError):
-            gaussian_pulse(1.0, 0.0, -1.0, 0.0)
 
     def test_vectorized_matches_scalar(self):
         times = np.linspace(-3.0, 3.0, 13)
-        values = gaussian_pulse(1.5, 0.2, 0.9, times)
+        values = gaussian_pulse(1.5, 0.2, times)
         for t, value in zip(times, values):
-            assert value == gaussian_pulse(1.5, 0.2, 0.9, float(t))
+            assert value == gaussian_pulse(1.5, 0.2, float(t))
 
 
 class TestStirapPair:
@@ -127,9 +117,10 @@ def closed_form_pulse_pair(params, t):
     beta**2 = exp(-2(t+tau_s)**2/T**2) + exp(-2(t-tau_p)**2/T**2) and
     alpha**2 = 2*delta_m/T, valid for tau_p = tau_s = T/2 only; beta is
     factored as exp(peak/2) * sqrt(...) so both exponentials may underflow."""
+    T = 1.0  # the unit of time
     tt = np.asarray(t, dtype=float)
-    t_sq = params.T * params.T
-    alpha = math.sqrt(2.0 * params.delta_m / params.T)
+    t_sq = T * T
+    alpha = math.sqrt(2.0 * params.delta_m / T)
     u = -2.0 * (tt + params.tau_s) ** 2 / t_sq
     v = -2.0 * (tt - params.tau_p) ** 2 / t_sq
     peak = np.maximum(u, v)
@@ -295,4 +286,4 @@ class TestControlSchedule:
     def test_auxiliary_pulses_need_positive_detuning(self):
         params = PulseParameters(omega0=2.0, delta_m=-1.0)
         with pytest.raises(ParameterDomainError):
-            ControlSchedule(params, model="full", drive="tqd")
+            ControlSchedule(params, model="full", drive="tqd").values(0.0)

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -356,6 +357,39 @@ class TestCli:
         argv = ["run", "--preset", "fig2f_dissipative_tqd", "--set", setting, "--out", out]
         assert main(argv) == 2
         assert "must be finite" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+    def test_scenario_that_disagrees_with_preset_is_usage_error(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        cfg_file = tmp_path / "job.cfg"
+        cfg_file.write_text("scenario=fig2_stirap\n", encoding="utf-8")
+        for source in (["--set", "scenario=fig2_stirap"], ["--config", str(cfg_file)]):
+            assert main(["run", "--preset", "fig2_tqd", *source, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: scenario=fig2_stirap disagrees with --preset fig2_tqd")
+            assert err.count("\n") == 1
+            assert not os.path.exists(out)
+
+    def test_scenario_that_agrees_with_preset_runs_it(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        argv = ["run", "--preset", "fig2_tqd", "--set", "scenario=fig2_tqd", "--out", out]
+        assert main(argv + ["--set", "dt_over_T=0.01"]) == 0
+        printed = capsys.readouterr().out.splitlines()
+        assert "scenario=fig2_tqd" in printed and "drive=tqd" in printed
+
+    def test_n_max_above_limit_is_usage_error_before_allocating(self, tmp_path, capsys):
+        out = str(tmp_path / "x.csv")
+        argv = ["run", "--preset", "fig2f_dissipative_tqd", "--set", "n_max=11", "--out", out]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: n_max must be in 1..10") and err.count("\n") == 1
+        assert peak < 1e6  # bytes; the real Liouvillian at n_max = 11 is about 54 MB
         assert not os.path.exists(out)
 
     def test_too_many_steps_is_usage_error(self, tmp_path, capsys):
