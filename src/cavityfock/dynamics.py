@@ -11,10 +11,12 @@ and one stepper takes them.  A pure state steps in x = (Re psi, Im psi), where
 -iH is the block [[Im H, Re H], [-Re H, Im H]]; a density matrix in its d^2
 real coordinates (diagonal, real and imaginary upper triangle), where the
 blocks are the real Liouvillian of each term, so H(t) is never formed and a
-matrix rebuilt from them is exactly Hermitian.  Only the coordinates that the
-initial state reaches through the blocks' nonzero patterns are stepped: the
-Jaynes-Cummings coupling conserves the excitation number and loss only feeds
-populations, so every preset steps 6, 8 or 10 of them whatever n_max is.
+matrix rebuilt from them is exactly Hermitian.  The blocks are built only on
+the basis states that the initial state reaches through H', the X_k and the
+jumps, and only the coordinates that it reaches through the blocks' nonzero
+patterns are stepped: the Jaynes-Cummings coupling conserves the excitation
+number and loss only feeds populations, so every preset builds on 3 or 4
+basis states and steps 6, 8 or 10 coordinates whatever n_max is.
 
 Time is taken in chunks, and the controls at all half steps of a chunk come
 from one call.  The exact RK4 one-step matrices of a chunk are built by
@@ -27,7 +29,7 @@ at the recorded times.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Callable
 
@@ -268,7 +270,7 @@ def _record(hamiltonian: LinearHamiltonian, times: np.ndarray, states: np.ndarra
         i = int(np.argmax(bad))
         raise IntegrationError(f"{kind} drifted to {weight[i]:.12f} at t={times[i]:g}; reduce dt")
     if is_density:
-        smallest = np.linalg.eigvalsh(states)[:, 0]
+        smallest = _smallest_eigenvalues(states)
         bad = ~(smallest >= NEGATIVITY_LIMIT)
         if bad.any():
             i = int(np.argmax(bad))
@@ -286,6 +288,21 @@ def _record(hamiltonian: LinearHamiltonian, times: np.ndarray, states: np.ndarra
     return Trajectory(
         basis, is_density, model, times, states, controls, weights, weight, dark, n_mean, q
     )
+
+
+def _smallest_eigenvalues(states: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of each Hermitian matrix (S, d, d), from the
+    block on the basis states whose rows are nonzero anywhere in the
+    stack.  Every other row and column is exactly zero and adds an
+    eigenvalue 0.  The blocks are copied out 512 samples at a time, which
+    keeps the copy small."""
+    support = np.flatnonzero((states != 0).any(axis=(0, 2)))
+    block = (slice(None),) + np.ix_(support, support)
+    chunks = np.split(states, range(512, len(states), 512))
+    smallest = np.concatenate([np.linalg.eigvalsh(chunk[block])[:, 0] for chunk in chunks])
+    if len(support) < states.shape[-1]:
+        np.minimum(smallest, 0.0, out=smallest)
+    return smallest
 
 
 def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Trajectory:
@@ -312,8 +329,36 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
         )
     if not abs(np.linalg.norm(psi) - 1.0) <= 1e-6:  # NaN and inf fail it
         raise ParameterDomainError("initial state must be finite and normalized")
+    # the basis states that psi reaches through H', the X_k and the jumps:
+    # rho stays on them too, so both equations step only those
+    operators = np.array([model.static, *model.terms.values(), *(op for _, op in model.jumps)])
+    kept = _reachable(operators, psi)
+    blocks, x0, restore = _linear_form(_restricted(model, kept), psi[kept])
     times = grid.time(grid.sample_steps)
-    return _record(model, times, _integrate(model, grid, *_linear_form(model, psi)))
+    states = _integrate(model, grid, blocks, x0, lambda x: _lifted(restore(x), kept, dim))
+    return _record(model, times, states)
+
+
+def _restricted(model: LinearHamiltonian, kept: np.ndarray) -> LinearHamiltonian:
+    """The model's matrices restricted to the basis states ``kept``, a set
+    that H', every X_k and every jump map into itself; the basis stays the
+    model's."""
+    block = np.ix_(kept, kept)
+    return replace(
+        model,
+        static=model.static[block],
+        terms={name: term[block] for name, term in model.terms.items()},
+        jumps=tuple((rate, op[block]) for rate, op in model.jumps),
+    )
+
+
+def _lifted(states: np.ndarray, kept: np.ndarray, dim: int) -> np.ndarray:
+    """States (S, r) or (S, r, r) on the basis states ``kept``, scattered
+    into zeros of the full dimension."""
+    axes = states.ndim - 1
+    full = np.zeros(states.shape[:1] + (dim,) * axes, dtype=complex)
+    full[(slice(None),) + np.ix_(*[kept] * axes)] = states
+    return full
 
 
 def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:
@@ -327,7 +372,7 @@ def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:
         blocks = np.block([[h.imag, h.real], [-h.real, h.imag]])
         x0 = np.concatenate((psi.real, psi.imag))
         return blocks, x0, lambda x: x[..., :dim] + 1j * x[..., dim:]
-    size = model.basis.dimension ** 2
+    size = len(psi) ** 2
     blocks = _real_liouvillian(model).reshape(-1, size, size)
     return blocks, _coordinates(np.outer(psi, psi.conj())), _density_matrices
 
@@ -384,7 +429,7 @@ def _real_liouvillian(model: LinearHamiltonian) -> np.ndarray:
     L_static E = G E + (G E)^dag + sum_j rate_j L_j E L_j^dag, and with
     G_k = -iX_k, L_k E = G_k E + (G_k E)^dag = -i [X_k, E].
     """
-    dim = model.basis.dimension
+    dim = len(model.static)
     units = _unit_matrices(dim)
     generators = [-1j * h for h in (model.static, *model.terms.values())]
     blocks = np.empty((len(generators), dim * dim, dim * dim))  # (block, coordinate, unit)

@@ -5,13 +5,14 @@ from __future__ import annotations
 import numbers
 import time
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
 from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import ConfigError
 from .hamiltonians import Dissipation, ModelConfig, linear_hamiltonian
-from .hilbert import build_basis
+from .hilbert import _read_only, build_basis
 from .pulses import PulseParameters
 
 CSV_COLUMNS = (
@@ -190,10 +191,19 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     """Write the trajectory with the fixed column schema.
 
     Columns that do not apply to the trajectory's model are left empty, as
-    are undefined dark_overlap / mandel_q entries.
+    are undefined dark_overlap / mandel_q entries.  Every other cell is
+    byte for byte the text of ``"%.16e" % x``, made by a numpy kernel
+    (_e16_cells) for about 1 000 rows at a time, so the memory used does
+    not grow with the row count.  The kernel takes the 17 digits of each
+    |x| from an exact double-double product with a power of ten, rounds
+    them to nearest as correctly rounded dtoa does, and lays out the bytes
+    of all cells at once.  A cell whose rounding it cannot prove - within
+    2^-40 of a tie, subnormal, infinite, or with |x| outside
+    [1e-283, 1e299) - is formatted by ``"%.16e" % x`` itself; on the
+    presets that is no cell at all.
     """
     full = trajectory.model == "full"
-    undefined = np.full(len(trajectory.times), np.nan)
+    undefined = np.broadcast_to(np.nan, trajectory.times.shape)
     controls = trajectory.controls
 
     def population(level: str, n: int) -> np.ndarray:
@@ -201,30 +211,205 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
             return undefined
         return trajectory.population_series(level, n)
 
-    table = np.column_stack(
-        [
-            trajectory.times,
-            population("g1", 0),
-            population("e", 0),
-            population("g2", 1),
-            population("g2", 0),
-            population("em", 0),
-            trajectory.dark_overlap,
-            trajectory.mean_photon_n,
-            trajectory.mandel_q,
-            trajectory.norm_or_trace,
-            controls.omega_r,
-            controls.g,
-            undefined if full else controls.omega1,
-            controls.g_m if full else undefined,
-            controls.omega_m if full else undefined,
-        ]
+    columns = [
+        trajectory.times,
+        population("g1", 0),
+        population("e", 0),
+        population("g2", 1),
+        population("g2", 0),
+        population("em", 0),
+        trajectory.dark_overlap,
+        trajectory.mean_photon_n,
+        trajectory.mandel_q,
+        trajectory.norm_or_trace,
+        controls.omega_r,
+        controls.g,
+        undefined if full else controls.omega1,
+        controls.g_m if full else undefined,
+        controls.omega_m if full else undefined,
+    ]
+    with open(path, "wb") as handle:
+        handle.write((",".join(CSV_COLUMNS) + "\n").encode())
+        handle.writelines(_csv_blocks(columns))
+
+
+# Rows are formatted about 8 000 cells at a time (546 trajectory rows), so
+# that the temporaries stay near 1 MB.
+_BLOCK_CELLS = 8192
+# Decimal exponents E whose scale 10^(16-E), and the numbers of that
+# exponent, split into halves without overflow; the fast path takes
+# 1e-283 <= |x| < 1e299, whose exponents all lie in this range.
+_EXP_MIN, _EXP_MAX = -284, 299
+_FAST_MIN, _FAST_MAX = 1e-283, 1e299
+_SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
+# The scaled fraction carries an error below 2^-47; fractions closer than
+# this to 1/2, the true ties among them, are left to "%.16e".
+_TIE_BOUND = 2.0**-40
+_CELL = 25  # sign, d.dddddddddddddddd, e, exponent sign, 3 digits, separator
+
+
+def _csv_blocks(columns: list[np.ndarray]):
+    """The rows of equal-length float columns as CSV bytes, one block of
+    rows at a time: each cell as ``"%.16e" % x``, NaN cells empty."""
+    rows = len(columns[0])
+    step = max(1, _BLOCK_CELLS // len(columns))
+    for first in range(0, rows, step):
+        yield _e16_cells(np.column_stack([column[first : first + step] for column in columns]))
+
+
+@lru_cache(maxsize=None)
+def _decimal_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Lookup tables of _e16_cells, built on first use.
+
+    ``scales`` has four rows over the exponents E in [_EXP_MIN, _EXP_MAX]:
+    the nearest double h to 10^(16-E), the Veltkamp halves of h, and the
+    nearest double to the remainder 10^(16-E) - h; both roundings are the
+    correct ones of Python integer division.  ``quads`` holds the ASCII of
+    0000..9999 as one uint32 each, and ``exponents`` that of the sign and
+    three digits of each exponent in [-400, 400].  Row k of ``kept`` marks
+    the bytes that a cell of kind k writes: kind 1 has a minus sign, 2 a
+    three-digit exponent, and 4 is NaN, of which only the separator stays.
+    """
+    scales = []
+    for exponent in range(_EXP_MIN, _EXP_MAX + 1):
+        k = 16 - exponent
+        num, den = (10**k, 1) if k >= 0 else (1, 10**-k)
+        high = num / den
+        p, q = high.as_integer_ratio()
+        split = _SPLITTER * high
+        top = split - (split - high)
+        scales.append((high, top, high - top, (num * q - p * den) / (den * q)))
+    numbers = np.arange(10_000)
+    ascii = np.empty((len(numbers), 4), dtype=np.uint8)
+    for place, unit in enumerate((1000, 100, 10, 1)):
+        ascii[:, place] = numbers // unit % 10 + ord("0")
+    exponents = ascii[np.abs(numbers[:801] - 400)]
+    exponents[:, 0] = np.where(numbers[:801] < 400, ord("-"), ord("+"))
+    kept = np.ones((8, _CELL), dtype=bool)
+    kept[:, 0] = numbers[:8] % 2
+    kept[:, 21] = numbers[:8] // 2 % 2
+    kept[4:, :-1] = False
+    tables = (
+        np.array(scales).T.copy(),
+        ascii.view(np.uint32).ravel(),
+        exponents.view(np.uint32).ravel(),
+        kept,
     )
-    row = ",".join(["%.16e"] * len(CSV_COLUMNS)) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(",".join(CSV_COLUMNS) + "\n")
-        # NaN cells are the only ones that format as "nan"
-        handle.writelines((row % tuple(cells)).replace("nan", "") for cells in table.tolist())
+    return tuple(map(_read_only, tables))
+
+
+def _scaled(a: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16 - exponent) as p + lo: p = fl(a h) and lo the rest, from
+    Dekker's exact product a h = p + err (Numer. Math. 18, 224 (1971)),
+    with a split by Veltkamp as numpy has no fused multiply-add, plus a
+    times the remainder 10^(16 - exponent) - h."""
+    high, high_top, high_bottom, rest = _decimal_tables()[0]
+    index = exponent - _EXP_MIN
+    p = a * high[index]
+    lo = a * rest[index]
+    top = a * _SPLITTER
+    top -= top - a
+    bottom = a - top
+    h = high_top[index]
+    err = top * h
+    err -= p
+    err += np.multiply(bottom, h, out=h)
+    h = high_bottom[index]
+    err += np.multiply(top, h, out=top)
+    err += np.multiply(bottom, h, out=h)
+    lo += err
+    return p, lo
+
+
+def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The 17 significant digits D (int64) and the decimal exponent E of
+    each x, with |x| = D 10^(E-16) correctly rounded, and the mask of the
+    cells that they decide: zeros (D = 0, E = 0) and finite |x| in
+    [1e-283, 1e299) whose rounding is not a near-tie.
+
+    E is floor(log10 |x|), corrected by one where the scaled value
+    y = |x| 10^(16-E) falls outside [10^16, 10^17).  y is a double-double
+    (_scaled) whose error is far below _TIE_BOUND, so rounding it to the
+    nearest integer is the correct rounding of Gay's dtoa (AT&T Numerical
+    Analysis Manuscript 90-10 (1990)) whenever the fraction of y is not
+    within _TIE_BOUND of 1/2.  A carry to 10^17 moves to the next exponent.
+    """
+    a = np.abs(x)
+    decided = (a >= _FAST_MIN) & (a < _FAST_MAX)  # False for NaN
+    a[~decided] = 1.0
+    exponent = np.log10(a)
+    np.floor(exponent, out=exponent)
+    exponent = exponent.astype(np.intp)
+    np.clip(exponent, _EXP_MIN, _EXP_MAX, out=exponent)
+    p, lo = _scaled(a, exponent)
+    shift = ((p > 1e17) | ((p == 1e17) & (lo >= 0))).astype(np.intp)
+    shift -= (p < 1e16) | ((p == 1e16) & (lo < 0))
+    moved = np.flatnonzero(shift)
+    if len(moved):
+        exponent[moved] = np.clip(exponent[moved] + shift[moved], _EXP_MIN, _EXP_MAX)
+        p[moved], lo[moved] = _scaled(a[moved], exponent[moved])
+    whole = np.floor(lo)
+    lo -= whole  # the fraction of y, exact near 1/2
+    digits = p.astype(np.int64)
+    digits += whole.astype(np.int64)
+    digits += lo > 0.5
+    carry = np.flatnonzero(digits == 10**17)
+    digits[carry] = 10**16
+    exponent[carry] += 1
+    decided &= (np.abs(lo - 0.5) > _TIE_BOUND) & (digits >= 10**16) & (digits < 10**17)
+    zero = x == 0
+    digits[zero] = 0
+    exponent[zero] = 0
+    return digits, exponent, decided | zero
+
+
+def _e16_cells(table: np.ndarray) -> np.ndarray:
+    """A (rows, columns) float table as the bytes (uint8) of CSV rows:
+    exactly ``",".join("%.16e" % x for x in row) + "\\n"`` per row, with
+    NaN cells empty.
+
+    The digits and exponents come from _decimal_digits.  Every cell is laid
+    out in _CELL bytes, the digits four at a time from a lookup table, and
+    the bytes that the cell does not write (a plus sign, a hundreds digit
+    of the exponent, all of a NaN) are masked out.  Zeros keep their sign.
+    The cells that _decimal_digits leaves undecided - near-ties,
+    subnormals, infinities and magnitudes out of range - are formatted
+    with ``"%.16e"`` one by one.
+    """
+    rows, width = table.shape
+    x = table.ravel()
+    digits, exponent, decided = _decimal_digits(x)
+    nan = np.isnan(x)
+    slow = np.flatnonzero(~(decided | nan))
+
+    _, quads, exponents, kept = _decimal_tables()
+    cells = np.empty((len(x), _CELL), dtype=np.uint8)
+    cells[:, 0] = ord("-")
+    high = digits // 10**8
+    digits -= high * 10**8
+    lead = high // 10**8
+    high -= lead * 10**8
+    cells[:, 1] = lead + ord("0")
+    cells[:, 2] = ord(".")
+    quad = cells[:, 3:19].view(np.uint32)
+    for column, part in enumerate((high, digits)):
+        upper = part // 10**4
+        quad[:, 2 * column] = quads[upper]
+        part -= upper * 10**4
+        quad[:, 2 * column + 1] = quads[part]
+    cells[:, 19] = ord("e")
+    cells[:, 20:24].view(np.uint32)[:, 0] = exponents[exponent + 400]
+    cells[:, 24] = ord(",")
+    cells.reshape(rows, width, _CELL)[:, -1, -1] = ord("\n")
+    kind = np.signbit(x).view(np.uint8) | (np.abs(exponent) >= 100).view(np.uint8) << 1
+    kind |= nan.view(np.uint8) << 2
+    keep = np.take(kept, kind, axis=0)
+    if len(slow):
+        texts = [_fmt(value).encode() for value in x[slow].tolist()]
+        padded = np.array(texts, dtype=f"S{_CELL - 1}").view(np.uint8)
+        cells[slow, :-1] = padded.reshape(len(slow), _CELL - 1)
+        keep[slow, :-1] = np.arange(_CELL - 1) < np.array([len(t) for t in texts])[:, None]
+    return cells[keep]
 
 
 SWEEP_COLUMNS = (

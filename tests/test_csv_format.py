@@ -1,0 +1,198 @@
+"""The trajectory CSV writer formats every cell exactly as "%.16e" % x.
+
+The oracle is the row-by-row writer that the vectorized kernel replaced,
+kept here as it was, and Python's own "%.16e" for single values.
+"""
+
+import math
+import tracemalloc
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cavityfock import PRESETS, resolve_preset, simulate
+from cavityfock import scenarios
+from cavityfock.scenarios import CSV_COLUMNS, _csv_blocks, write_trajectory_csv
+
+
+def reference_write_trajectory_csv(trajectory, path):
+    """The row-by-row writer: one "%.16e" template per row, then every
+    "nan" removed."""
+    full = trajectory.model == "full"
+    undefined = np.full(len(trajectory.times), np.nan)
+    controls = trajectory.controls
+
+    def population(level, n):
+        if level not in trajectory.basis.levels:
+            return undefined
+        return trajectory.population_series(level, n)
+
+    table = np.column_stack(
+        [
+            trajectory.times,
+            population("g1", 0),
+            population("e", 0),
+            population("g2", 1),
+            population("g2", 0),
+            population("em", 0),
+            trajectory.dark_overlap,
+            trajectory.mean_photon_n,
+            trajectory.mandel_q,
+            trajectory.norm_or_trace,
+            controls.omega_r,
+            controls.g,
+            undefined if full else controls.omega1,
+            controls.g_m if full else undefined,
+            controls.omega_m if full else undefined,
+        ]
+    )
+    row = ",".join(["%.16e"] * len(CSV_COLUMNS)) + "\n"
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(",".join(CSV_COLUMNS) + "\n")
+        handle.writelines((row % tuple(cells)).replace("nan", "") for cells in table.tolist())
+
+
+def expected_rows(table):
+    """The CSV bytes of a 2-D float table by Python's "%.16e"."""
+    return "".join(
+        ",".join(("%.16e" % value).replace("nan", "") for value in row) + "\n"
+        for row in np.asarray(table).tolist()
+    ).encode()
+
+
+def is_tie(value):
+    """Whether |value| lies exactly halfway between two 17-digit decimals."""
+    scaled = Fraction(abs(value)) * Fraction(10) ** (16 - math.floor(math.log10(abs(value))))
+    while scaled >= 10**17:
+        scaled /= 10
+    while scaled < 10**16:
+        scaled *= 10
+    return scaled - math.floor(scaled) == Fraction(1, 2)
+
+
+def formatted(table):
+    """The CSV bytes of a 2-D float table by the vectorized writer."""
+    table = np.asarray(table, dtype=float)
+    return b"".join(bytes(block) for block in _csv_blocks(list(table.T)))
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """Every value that the kernel leaves to "%.16e", as it formats it."""
+    seen = []
+    original = scenarios._fmt
+
+    def counting(value):
+        seen.append(value)
+        return original(value)
+
+    monkeypatch.setattr(scenarios, "_fmt", counting)
+    return seen
+
+
+class TestAgainstRowWriter:
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_every_preset_is_byte_identical(self, name, stride, tmp_path):
+        trajectory, _summary = simulate(replace(resolve_preset(name), stride=stride))
+        self._assert_identical(trajectory, tmp_path)
+
+    def test_larger_cutoff_is_byte_identical(self, tmp_path):
+        trajectory, _summary = simulate(replace(resolve_preset("fig2f_dissipative_tqd"), n_max=3))
+        self._assert_identical(trajectory, tmp_path)
+
+    @staticmethod
+    def _assert_identical(trajectory, tmp_path):
+        write_trajectory_csv(trajectory, str(tmp_path / "new.csv"))
+        reference_write_trajectory_csv(trajectory, str(tmp_path / "old.csv"))
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestAgainstPercentFormat:
+    @settings(derandomize=True, max_examples=500, deadline=None)
+    @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
+    def test_single_value(self, value):
+        assert formatted([[value]]) == expected_rows([[value]])
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=20))
+    def test_one_row(self, values):
+        assert formatted([values]) == expected_rows([values])
+
+    def test_random_bit_patterns(self, fallbacks):
+        """10^6 seeded random 64-bit patterns, every class of double among
+        them.  Outside the kernel's range [1e-283, 1e299) all of them go
+        to "%.16e" but NaN, which is empty; inside it only near-ties do,
+        and those are rare."""
+        rng = np.random.default_rng(20)
+        values = rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64)
+        step = scenarios._BLOCK_CELLS
+        for first, block in zip(range(0, len(values), step), _csv_blocks([values])):
+            assert bytes(block) == expected_rows(values[first : first + step, None])
+        magnitudes = np.abs(values)
+        in_range = (magnitudes >= 1e-283) & (magnitudes < 1e299)
+        inside = [value for value in fallbacks if 1e-283 <= abs(value) < 1e299]
+        assert len(fallbacks) - len(inside) == np.count_nonzero(~in_range & ~np.isnan(values))
+        assert len(inside) < 1e-3 * np.count_nonzero(in_range)
+
+    def test_edge_values(self, fallbacks):
+        powers = [float(f"1e{e}") for e in range(-323, 309)]
+        neighbours = [np.nextafter(p, direction) for p in powers for direction in (0.0, math.inf)]
+        carries = [float(f"9.99999999999999995e{k}") for k in range(-300, 300)]
+        ties = [
+            1278675322477191.75,  # 10x ends in .5: half to even rounds up
+            1278675322477192.25,  # and here down
+        ]
+        special = ties + [
+            5e-324,
+            2.2250738585072014e-308,
+            1.7976931348623157e308,
+            1e-283,
+            1e299,
+            0.0,
+            math.inf,
+            math.nan,
+        ]
+        values = np.array(powers + neighbours + carries + special)
+        values = np.concatenate((values, -values))
+        assert formatted(values[:, None]) == expected_rows(values[:, None])
+        # inside its range the kernel leaves only exact ties to "%.16e",
+        # and carries to the next power of ten are no ties
+        undecided = {abs(value) for value in fallbacks if 1e-283 <= abs(value) < 1e299}
+        assert set(ties) <= undecided
+        assert all(is_tie(value) for value in undecided)
+
+    def test_ties_round_half_to_even(self):
+        assert formatted([[1278675322477191.75, 1278675322477192.25]]) == (
+            b"1.2786753224771918e+15,1.2786753224771922e+15\n"
+        )
+
+    def test_negative_zero_and_nan(self):
+        assert formatted([[-0.0, 0.0, math.nan, -math.nan]]) == (
+            b"-0.0000000000000000e+00,0.0000000000000000e+00,,\n"
+        )
+
+
+class TestMemory:
+    def _peak(self, stride, tmp_path):
+        trajectory, _summary = simulate(replace(resolve_preset("fig2_tqd"), stride=stride))
+        path = str(tmp_path / "trajectory.csv")
+        write_trajectory_csv(trajectory, path)  # build the lookup tables
+        tracemalloc.start()
+        try:
+            write_trajectory_csv(trajectory, path)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_peak_allocation_is_bounded_and_does_not_grow_with_rows(self, tmp_path):
+        """Rows are written a block at a time: the row writer's peak was
+        5.4 MB on 8 001 rows, most of it one Python list of the table."""
+        dense = self._peak(1, tmp_path)
+        sparse = self._peak(10, tmp_path)
+        assert dense <= 2.5e6
+        assert dense <= 1.5 * sparse

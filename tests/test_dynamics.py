@@ -26,11 +26,14 @@ from cavityfock import (
     simulate,
 )
 from cavityfock.dynamics import (
+    NEGATIVITY_LIMIT,
     _coordinates,
     _density_matrices,
     _linear_form,
     _reachable,
     _real_liouvillian,
+    _record,
+    _smallest_eigenvalues,
 )
 from cavityfock.scenarios import model_config, time_grid
 
@@ -477,6 +480,61 @@ class TestReachableSubspace:
             expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, basis)
         assert trajectory.states.shape == expected.shape
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
+
+
+def embedded_density_stack(rng, support, dim, smallest):
+    """Exactly Hermitian unit-trace matrices (S, dim, dim) that are zero
+    outside the rows and columns ``support``; the block on it has the
+    smallest eigenvalue smallest[s] in sample s."""
+    r = len(support)
+    stack = np.zeros((len(smallest), dim, dim), dtype=complex)
+    for sample, lowest in zip(stack, smallest):
+        spectrum = rng.uniform(0.1, 1.0, size=r)
+        spectrum[0] = lowest
+        spectrum[1:] *= (1.0 - lowest) / spectrum[1:].sum()
+        unitary, _ = np.linalg.qr(rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r)))
+        block = (unitary * spectrum) @ unitary.conj().T
+        sample[np.ix_(support, support)] = 0.5 * (block + block.conj().T)
+    return stack
+
+
+class TestNegativityCheck:
+    """The smallest eigenvalue comes from the block of the basis states
+    whose rows are nonzero somewhere in the stack; each other row is zero
+    and adds an eigenvalue 0."""
+
+    # far enough from NEGATIVITY_LIMIT that rounding cannot move a verdict
+    SMALLEST = [-1e-3, -1e-5, -3e-6, -5e-7, -1e-7, 0.0, 1e-7, 1e-3] * 70
+    MODEL = linear_hamiltonian(
+        ModelConfig("effective", "tqd", PULSES, Dissipation(1.0, 0.1)), BASIS
+    )
+
+    @pytest.mark.parametrize("support", [[0, 2], [1, 2, 4], [0, 3, 4, 5], list(range(6))])
+    def test_verdicts_match_the_full_spectrum(self, support):
+        rng = np.random.default_rng(len(support))
+        stack = embedded_density_stack(rng, support, 6, self.SMALLEST)
+        full = np.linalg.eigvalsh(stack)[:, 0] >= NEGATIVITY_LIMIT
+        assert full.any() and not full.all()
+        assert np.array_equal(_smallest_eigenvalues(stack) >= NEGATIVITY_LIMIT, full)
+
+    def test_record_fails_at_the_first_negative_sample(self):
+        rng = np.random.default_rng(3)
+        smallest = [0.0, 1e-7, -5e-7, -3e-6, -1e-5]
+        stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, smallest)
+        times = np.linspace(-1.0, 1.0, len(smallest))
+        first = int(np.argmax(np.linalg.eigvalsh(stack)[:, 0] < NEGATIVITY_LIMIT))
+        assert first == 3
+        message = f"negative eigenvalue .* at t={times[first]:g};"
+        with pytest.raises(IntegrationError, match=message):
+            _record(self.MODEL, times, stack)
+        _record(self.MODEL, times[:first], stack[:first])  # the samples before it pass
+
+    def test_nan_fails_the_trace_check_first(self):
+        rng = np.random.default_rng(4)
+        stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, [0.0, 1e-3])
+        stack[1, 4, 4] = np.nan
+        with pytest.raises(IntegrationError, match="trace drifted to nan at t=1;"):
+            _record(self.MODEL, np.array([0.0, 1.0]), stack)
 
 
 class TestMemory:
