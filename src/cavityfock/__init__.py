@@ -15,7 +15,6 @@ from .hamiltonians import (
     LinearHamiltonian,
     ModelConfig,
     bound_hamiltonian,
-    effective_raman_coupling,
     jump_operators,
     linear_hamiltonian,
 )
@@ -53,7 +52,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 __all__ = [
     "CavityFockError",
@@ -81,7 +80,6 @@ __all__ = [
     "build_basis",
     "counterdiabatic_amplitude",
     "dark_state_overlap",
-    "effective_raman_coupling",
     "gaussian_pulse",
     "generic_counterdiabatic",
     "jump_operators",

@@ -18,9 +18,11 @@ patterns are stepped: the Jaynes-Cummings coupling conserves the excitation
 number and loss only feeds populations, so every preset builds on 3 or 4
 basis states and steps 6, 8 or 10 coordinates whatever n_max is.
 
-Time is taken in chunks, and the controls at all half steps of a chunk come
-from one call.  The exact RK4 one-step matrices of a chunk are built by
-batched products, and a log-depth doubling scan turns them into the states.
+Time is taken in chunks of whole strides, and the controls at all half steps
+of a chunk come from one call.  The exact RK4 one-step matrices of a chunk
+are built by batched products, each stride of them is folded into one block
+product, and a log-depth doubling scan over the blocks gives exactly the
+recorded states.
 Observables and conservation checks are computed once per run, from the
 stack of recorded states, and the recorded controls from one schedule call
 at the recorded times.
@@ -157,34 +159,45 @@ def _integrate(
     coordinates that x0 reaches (_reachable) are stepped; every other one
     stays exactly zero.  The controls of a chunk are evaluated at all its
     half steps in one call, and each half step once: a chunk starts from
-    the end point of the one before.  The recorded steps of each chunk are
-    lifted back to full size by one scatter into zeros, and ``restore``
-    turns them into the states recorded.
+    the end point of the one before.  A chunk is a whole number of strides,
+    so its blocks of ``stride`` steps end at recorded steps; a longer stride
+    is cut into chunks of one block that end at its recorded step.  The
+    recorded steps of each chunk are lifted back to full size by one
+    scatter into zeros, and ``restore`` turns them into the states recorded.
     """
-    samples = grid.sample_steps
+    samples, stride = grid.sample_steps, grid.stride
     reached = _reachable(blocks, x0)
-    # 256 steps a chunk, or fewer where the r x r step matrices would outgrow
-    # those of 64 steps at full support at n_max = 3 (r = 144)
-    length = max(1, min(256, 64 * 144**2 // len(reached) ** 2))
-    advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt, length)
+    # At most 256 strides a chunk, in room for as many r x r step matrices as
+    # 256 take at r = 10, the largest preset, and at a larger r for 256, or
+    # fewer where they would outgrow 64 at full support at n_max = 3 (r = 144)
+    r = len(reached)
+    room = max(1, 256 * 10**2 // r**2, min(256, 64 * 144**2 // r**2))
+    capacity = min(256 * stride, room)
+    advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt, capacity)
+    chunk = np.empty((capacity, r))
+    length = stride * (capacity // stride) or capacity
+    period = max(length, stride)  # no chunk crosses a multiple of it
     initial = restore(x0[None])
     states = np.empty((len(samples),) + initial.shape[1:], dtype=complex)
     states[0] = initial[0]
     columns = hamiltonian.evaluate(np.array([grid.t_start]))
     state = x0[reached]
-    chunk = np.empty((length, len(reached)))
+    first = 0
     # A diverging run overflows to inf and NaN; _record reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        for first in range(0, grid.n_steps, length):
-            last = min(first + length, grid.n_steps)
+        while first < grid.n_steps:
+            last = min(first + length, (first // period + 1) * period, grid.n_steps)
+            n = last - first
+            block = min(stride, n)
             half_steps = np.arange(2 * first + 1, 2 * last + 1)
             chunk_columns = hamiltonian.evaluate(grid.t_start + (0.5 * grid.dt) * half_steps)
             columns = np.concatenate((columns[-1:], chunk_columns))
-            state = advance(state, columns, chunk[: last - first])
+            state = advance(state, columns, block, chunk[: -(-n // block)])
             lo, hi = np.searchsorted(samples, (first + 1, last + 1))
             lifted = np.zeros((hi - lo, len(x0)))
-            lifted[:, reached] = chunk[samples[lo:hi] - first - 1]
+            lifted[:, reached] = chunk[(samples[lo:hi] - first - 1) // block]
             states[lo:hi] = restore(lifted)
+            first = last
     return states
 
 
@@ -203,19 +216,23 @@ def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
 
 
 def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
-    """``advance(x, columns, out)`` for dx/dt = (A_static + sum_k c_k A_k) x,
-    with ``blocks`` the real stack (A_static, A_1, ..., A_K) of shape
-    (K+1, r, r), in chunks of at most ``length`` steps.
+    """``advance(x, columns, block, out)`` for dx/dt = (A_static +
+    sum_k c_k A_k) x, with ``blocks`` the real stack (A_static, A_1, ...,
+    A_K) of shape (K+1, r, r), in chunks of at most ``length`` steps,
+    padding included.
 
-    It takes n = len(out) steps through the control columns (2n + 1, K) at
-    their half steps, writes the state after each step to ``out`` and
-    returns the last one.  The generators at the half steps are one product
-    of the columns with the stacked A_k, plus A_static; the RK4 one-step
-    matrices S_j = I + dt/6 (A0 + 2 B2 + 2 B3 + B4) are batched products of
-    them, and so are the prefixes P_j = S_j ... S_1, by doubling in
-    ceil(log2 n) passes (Hillis & Steele, CACM 29, 1170 (1986)).  One
-    product of the P_j with x gives every state.  The scan passes between
-    the step matrices and a stage buffer, all allocated once per run: large
+    It takes n steps through the control columns (2n + 1, K) at their half
+    steps, writes the state after each run of ``block`` steps to the
+    m = ceil(n / block) rows of ``out`` and returns the last one.  The
+    generators at the half steps are one product of the columns with the
+    stacked A_k, plus A_static; the RK4 one-step matrices S_j = I + dt/6
+    (A0 + 2 B2 + 2 B3 + B4) are batched products of them.  Each run of
+    them, the last padded with identities, is folded by a pairwise tree in
+    ceil(log2 block) passes, and the prefixes of the m block products come
+    by doubling in ceil(log2 m) passes (Hillis & Steele, CACM 29, 1170
+    (1986)): reduce, then scan (Blelloch, CMU-CS-90-190 (1990)).  One
+    product of the prefixes with x gives the states.  The passes go back
+    and forth between two stage buffers, all allocated once per run: large
     arrays allocated anew per chunk could be faulted back in every chunk.
     """
     size = blocks.shape[-1]
@@ -225,8 +242,8 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
     buffers = np.empty((4, length, size, size))
     identity = np.eye(size)
 
-    def advance(x, columns, out):
-        n = len(out)
+    def advance(x, columns, block, out):
+        n, m = len(columns) // 2, len(out)
         a = np.matmul(columns, terms, out=generators[: 2 * n + 1]).reshape(2 * n + 1, size, size)
         a += static
         start, mid, end = a[:-1:2], a[1::2], a[2::2]
@@ -244,8 +261,19 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
         steps += b4
         steps *= dt / 6.0
         steps += identity
-        prefix, spare, shift = steps, b2, 1
-        while shift < n:
+        buffers[3, n : m * block] = identity
+        product, spare, width = buffers[3], buffers[0], block
+        while width > 1:
+            pairs, rest = divmod(width, 2)
+            factors = product[: m * width].reshape(m, width, size, size)
+            folded = spare[: m * (pairs + rest)].reshape(m, pairs + rest, size, size)
+            # the later step of each pair on the left
+            np.matmul(factors[:, 1::2], factors[:, : 2 * pairs : 2], out=folded[:, :pairs])
+            if rest:
+                folded[:, pairs] = factors[:, -1]
+            product, spare, width = spare, product, pairs + rest
+        prefix, spare, shift = product[:m], spare[:m], 1
+        while shift < m:
             np.matmul(prefix[shift:], prefix[:-shift], out=spare[shift:])
             spare[:shift] = prefix[:shift]
             prefix, spare, shift = spare, prefix, 2 * shift

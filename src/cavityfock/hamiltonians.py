@@ -188,10 +188,3 @@ def bound_hamiltonian(
     d = basis.dimension
     matrices = np.reshape(list(model.terms.values()), (len(model.terms), d * d))
     return lambda t: model.static + (model.evaluate(np.array([t])) @ matrices).reshape(d, d)
-
-
-def effective_raman_coupling(omega_m: float, g_m: float, delta_m: float) -> float:
-    """Far-detuned Raman coupling omega_m * g_m / delta_m."""
-    if delta_m == 0:
-        raise ParameterDomainError("delta_m must be non-zero")
-    return omega_m * g_m / delta_m

@@ -393,6 +393,50 @@ class TestScanLengths:
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
 
 
+class TestBlockScan:
+    """Each stride of step matrices is folded into one block before the
+    scan.  On 1 600 steps, with room for 711 steps a chunk (r = 6) or 256
+    (r = 10): 7 leaves a partial block at the grid end, 750 spans several
+    chunks and does not divide the grid, 1 600 is the whole grid and 2 000
+    records only its end."""
+
+    @pytest.mark.parametrize("stride", [7, 750, 1600, 2000])
+    @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
+    def test_every_recorded_state_matches(self, dissipation, stride):
+        config = ModelConfig("effective", "tqd", PULSES, dissipation)
+        psi0 = BASIS.state("g1", 0)
+        grid = TimeGrid(-4.0, 4.0, 5e-3, stride=stride)
+        assert grid.n_steps == 1600
+        trajectory = propagate(linear_hamiltonian(config, BASIS), psi0, grid)
+        if dissipation is None:
+            expected = reference_schrodinger(bound_hamiltonian(config, BASIS), psi0, grid)
+        else:
+            expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, BASIS)
+        assert trajectory.states.shape == expected.shape
+        assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
+
+
+class TestStrideIndependence:
+    """The stride changes how the step matrices are grouped, so the final
+    state depends on it only at rounding level; at stride 1 nothing is
+    grouped and reruns repeat byte for byte."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_final_populations_agree_across_strides(self, name):
+        finals = []
+        for stride in (1, 7, 10, 800, 8000):
+            trajectory, _summary = simulate(replace(resolve_preset(name), stride=stride))
+            finals.append(trajectory.populations[-1])
+        assert np.max(np.abs(np.array(finals) - finals[0])) <= 1e-13
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_stride_one_reruns_are_byte_identical(self, name):
+        sim = replace(resolve_preset(name), stride=1)
+        first, _summary = simulate(sim)
+        second, _summary = simulate(sim)
+        assert first.states.tobytes() == second.states.tobytes()
+
+
 class TestRealLiouvillian:
     """The master equation steps in real coordinates through one stacked
     real Liouvillian (L_static; L_1; ...; L_K)."""
@@ -556,6 +600,26 @@ class TestMemory:
             tracemalloc.start()
             try:
                 run(n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
+
+    @pytest.mark.parametrize("dissipative", [False, True])
+    def test_peak_allocation_does_not_grow_with_stride(self, dissipative):
+        """8 000 steps at the presets' stride of 10, in chunks of 71 or 25
+        strides, and at a stride of 4 000 that spans several chunks."""
+        config = ModelConfig("effective", "tqd", PULSES, Dissipation(1.0, 0.1))
+        chosen = config if dissipative else replace(config, dissipation=None)
+        model = linear_hamiltonian(chosen, BASIS)
+        psi0 = BASIS.state("g1", 0)
+        propagate(model, psi0, TimeGrid(-4.0, 4.0, 1e-3, stride=10))  # fill the caches
+        peaks = []
+        for stride in (10, 4000):
+            grid = TimeGrid(-4.0, 4.0, 1e-3, stride=stride)
+            tracemalloc.start()
+            try:
+                propagate(model, psi0, grid)
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
