@@ -52,7 +52,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 __all__ = [
     "CavityFockError",

@@ -23,16 +23,18 @@ of a chunk come from one call.  The exact RK4 one-step matrices of a chunk
 are built by batched products, each stride of them is folded into one block
 product, and a log-depth doubling scan over the blocks gives exactly the
 recorded states.
-Observables and conservation checks are computed once per run, from the
-stack of recorded states, and the recorded controls from one schedule call
-at the recorded times.
+
+The recorded states stay in the stepped coordinates.  Observables and
+conservation checks are computed once per run from them, positivity by a
+Cholesky certificate, and the recorded controls from one schedule call at
+the recorded times; full states are lifted only when they are read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -40,12 +42,7 @@ import numpy as np
 from .errors import IntegrationError, ParameterDomainError
 from .hamiltonians import LinearHamiltonian
 from .hilbert import ProductBasis, _read_only
-from .observables import (
-    dark_state_overlaps,
-    diagonal_weights,
-    photon_statistics,
-    populations,
-)
+from .observables import diagonal_weights, photon_statistics, populations
 from .pulses import ControlValues
 
 # Hard failure thresholds for conservation checks at recorded samples.
@@ -103,19 +100,26 @@ class Trajectory:
     """Columnar record of a run: each array holds one entry per recorded
     sample along its first axis.
 
-    ``states`` are pure states (S, d) or density matrices (S, d, d).
-    ``populations`` (S, d) are the basis-state populations in the order of
-    ``basis.labels()``.  ``model`` is the schedule's model, "effective" or
-    "full", and ``controls`` holds each of its channels as an (S,) array.
-    ``dark_overlap`` and ``mandel_q`` are NaN where undefined: no drive
-    field on, a full-model run, or an empty cavity.
+    ``coordinates`` (S, r) are the real coordinates that were stepped:
+    ``reached`` indexes them among the coordinates of a state on the k
+    basis states ``kept``, (Re psi, Im psi) or the k^2 real coordinates of
+    a density matrix (_coordinates), and every other one is zero.
+    ``states`` lifts them to pure states (S, d) or density matrices
+    (S, d, d) on first access, and ``final_state`` lifts the last sample
+    alone.  ``populations`` (S, d) are the basis-state populations in the
+    order of ``basis.labels()``.  ``model`` is the schedule's model,
+    "effective" or "full", and ``controls`` holds each of its channels as
+    an (S,) array.  ``dark_overlap`` and ``mandel_q`` are NaN where
+    undefined: no drive field on, a full-model run, or an empty cavity.
     """
 
     basis: ProductBasis
     is_density: bool
     model: str
     times: np.ndarray
-    states: np.ndarray
+    coordinates: np.ndarray
+    kept: np.ndarray
+    reached: np.ndarray
     controls: ControlValues
     populations: np.ndarray
     norm_or_trace: np.ndarray
@@ -123,9 +127,22 @@ class Trajectory:
     mean_photon_n: np.ndarray
     mandel_q: np.ndarray
 
+    @cached_property
+    def states(self) -> np.ndarray:
+        return self._lifted(self.coordinates)
+
     @property
     def final_state(self) -> np.ndarray:
-        return self.states[-1]
+        return self._lifted(self.coordinates[-1:])[0]
+
+    def _lifted(self, coordinates: np.ndarray) -> np.ndarray:
+        """The states of the given samples, scattered into zeros of the
+        full dimension."""
+        states = _kept_states(coordinates, self.reached, len(self.kept), self.is_density)
+        axes = states.ndim - 1
+        full = np.zeros(states.shape[:1] + (self.basis.dimension,) * axes, dtype=complex)
+        full[(slice(None),) + np.ix_(*[self.kept] * axes)] = states
+        return full
 
     @property
     def final_populations(self) -> dict[tuple[str, int], float]:
@@ -146,24 +163,20 @@ class Trajectory:
 
 
 def _integrate(
-    hamiltonian: LinearHamiltonian,
-    grid: TimeGrid,
-    blocks: np.ndarray,
-    x0: np.ndarray,
-    restore: Callable[[np.ndarray], np.ndarray],
-) -> np.ndarray:
+    hamiltonian: LinearHamiltonian, grid: TimeGrid, blocks: np.ndarray, x0: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate dx/dt = (A_static + sum_k c_k(t) A_k) x from x0 over the
-    grid one chunk at a time; return the recorded states.
+    grid one chunk at a time; return the recorded coordinates (S, r) and
+    the indices ``reached`` of the r coordinates stepped.
 
     ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the
     coordinates that x0 reaches (_reachable) are stepped; every other one
-    stays exactly zero.  The controls of a chunk are evaluated at all its
-    half steps in one call, and each half step once: a chunk starts from
-    the end point of the one before.  A chunk is a whole number of strides,
-    so its blocks of ``stride`` steps end at recorded steps; a longer stride
-    is cut into chunks of one block that end at its recorded step.  The
-    recorded steps of each chunk are lifted back to full size by one
-    scatter into zeros, and ``restore`` turns them into the states recorded.
+    stays exactly zero and is not stored.  The controls of a chunk are
+    evaluated at all its half steps in one call, and each half step once:
+    a chunk starts from the end point of the one before.  A chunk is a
+    whole number of strides, so its blocks of ``stride`` steps end at
+    recorded steps; a longer stride is cut into chunks of one block that
+    end at its recorded step.
     """
     samples, stride = grid.sample_steps, grid.stride
     reached = _reachable(blocks, x0)
@@ -177,11 +190,9 @@ def _integrate(
     chunk = np.empty((capacity, r))
     length = stride * (capacity // stride) or capacity
     period = max(length, stride)  # no chunk crosses a multiple of it
-    initial = restore(x0[None])
-    states = np.empty((len(samples),) + initial.shape[1:], dtype=complex)
-    states[0] = initial[0]
+    states = np.empty((len(samples), r))
+    states[0] = state = x0[reached]
     columns = hamiltonian.evaluate(np.array([grid.t_start]))
-    state = x0[reached]
     first = 0
     # A diverging run overflows to inf and NaN; _record reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -194,11 +205,9 @@ def _integrate(
             columns = np.concatenate((columns[-1:], chunk_columns))
             state = advance(state, columns, block, chunk[: -(-n // block)])
             lo, hi = np.searchsorted(samples, (first + 1, last + 1))
-            lifted = np.zeros((hi - lo, len(x0)))
-            lifted[:, reached] = chunk[(samples[lo:hi] - first - 1) // block]
-            states[lo:hi] = restore(lifted)
+            states[lo:hi] = chunk[(samples[lo:hi] - first - 1) // block]
             first = last
-    return states
+    return states, reached
 
 
 def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -282,15 +291,31 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
     return advance
 
 
-def _record(hamiltonian: LinearHamiltonian, times: np.ndarray, states: np.ndarray) -> Trajectory:
-    """Check the recorded states, derive the observables from them, and
-    evaluate the controls at the recorded times.
+def _record(
+    hamiltonian: LinearHamiltonian,
+    times: np.ndarray,
+    coordinates: np.ndarray,
+    kept: np.ndarray,
+    reached: np.ndarray,
+) -> Trajectory:
+    """Check the recorded coordinates (S, r), derive the observables from
+    them, and evaluate the controls at the recorded times.
 
-    Every check is written so that NaN fails it.
+    ``kept`` and ``reached`` map the coordinates as in Trajectory; a model
+    with jumps records density matrices.  The populations are the diagonal
+    coordinates, or |psi_k|^2 on the kept basis states, and the norm or
+    trace is their sum.  Density matrices are rebuilt on the kept basis
+    states 512 samples at a time for _check_positive, and the dark overlap
+    is a form on a few coordinates (_dark_overlaps): nothing is lifted to
+    the full dimension.  Every check is written so that NaN fails it.
     """
-    basis = hamiltonian.basis
-    is_density = states.ndim == 3
-    weights = diagonal_weights(states, is_density)
+    basis, is_density, size = hamiltonian.basis, bool(hamiltonian.jumps), len(kept)
+    weights = np.zeros((len(times), basis.dimension))
+    if is_density:
+        diagonal = np.count_nonzero(reached < size)  # the diagonal coordinates come first
+        weights[:, kept[reached[:diagonal]]] = coordinates[:, :diagonal]
+    else:
+        weights[:, kept] = diagonal_weights(_kept_states(coordinates, reached, size, False), False)
     weight = weights.sum(axis=-1)
     kind = "trace" if is_density else "norm"
     bad = ~(np.abs(weight - 1.0) <= NORM_DRIFT_LIMIT)
@@ -298,38 +323,92 @@ def _record(hamiltonian: LinearHamiltonian, times: np.ndarray, states: np.ndarra
         i = int(np.argmax(bad))
         raise IntegrationError(f"{kind} drifted to {weight[i]:.12f} at t={times[i]:g}; reduce dt")
     if is_density:
-        smallest = _smallest_eigenvalues(states)
-        bad = ~(smallest >= NEGATIVITY_LIMIT)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise IntegrationError(
-                f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
-                f"at t={times[i]:g}; reduce dt"
-            )
+        for start in range(0, len(times), 512):
+            part = slice(start, start + 512)
+            _check_positive(_kept_states(coordinates[part], reached, size, True), times[part])
     model = hamiltonian.schedule.model
     controls = hamiltonian.schedule.values(times)
     if model == "effective":
-        dark = dark_state_overlaps(states, is_density, controls.omega_r, controls.g, basis)
+        dark = _dark_overlaps(coordinates, kept, reached, is_density, controls, basis)
     else:
         dark = np.full(len(times), np.nan)
     n_mean, q = photon_statistics(weights, basis)
     return Trajectory(
-        basis, is_density, model, times, states, controls, weights, weight, dark, n_mean, q
+        basis, is_density, model, times, coordinates, kept, reached, controls,
+        weights, weight, dark, n_mean, q
     )
 
 
+def _dark_overlaps(
+    coordinates: np.ndarray,
+    kept: np.ndarray,
+    reached: np.ndarray,
+    is_density: bool,
+    controls: ControlValues,
+    basis: ProductBasis,
+) -> np.ndarray:
+    """observables.dark_state_overlaps of the recorded states, from the
+    coordinates of a = |g1,0> and b = |g2,1> alone.  With c = cos(theta)
+    and s = -sin(theta) the dark state is c|a> + s|b>, and its population
+    is c^2 rho_aa + c s Re rho_ab + s c Re rho_ab + s^2 rho_bb, or
+    |c psi_a + s psi_b|^2, each product rounded and the terms summed in
+    the order of the complex form, so the two agree bit for bit.  A
+    coordinate that was not stepped, or a basis state not kept, is zero."""
+    size = len(kept)
+    values = dict(zip(reached.tolist(), coordinates.T))
+    where = {index: p for p, index in enumerate(kept.tolist())}
+    a, b = where.get(basis.index("g1", 0)), where.get(basis.index("g2", 1))
+    theta = np.arctan2(controls.omega_r, controls.g)
+    c, s = np.cos(theta), -np.sin(theta)
+    if is_density:
+        # kept is sorted, so a < b and Re rho_ab is an upper-triangle coordinate
+        upper = None if None in (a, b) else np.searchsorted(_triangles(size)[1], a * size + b)
+        aa, bb, ab = (values.get(i, 0.0) for i in (a, b, None if upper is None else size + upper))
+        dark = (c * aa) * c + (c * ab) * s + (s * ab) * c + (s * bb) * s
+    else:
+        re_a, im_a, re_b, im_b = (
+            0.0 if p is None else values.get(p + shift, 0.0) for p in (a, b) for shift in (0, size)
+        )
+        dark = np.abs((c * re_a + s * re_b) + 1j * (c * im_a + s * im_b)) ** 2
+    driven = (controls.omega_r != 0.0) | (controls.g != 0.0)
+    return np.where(driven, dark, np.nan)
+
+
+def _check_positive(states: np.ndarray, times: np.ndarray) -> None:
+    """Raise IntegrationError at the first density matrix of the stack
+    (S, k, k) with an eigenvalue below NEGATIVITY_LIMIT.
+
+    rho - NEGATIVITY_LIMIT * I has a Cholesky factor exactly when every
+    eigenvalue of rho is above the limit, and a factorization in floating
+    point succeeds only within a backward error of order k u |rho| of that
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    ch. 10).  So the stack passes when its factors are all finite, since
+    NaN may give a NaN factor rather than an error; only a stack that
+    fails is diagonalized, to name the sample and its eigenvalue.
+    """
+    shifted = states - NEGATIVITY_LIMIT * np.eye(states.shape[-1])
+    try:
+        if np.isfinite(np.linalg.cholesky(shifted)).all():
+            return
+    except np.linalg.LinAlgError:
+        pass
+    smallest = _smallest_eigenvalues(states)
+    bad = ~(smallest >= NEGATIVITY_LIMIT)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise IntegrationError(
+            f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
+            f"at t={times[i]:g}; reduce dt"
+        )
+
+
 def _smallest_eigenvalues(states: np.ndarray) -> np.ndarray:
-    """The smallest eigenvalue of each Hermitian matrix (S, d, d), from the
-    block on the basis states whose rows are nonzero anywhere in the
-    stack.  Every other row and column is exactly zero and adds an
-    eigenvalue 0.  The blocks are copied out 512 samples at a time, which
-    keeps the copy small."""
-    support = np.flatnonzero((states != 0).any(axis=(0, 2)))
-    block = (slice(None),) + np.ix_(support, support)
-    chunks = np.split(states, range(512, len(states), 512))
-    smallest = np.concatenate([np.linalg.eigvalsh(chunk[block])[:, 0] for chunk in chunks])
-    if len(support) < states.shape[-1]:
-        np.minimum(smallest, 0.0, out=smallest)
+    """The smallest eigenvalue of each Hermitian matrix (S, k, k).  A
+    matrix with a non-finite entry, which LAPACK may fail to diagonalize,
+    gets NaN."""
+    finite = np.isfinite(states).all(axis=(1, 2))
+    smallest = np.linalg.eigvalsh(np.where(finite[:, None, None], states, 0.0))[:, 0]
+    smallest[~finite] = np.nan
     return smallest
 
 
@@ -361,10 +440,9 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
     # rho stays on them too, so both equations step only those
     operators = np.array([model.static, *model.terms.values(), *(op for _, op in model.jumps)])
     kept = _reachable(operators, psi)
-    blocks, x0, restore = _linear_form(_restricted(model, kept), psi[kept])
-    times = grid.time(grid.sample_steps)
-    states = _integrate(model, grid, blocks, x0, lambda x: _lifted(restore(x), kept, dim))
-    return _record(model, times, states)
+    blocks, x0 = _linear_form(_restricted(model, kept), psi[kept])
+    coordinates, reached = _integrate(model, grid, blocks, x0)
+    return _record(model, grid.time(grid.sample_steps), coordinates, kept, reached)
 
 
 def _restricted(model: LinearHamiltonian, kept: np.ndarray) -> LinearHamiltonian:
@@ -380,29 +458,30 @@ def _restricted(model: LinearHamiltonian, kept: np.ndarray) -> LinearHamiltonian
     )
 
 
-def _lifted(states: np.ndarray, kept: np.ndarray, dim: int) -> np.ndarray:
-    """States (S, r) or (S, r, r) on the basis states ``kept``, scattered
-    into zeros of the full dimension."""
-    axes = states.ndim - 1
-    full = np.zeros(states.shape[:1] + (dim,) * axes, dtype=complex)
-    full[(slice(None),) + np.ix_(*[kept] * axes)] = states
-    return full
+def _kept_states(
+    coordinates: np.ndarray, reached: np.ndarray, size: int, is_density: bool
+) -> np.ndarray:
+    """The states (S, k) or density matrices (S, k, k) on the k = ``size``
+    kept basis states whose coordinates (S, r) are the reached ones among
+    (Re psi, Im psi) or the k^2 real coordinates; every other one is zero."""
+    x = np.zeros((len(coordinates), size * size if is_density else 2 * size))
+    x[:, reached] = coordinates
+    return _density_matrices(x) if is_density else x[:, :size] + 1j * x[:, size:]
 
 
 def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:
     """The model as the real dx/dt = (A_static + sum_k c_k(t) A_k) x: the
-    blocks (A_static, A_1, ..., A_K), the initial coordinates x0 and the map
-    from them to recorded states.  A pure state steps in (Re psi, Im psi),
-    with -iH the block [[Im H, Re H], [-Re H, Im H]]; a density matrix
-    |psi><psi| in its d^2 real coordinates, with _real_liouvillian."""
+    blocks (A_static, A_1, ..., A_K) and the initial coordinates x0.  A
+    pure state steps in (Re psi, Im psi), with -iH the block
+    [[Im H, Re H], [-Re H, Im H]]; a density matrix |psi><psi| in its d^2
+    real coordinates, with _real_liouvillian."""
     if not model.jumps:
-        h, dim = np.array([model.static, *model.terms.values()]), len(psi)
+        h = np.array([model.static, *model.terms.values()])
         blocks = np.block([[h.imag, h.real], [-h.real, h.imag]])
-        x0 = np.concatenate((psi.real, psi.imag))
-        return blocks, x0, lambda x: x[..., :dim] + 1j * x[..., dim:]
+        return blocks, np.concatenate((psi.real, psi.imag))
     size = len(psi) ** 2
     blocks = _real_liouvillian(model).reshape(-1, size, size)
-    return blocks, _coordinates(np.outer(psi, psi.conj())), _density_matrices
+    return blocks, _coordinates(np.outer(psi, psi.conj()))
 
 
 @lru_cache(maxsize=None)

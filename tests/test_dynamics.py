@@ -25,6 +25,7 @@ from cavityfock import (
     resolve_preset,
     simulate,
 )
+from cavityfock import dynamics
 from cavityfock.dynamics import (
     NEGATIVITY_LIMIT,
     _coordinates,
@@ -35,6 +36,7 @@ from cavityfock.dynamics import (
     _record,
     _smallest_eigenvalues,
 )
+from cavityfock.observables import dark_state_overlaps, diagonal_weights
 from cavityfock.scenarios import model_config, time_grid
 
 PULSES = PulseParameters(omega0=2.0)
@@ -476,7 +478,7 @@ class TestReachableSubspace:
         sim = replace(resolve_preset(name), n_max=n_max)
         basis = build_basis(sim.model, n_max)
         model = linear_hamiltonian(model_config(sim), basis)
-        blocks, x0, _ = _linear_form(model, basis.state("g1", 0))
+        blocks, x0 = _linear_form(model, basis.state("g1", 0))
         # upper entries 1+1j mark both the real and the imaginary coordinate
         mask = np.zeros((basis.dimension, basis.dimension), dtype=complex)
         block = [basis.index(*label) for label in (("g1", 0), ("e", 0), ("g2", 1))]
@@ -494,7 +496,7 @@ class TestReachableSubspace:
         sim = replace(resolve_preset(name), n_max=n_max)
         basis = build_basis(sim.model, n_max)
         model = linear_hamiltonian(model_config(sim), basis)
-        blocks, x0, _ = _linear_form(model, basis.state("g1", 0))
+        blocks, x0 = _linear_form(model, basis.state("g1", 0))
         labels = [("g1", 0), ("e", 0), ("g2", 1)]
         if sim.model == "full":
             labels.append(("em", 0))
@@ -513,7 +515,7 @@ class TestReachableSubspace:
         rng = np.random.default_rng(7)
         psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi0 /= np.linalg.norm(psi0)
-        blocks, x0, _ = _linear_form(model, psi0)
+        blocks, x0 = _linear_form(model, psi0)
         assert np.all(x0 != 0)
         assert np.array_equal(_reachable(blocks, x0), np.arange(len(x0)))
         grid = TimeGrid(-4.0, 4.0, 1e-2, stride=40)
@@ -524,6 +526,50 @@ class TestReachableSubspace:
             expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, basis)
         assert trajectory.states.shape == expected.shape
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
+
+
+class TestRecordedCoordinates:
+    """The observables come from the stepped coordinates and equal, bit for
+    bit, the same formulas on the states lifted to full size."""
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_observables_match_the_lifted_states(self, name, n_max):
+        sim = replace(resolve_preset(name), n_max=n_max, stride=7)
+        basis = build_basis(sim.model, n_max)
+        model = linear_hamiltonian(model_config(sim), basis)
+        trajectory = propagate(model, basis.state("g1", 0), time_grid(sim))
+        assert "states" not in vars(trajectory)  # lifted on first access only
+        states, density = trajectory.states, trajectory.is_density
+        assert trajectory.states is states
+        assert np.array_equal(trajectory.final_state, states[-1])
+        weights = diagonal_weights(states, density)
+        assert np.array_equal(trajectory.populations, weights)
+        assert np.array_equal(trajectory.norm_or_trace, weights.sum(axis=-1))
+        if sim.model == "effective":
+            controls = trajectory.controls
+            dark = dark_state_overlaps(states, density, controls.omega_r, controls.g, basis)
+            assert np.array_equal(trajectory.dark_overlap, dark, equal_nan=True)
+
+    @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
+    @pytest.mark.parametrize("start", [("g2", 0), ("g1", 3), ("e", 0), None])
+    def test_any_initial_state_matches_the_lifted_states(self, start, dissipation):
+        """|g2,0> keeps only itself, and closed |g1,3> neither |g1,0> nor
+        |g2,1>; None is a seeded random state on every basis state."""
+        basis = build_basis("effective", 3)
+        if start is None:
+            rng = np.random.default_rng(3)
+            psi0 = rng.normal(size=basis.dimension) + 1j * rng.normal(size=basis.dimension)
+            psi0 /= np.linalg.norm(psi0)
+        else:
+            psi0 = basis.state(*start)
+        config = ModelConfig("effective", "tqd", PULSES, dissipation)
+        grid = TimeGrid(-4.0, 4.0, 1e-2, stride=7)
+        trajectory = propagate(linear_hamiltonian(config, basis), psi0, grid)
+        states, density, controls = trajectory.states, trajectory.is_density, trajectory.controls
+        assert np.array_equal(trajectory.populations, diagonal_weights(states, density))
+        dark = dark_state_overlaps(states, density, controls.omega_r, controls.g, basis)
+        assert np.array_equal(trajectory.dark_overlap, dark, equal_nan=True)
 
 
 def embedded_density_stack(rng, support, dim, smallest):
@@ -542,10 +588,17 @@ def embedded_density_stack(rng, support, dim, smallest):
     return stack
 
 
+def record_stack(model, times, stack):
+    """_record of density matrices (S, d, d) given in full: their d^2 real
+    coordinates, all kept and all reached."""
+    dim = stack.shape[-1]
+    return _record(model, times, _coordinates(stack), np.arange(dim), np.arange(dim * dim))
+
+
 class TestNegativityCheck:
-    """The smallest eigenvalue comes from the block of the basis states
-    whose rows are nonzero somewhere in the stack; each other row is zero
-    and adds an eigenvalue 0."""
+    """Density matrices with zero rows and columns outside a support, as
+    the block on the kept basis states has where a state was never
+    reached, get the verdict of their full spectrum."""
 
     # far enough from NEGATIVITY_LIMIT that rounding cannot move a verdict
     SMALLEST = [-1e-3, -1e-5, -3e-6, -5e-7, -1e-7, 0.0, 1e-7, 1e-3] * 70
@@ -570,15 +623,65 @@ class TestNegativityCheck:
         assert first == 3
         message = f"negative eigenvalue .* at t={times[first]:g};"
         with pytest.raises(IntegrationError, match=message):
-            _record(self.MODEL, times, stack)
-        _record(self.MODEL, times[:first], stack[:first])  # the samples before it pass
+            record_stack(self.MODEL, times, stack)
+        record_stack(self.MODEL, times[:first], stack[:first])  # the samples before it pass
 
     def test_nan_fails_the_trace_check_first(self):
         rng = np.random.default_rng(4)
         stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, [0.0, 1e-3])
         stack[1, 4, 4] = np.nan
         with pytest.raises(IntegrationError, match="trace drifted to nan at t=1;"):
-            _record(self.MODEL, np.array([0.0, 1.0]), stack)
+            record_stack(self.MODEL, np.array([0.0, 1.0]), stack)
+
+    @pytest.mark.parametrize("support", [[0, 2], [1, 2, 4], [0, 3, 4, 5], list(range(6))])
+    def test_certificate_passes_and_fails_as_the_full_spectrum(self, support):
+        """_record certifies 512 samples at a time by a Cholesky factor and
+        diagonalizes only a chunk that fails: 600 samples at or above the
+        limit pass, and one below it in the second chunk is named."""
+        rng = np.random.default_rng(len(support))
+        stack = embedded_density_stack(rng, support, 6, self.SMALLEST)
+        smallest = np.linalg.eigvalsh(stack)[:, 0]
+        passing = stack[smallest >= NEGATIVITY_LIMIT]
+        samples = np.concatenate((passing, passing))[:600]
+        times = np.arange(600.0)
+        record_stack(self.MODEL, times, samples)
+        closest = np.argmax(np.where(smallest < NEGATIVITY_LIMIT, smallest, -np.inf))
+        assert smallest[closest] == pytest.approx(-3e-6, rel=1e-9)
+        samples[530] = stack[closest]
+        with pytest.raises(IntegrationError, match="eigenvalue -3.000e-06 at t=530;"):
+            record_stack(self.MODEL, times, samples)
+
+    @pytest.mark.parametrize("cholesky", ["numpy", "raises", "nan factor"])
+    def test_nan_coherence_fails_at_its_sample(self, cholesky, monkeypatch):
+        """NaN off the diagonal leaves every trace at 1.  The sample is named
+        whether Cholesky raises on NaN or returns a NaN factor, which
+        depends on the numpy version; both are stubbed here."""
+
+        def raises(matrices):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        def nan_factor(matrices):
+            return np.full_like(matrices, np.nan)
+
+        if cholesky != "numpy":
+            stub = raises if cholesky == "raises" else nan_factor
+            monkeypatch.setattr(np.linalg, "cholesky", stub)
+        rng = np.random.default_rng(5)
+        stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, [0.0, 1e-3, 1e-3])
+        stack[1, 0, 2] = stack[1, 2, 0] = np.nan
+        with pytest.raises(IntegrationError, match="negative eigenvalue nan at t=1;"):
+            record_stack(self.MODEL, np.array([0.0, 1.0, 2.0]), stack)
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_a_positive_run_is_never_diagonalized(self, n_max, monkeypatch):
+        def diagonalized(states):
+            raise AssertionError("a certified chunk was diagonalized")
+
+        monkeypatch.setattr(dynamics, "_smallest_eigenvalues", diagonalized)
+        sim = replace(resolve_preset("fig2f_dissipative_tqd"), n_max=n_max, stride=1)
+        basis = build_basis(sim.model, n_max)
+        model = linear_hamiltonian(model_config(sim), basis)
+        propagate(model, basis.state("g1", 0), time_grid(sim))
 
 
 class TestMemory:
@@ -624,6 +727,25 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks[1] <= 1.05 * peaks[0]
+
+    def test_unlifted_stride_one_peak_does_not_grow_with_n_max(self):
+        """A stride-1 master-equation run records 10 real coordinates per
+        sample at every n_max; states that are never read are never lifted
+        to (8001, d, d) complex."""
+        peaks = []
+        for n_max in (1, 3):
+            sim = replace(resolve_preset("fig2f_dissipative_tqd"), n_max=n_max, stride=1)
+            basis = build_basis(sim.model, n_max)
+            model = linear_hamiltonian(model_config(sim), basis)
+            psi0, grid = basis.state("g1", 0), time_grid(sim)
+            propagate(model, psi0, grid)  # fill the operator caches
+            tracemalloc.start()
+            try:
+                propagate(model, psi0, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
 
     def test_full_support_peak_allocation_stays_at_its_bound(self):
         """A seeded random full-support state steps all r = d^2 = 144 real

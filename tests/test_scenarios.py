@@ -337,6 +337,21 @@ class TestCli:
             assert "drifted" in captured.err
             assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_negative_eigenvalue_is_integration_failure(self, n_max, tmp_path, capsys):
+        # at dt = 0.05 T the trace holds but rho loses positivity at t = -0.5 T
+        out = tmp_path / "negative.csv"
+        argv = ["run", "--preset", "fig2f_dissipative_tqd", "--set", "dt_over_T=0.05"]
+        code = main(argv + ["--set", f"n_max={n_max}", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == (
+            "error: density matrix developed negative eigenvalue -2.505e-06 at t=-0.5; "
+            "reduce dt\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "setting",
         [
