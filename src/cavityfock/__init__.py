@@ -5,7 +5,6 @@ from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import (
     CavityFockError,
     ConfigError,
-    DegenerateSpectrumError,
     IntegrationError,
     ModelMismatchError,
     ParameterDomainError,
@@ -27,17 +26,15 @@ from .hilbert import (
     ladder_operators,
     level_projector,
     number_operator,
-    single_excitation_matrix,
     transition_operator,
 )
-from .observables import dark_state_overlap, populations
+from .observables import populations
 from .pulses import (
     ControlSchedule,
     ControlValues,
     PulseParameters,
     counterdiabatic_amplitude,
     gaussian_pulse,
-    generic_counterdiabatic,
     physical_pulse_pair,
     stirap_pair,
 )
@@ -52,14 +49,13 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 __all__ = [
     "CavityFockError",
     "ConfigError",
     "ControlSchedule",
     "ControlValues",
-    "DegenerateSpectrumError",
     "Dissipation",
     "EigenSystem",
     "IntegrationError",
@@ -79,9 +75,7 @@ __all__ = [
     "bound_hamiltonian",
     "build_basis",
     "counterdiabatic_amplitude",
-    "dark_state_overlap",
     "gaussian_pulse",
-    "generic_counterdiabatic",
     "jump_operators",
     "ladder_operators",
     "level_projector",
@@ -93,7 +87,6 @@ __all__ = [
     "resolve_preset",
     "run",
     "simulate",
-    "single_excitation_matrix",
     "stirap_pair",
     "sweep",
     "transition_operator",

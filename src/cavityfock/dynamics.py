@@ -347,13 +347,14 @@ def _dark_overlaps(
     controls: ControlValues,
     basis: ProductBasis,
 ) -> np.ndarray:
-    """observables.dark_state_overlaps of the recorded states, from the
+    """The dark-state population of each recorded state, from the
     coordinates of a = |g1,0> and b = |g2,1> alone.  With c = cos(theta)
     and s = -sin(theta) the dark state is c|a> + s|b>, and its population
     is c^2 rho_aa + c s Re rho_ab + s c Re rho_ab + s^2 rho_bb, or
     |c psi_a + s psi_b|^2, each product rounded and the terms summed in
-    the order of the complex form, so the two agree bit for bit.  A
-    coordinate that was not stepped, or a basis state not kept, is zero."""
+    the order of the complex form, so that it equals the reference on full
+    states in tests/oracles.py bit for bit.  A coordinate that was not
+    stepped, or a basis state not kept, is zero."""
     size = len(kept)
     values = dict(zip(reached.tolist(), coordinates.T))
     where = {index: p for p, index in enumerate(kept.tolist())}

@@ -9,10 +9,6 @@ class ParameterDomainError(CavityFockError, ValueError):
     """A physical parameter or argument is outside its allowed domain."""
 
 
-class DegenerateSpectrumError(CavityFockError):
-    """Spectrum too close to degenerate for eigenvector differencing."""
-
-
 class ModelMismatchError(CavityFockError):
     """Operation applied to a basis or model it is not defined for."""
 

@@ -145,28 +145,6 @@ class EigenSystem:
     bright_upper: np.ndarray
     bright_lower: np.ndarray
 
-    def embed(self, basis: ProductBasis, vector: np.ndarray | None = None) -> np.ndarray:
-        """Lift a subspace vector (default: the dark state) into the basis."""
-        if vector is None:
-            vector = self.dark
-        out = np.zeros(basis.dimension, dtype=complex)
-        out[basis.index("g1", 0)] = vector[0]
-        out[basis.index("e", 0)] = vector[1]
-        out[basis.index("g2", 1)] = vector[2]
-        return out
-
-
-def single_excitation_matrix(omega_r: float, g: float, delta: float) -> np.ndarray:
-    """Transfer Hamiltonian on the subspace (|g1,0>, |e,0>, |g2,1>)."""
-    return np.array(
-        [
-            [0.0, omega_r, 0.0],
-            [omega_r, delta, g],
-            [0.0, g, 0.0],
-        ],
-        dtype=complex,
-    )
-
 
 def analytic_eigensystem(omega_r: float, g: float, delta: float) -> EigenSystem:
     """Closed-form eigensystem of the single-excitation transfer Hamiltonian.

@@ -9,30 +9,27 @@ concern.  The module provides
 * the closed-form correction amplitude that makes the transfer exactly
   follow the instantaneous dark state,
 * the physically realizable auxiliary pulse pair that synthesizes the same
-  correction through a far-detuned level, derived from it, and
-* a numerical correction term for arbitrary Hermitian schedules, used as an
-  independent oracle for the closed form.
+  correction through a far-detuned level, derived from it.
+
+The numerical correction term of any Hermitian schedule, the independent
+oracle for the closed form, lives with the tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateSpectrumError, ParameterDomainError
+from .errors import ParameterDomainError
 
 # Both Gaussians below this fraction of their peak count as switched off;
 # the correction amplitude is clamped to zero there instead of evaluating a
 # 0/0 ratio.
 TAIL_CLAMP = 1e-30
 _LOG_TAIL_CLAMP = math.log(TAIL_CLAMP)
-
-# Minimum eigenvalue gap, relative to the spectral norm, below which
-# generic_counterdiabatic refuses to divide by level spacings.
-DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -120,51 +117,6 @@ def physical_pulse_pair(params: PulseParameters, t):
     omega1 = counterdiabatic_amplitude(params, t)
     omega_m = np.sqrt(params.delta_m * np.abs(omega1))
     return np.copysign(omega_m, omega1), omega_m
-
-
-def generic_counterdiabatic(
-    hamiltonian: Callable[[float], np.ndarray], t: float, dt: float
-) -> np.ndarray:
-    """Numerical correction term i * sum_n |d/dt lambda_n><lambda_n|.
-
-    The schedule is differentiated by a central difference of the Hamiltonian
-    itself over [t - dt/2, t + dt/2]; the eigenvector derivatives then follow
-    from first-order perturbation theory in the instantaneous eigenbasis,
-
-        <lambda_m | d/dt lambda_n> = <lambda_m| dH/dt |lambda_n> / (E_n - E_m),
-
-    which fixes the gauge without any explicit eigenvector phase alignment
-    and keeps the eigensolver's rounding noise from being amplified by 1/dt.
-    The diagonal (pure re-phasing) part never enters, and the result is
-    symmetrized so it is Hermitian by construction.
-
-    Raises DegenerateSpectrumError when the smallest eigenvalue gap at t is
-    below DEGENERACY_RTOL times the spectral norm.
-    """
-    if dt <= 0:
-        raise ParameterDomainError(f"dt must be positive, got {dt}")
-    h_mid = np.asarray(hamiltonian(t), dtype=complex)
-    evals, vecs = np.linalg.eigh(h_mid)
-    if evals.size > 1:
-        gap = float(np.min(np.diff(evals)))
-        scale = float(np.max(np.abs(evals)))
-        if gap <= 0.0 or gap < DEGENERACY_RTOL * scale:
-            raise DegenerateSpectrumError(
-                f"eigenvalue gap {gap:.3e} below "
-                f"{DEGENERACY_RTOL:g} * ||H|| = {DEGENERACY_RTOL * scale:.3e} "
-                f"at t = {t}"
-            )
-    h_plus = np.asarray(hamiltonian(t + 0.5 * dt), dtype=complex)
-    h_minus = np.asarray(hamiltonian(t - 0.5 * dt), dtype=complex)
-    h_dot = (h_plus - h_minus) / dt
-    h_dot = 0.5 * (h_dot + h_dot.conj().T)
-    coupling = vecs.conj().T @ h_dot @ vecs
-    denom = evals[np.newaxis, :] - evals[:, np.newaxis]  # E_n - E_m at (m, n)
-    np.fill_diagonal(denom, 1.0)  # diagonal is zeroed below, value irrelevant
-    in_eigenbasis = 1j * coupling / denom
-    np.fill_diagonal(in_eigenbasis, 0.0)
-    h1 = vecs @ in_eigenbasis @ vecs.conj().T
-    return 0.5 * (h1 + h1.conj().T)
 
 
 class ControlValues(NamedTuple):

@@ -11,8 +11,8 @@ import numpy as np
 
 from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import ConfigError
-from .hamiltonians import Dissipation, ModelConfig, linear_hamiltonian
-from .hilbert import _read_only, build_basis
+from .hamiltonians import Dissipation, LinearHamiltonian, ModelConfig, linear_hamiltonian
+from .hilbert import ProductBasis, _read_only, build_basis
 from .pulses import PulseParameters
 
 CSV_COLUMNS = (
@@ -149,14 +149,21 @@ class RunSummary:
         return [f"{name}={value}" for name, value in self.figures().items()]
 
 
-def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
-    """Run the configured simulation and summarize it (no file output)."""
+def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, ProductBasis, TimeGrid]:
+    """The model, basis and grid of a configuration: the one place where a
+    configuration is checked, raising on any value outside its domain."""
     config = model_config(sim)
     basis = build_basis(sim.model, sim.n_max)
     grid = time_grid(sim)
+    return linear_hamiltonian(config, basis), basis, grid
+
+
+def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
+    """Run the configured simulation and summarize it (no file output)."""
+    model, basis, grid = _setup(sim)
 
     started = time.perf_counter()
-    trajectory = propagate(linear_hamiltonian(config, basis), basis.state("g1", 0), grid)
+    trajectory = propagate(model, basis.state("g1", 0), grid)
     wall = time.perf_counter() - started
 
     drift = float(np.max(np.abs(trajectory.norm_or_trace - 1.0)))
@@ -447,8 +454,8 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
     """Re-run the base configuration once per parameter value.
 
     One summary row is written per value, in input order.  Only numeric
-    configuration fields can be swept, and every value is checked before
-    the first run.
+    configuration fields can be swept, and every value's configuration is
+    checked, its model, basis and grid built, before the first run.
     """
     if parameter not in NUMERIC_FIELDS:
         raise ConfigError(
@@ -456,9 +463,11 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
             f"choose from {', '.join(sorted(NUMERIC_FIELDS))}"
         )
     typed_values = [_sweep_value(parameter, value) for value in values]
+    configs = [replace(base, **{parameter: typed}) for typed in typed_values]
+    for config in configs:
+        _setup(config)
     rows = [",".join(SWEEP_COLUMNS)]
-    for typed in typed_values:
-        config = replace(base, **{parameter: typed})
+    for typed, config in zip(typed_values, configs):
         _trajectory, summary = simulate(config)
         figures = summary.figures()
         cells = [parameter, _fmt(float(typed))] + [figures[name] for name in SWEEP_COLUMNS[2:]]

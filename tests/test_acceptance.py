@@ -20,16 +20,16 @@ from cavityfock import (
     bound_hamiltonian,
     build_basis,
     counterdiabatic_amplitude,
-    generic_counterdiabatic,
     linear_hamiltonian,
     physical_pulse_pair,
     propagate,
     resolve_preset,
     run,
     simulate,
-    single_excitation_matrix,
     stirap_pair,
 )
+
+from oracles import generic_counterdiabatic, single_excitation_matrix
 
 PULSES = PulseParameters(omega0=2.0)
 

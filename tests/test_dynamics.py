@@ -36,8 +36,10 @@ from cavityfock.dynamics import (
     _record,
     _smallest_eigenvalues,
 )
-from cavityfock.observables import dark_state_overlaps, diagonal_weights
+from cavityfock.observables import diagonal_weights
 from cavityfock.scenarios import model_config, time_grid
+
+from oracles import dark_state_overlaps
 
 PULSES = PulseParameters(omega0=2.0)
 BASIS = build_basis("effective", 1)

@@ -11,15 +11,15 @@ from cavityfock import (
     build_basis,
     bound_hamiltonian,
     counterdiabatic_amplitude,
-    generic_counterdiabatic,
     jump_operators,
     ladder_operators,
     level_projector,
     linear_hamiltonian,
     physical_pulse_pair,
-    single_excitation_matrix,
     stirap_pair,
 )
+
+from oracles import generic_counterdiabatic, single_excitation_matrix
 
 PULSES = PulseParameters(omega0=2.0)
 

@@ -11,8 +11,9 @@ from cavityfock import (
     build_basis,
     ladder_operators,
     number_operator,
-    single_excitation_matrix,
 )
+
+from oracles import single_excitation_matrix
 
 
 class TestBuildBasis:
@@ -182,12 +183,3 @@ class TestAnalyticEigensystem:
             matrix = np.column_stack([eig.dark, eig.bright_upper, eig.bright_lower])
             gram = matrix.conj().T @ matrix
             assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
-
-    def test_embedding_into_product_basis(self):
-        basis = build_basis("effective", 1)
-        eig = analytic_eigensystem(3.0, 4.0, 1.0)
-        vec = eig.embed(basis)
-        assert vec[basis.index("g1", 0)] == eig.dark[0]
-        assert vec[basis.index("e", 0)] == eig.dark[1]
-        assert vec[basis.index("g2", 1)] == eig.dark[2]
-        assert np.linalg.norm(vec) == pytest.approx(1.0, rel=1e-14)

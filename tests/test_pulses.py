@@ -5,15 +5,18 @@ import pytest
 
 from cavityfock import (
     ControlSchedule,
-    DegenerateSpectrumError,
     ParameterDomainError,
     PulseParameters,
     counterdiabatic_amplitude,
     gaussian_pulse,
-    generic_counterdiabatic,
     physical_pulse_pair,
-    single_excitation_matrix,
     stirap_pair,
+)
+
+from oracles import (
+    DegenerateSpectrumError,
+    generic_counterdiabatic,
+    single_excitation_matrix,
 )
 
 STANDARD = PulseParameters(omega0=2.0)

@@ -13,6 +13,7 @@ from cavityfock import (
     simulate,
     sweep,
 )
+from cavityfock import scenarios
 from cavityfock.cli import main, parse_config_file
 from cavityfock.scenarios import CSV_COLUMNS
 
@@ -428,6 +429,34 @@ class TestCli:
         argv = ["sweep", "--preset", "fig2f_dissipative_tqd", "--param", "gamma_T"]
         assert main(argv + ["--values", "1,none", "--out", out]) == 2
         assert capsys.readouterr().err.startswith("error: gamma_T expects a number")
+        assert not os.path.exists(out)
+
+    @pytest.mark.parametrize(
+        "parameter,values,message",
+        [
+            ("omega0_T", "1,2,nan", "pulse parameters must be finite"),
+            ("n_max", "1,11", "n_max must be in 1..10"),
+            ("stride", "10,0", "stride must be at least 1"),
+            ("dt_over_T", "1e-3,0.3", "window [-4.0, 4.0] is not an integer number of steps"),
+        ],
+    )
+    def test_sweep_rejects_an_out_of_domain_value_before_any_run(
+        self, parameter, values, message, tmp_path, capsys, monkeypatch
+    ):
+        runs = []
+        real_simulate = scenarios.simulate
+
+        def counted(sim):
+            runs.append(sim)
+            return real_simulate(sim)
+
+        monkeypatch.setattr(scenarios, "simulate", counted)
+        out = str(tmp_path / "sweep.csv")
+        argv = ["sweep", "--preset", "fig2_stirap", "--param", parameter, "--values", values]
+        assert main(argv + ["--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert runs == []
         assert not os.path.exists(out)
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
