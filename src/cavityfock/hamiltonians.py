@@ -4,8 +4,11 @@ atom-cavity models, assembled on a truncated product basis.
 The cavity free-evolution term is absorbed into the detunings (the models
 are written in the rotating frame), so both Hamiltonians contain only
 detuning projectors and the drive couplings.  Both are linear in their
-controls, H(t) = H_static + sum_k c_k(t) X_k (LinearHamiltonian).  All
-matrices are dense; the default dimensions are 6 (effective) and 8 (full).
+controls, H(t) = H_static + sum_k c_k(t) X_k (LinearHamiltonian).  The
+table _COUPLINGS gives the X_k of every control channel; a model takes
+those of the channels its schedule switches on (pulses.CHANNELS) on the
+levels of its basis (hilbert.LEVELS).  All matrices are dense; the
+default dimensions are 6 (effective) and 8 (full).
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ import numpy as np
 
 from .errors import ModelMismatchError, ParameterDomainError
 from .hilbert import (
+    LEVELS,
     ProductBasis,
+    _read_only,
     atomic_raising,
-    build_basis,
     ladder_operators,
     level_projector,
     transition_operator,
@@ -55,43 +59,34 @@ class ModelConfig:
     dissipation: Dissipation | None = None
 
     def __post_init__(self):
-        self.schedule()  # validates model and drive; physical_pulse_pair checks delta_m
+        self.schedule()  # validates model, drive and, for the auxiliary pulses, delta_m
 
     def schedule(self) -> ControlSchedule:
         return ControlSchedule(self.pulses, self.model, self.drive)
 
 
+# The coupling X_k of each control channel, phase |upper><lower| (a if the
+# cavity takes part) + h.c., as (phase, upper, lower, cavity).
+_COUPLINGS = {
+    "omega_r": (1, "e", "g1", False),
+    "g": (1, "e", "g2", True),
+    "omega1": (1j, "g1", "g2", True),
+    "g_m": (1, "em", "g2", True),
+    # The auxiliary pump is driven in quadrature with the main pump; this
+    # relative phase is what turns the far-detuned Raman exchange into the
+    # correction coupling i*omega1 after elimination of |em>.
+    "omega_m": (1j, "em", "g1", False),
+}
+
+
 @lru_cache(maxsize=None)
-def _coupling_terms(basis: ProductBasis) -> dict[str, np.ndarray]:
-    """Static Hermitian coupling matrices, one per control channel."""
-    a, _ = ladder_operators(basis)
-    terms = {"p_e": level_projector(basis, "e")}
-    s1_dag = atomic_raising(basis, "S1")
-    s2_dag_a = atomic_raising(basis, "S2") @ a
-    terms["x_omega_r"] = s1_dag + s1_dag.conj().T
-    terms["x_g"] = s2_dag_a + s2_dag_a.conj().T
-    if "em" in basis.levels:
-        f1_dag = atomic_raising(basis, "F1")
-        f2_dag_a = atomic_raising(basis, "F2") @ a
-        terms["p_em"] = level_projector(basis, "em")
-        # The auxiliary pump is driven in quadrature with the main pump;
-        # this relative phase is what turns the far-detuned Raman exchange
-        # into the correction coupling i*omega1 after elimination of |em>.
-        terms["x_omega_m"] = 1j * (f1_dag - f1_dag.conj().T)
-        terms["x_g_m"] = f2_dag_a + f2_dag_a.conj().T
-    else:
-        g1_g2_a = transition_operator(basis, "g1", "g2") @ a
-        terms["x_omega1"] = 1j * (g1_g2_a - g1_g2_a.conj().T)
-    for matrix in terms.values():
-        matrix.setflags(write=False)
-    return terms
-
-
-def _check_basis(config: ModelConfig, basis: ProductBasis) -> None:
-    if basis.levels != build_basis(config.model, basis.n_max).levels:
-        raise ModelMismatchError(
-            f"model {config.model!r} does not act on basis levels {basis.levels}"
-        )
+def _coupling(basis: ProductBasis, channel: str) -> np.ndarray:
+    """The static Hermitian coupling matrix X_k of a control channel."""
+    phase, upper, lower, cavity = _COUPLINGS[channel]
+    raising = transition_operator(basis, upper, lower)
+    if cavity:
+        raising = raising @ ladder_operators(basis)[0]
+    return _read_only(phase * raising + (phase * raising).conj().T)
 
 
 Jumps = tuple[tuple[float, np.ndarray], ...]
@@ -154,25 +149,22 @@ def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamilt
     jumps of jump_operators and the matching decay terms, so that the master
     equation preserves the trace.
     """
-    _check_basis(config, basis)
-    terms = _coupling_terms(basis)
+    if basis.levels != LEVELS[config.model]:
+        raise ModelMismatchError(
+            f"model {config.model!r} does not act on basis levels {basis.levels}"
+        )
     schedule = config.schedule()
     pulses = config.pulses
 
-    static = pulses.delta * terms["p_e"]
-    if config.model == "full":
-        static = static + pulses.delta_m * terms["p_em"]
+    static = pulses.delta * level_projector(basis, "e")
+    if "em" in basis.levels:
+        static = static + pulses.delta_m * level_projector(basis, "em")
     jumps = jump_operators(config, basis)
     if jumps:
         static = static - 0.5j * sum(rate * (op.conj().T @ op) for rate, op in jumps)
 
-    channels = {"omega_r": terms["x_omega_r"], "g": terms["x_g"]}
-    if schedule.correction_active:
-        channels["omega1"] = terms["x_omega1"]
-    if schedule.auxiliary_active:
-        channels["omega_m"] = terms["x_omega_m"]
-        channels["g_m"] = terms["x_g_m"]
-    return LinearHamiltonian(basis, static, channels, schedule, jumps)
+    terms = {channel: _coupling(basis, channel) for channel in schedule.channels}
+    return LinearHamiltonian(basis, static, terms, schedule, jumps)
 
 
 def bound_hamiltonian(

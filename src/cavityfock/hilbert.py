@@ -10,8 +10,9 @@ import numpy as np
 
 from .errors import ModelMismatchError, ParameterDomainError
 
-EFFECTIVE_LEVELS = ("g1", "e", "g2")
-FULL_LEVELS = ("g1", "e", "g2", "em")
+# The atomic levels of each model: the full one adds the auxiliary excited
+# level em, through which it synthesizes the correction coupling.
+LEVELS = {"effective": ("g1", "e", "g2"), "full": ("g1", "e", "g2", "em")}
 
 # Largest Fock cutoff.  Every preset conserves the excitation number, so any
 # n_max >= 1 gives the same physics, and the stepper works on the few basis
@@ -59,11 +60,9 @@ class ProductBasis:
 def build_basis(model: str, n_max: int) -> ProductBasis:
     if not 1 <= n_max <= N_MAX_LIMIT:
         raise ParameterDomainError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
-    if model == "effective":
-        return ProductBasis(EFFECTIVE_LEVELS, n_max)
-    if model == "full":
-        return ProductBasis(FULL_LEVELS, n_max)
-    raise ParameterDomainError(f"unknown model {model!r}")
+    if model not in LEVELS:
+        raise ParameterDomainError(f"unknown model {model!r}")
+    return ProductBasis(LEVELS[model], n_max)
 
 
 def _read_only(matrix: np.ndarray) -> np.ndarray:

@@ -9,7 +9,9 @@ concern.  The module provides
 * the closed-form correction amplitude that makes the transfer exactly
   follow the instantaneous dark state,
 * the physically realizable auxiliary pulse pair that synthesizes the same
-  correction through a far-detuned level, derived from it.
+  correction through a far-detuned level, derived from it,
+* CHANNELS, the one table of which control channels each model carries;
+  a ControlSchedule switches them on by drive.
 
 The numerical correction term of any Hermitian schedule, the independent
 oracle for the closed form, lives with the tests in ``tests/oracles.py``.
@@ -30,6 +32,10 @@ from .errors import ParameterDomainError
 # 0/0 ratio.
 TAIL_CLAMP = 1e-30
 _LOG_TAIL_CLAMP = math.log(TAIL_CLAMP)
+
+# The control channels of each model, in ControlValues order: the full model
+# synthesizes the correction omega1 through the auxiliary level em.
+CHANNELS = {"effective": ("omega_r", "g", "omega1"), "full": ("omega_r", "g", "g_m", "omega_m")}
 
 
 @dataclass(frozen=True)
@@ -102,6 +108,13 @@ def counterdiabatic_amplitude(params: PulseParameters, t):
     return np.where(switched_off, 0.0, value)
 
 
+def _check_delta_m(params: PulseParameters) -> None:
+    if not params.delta_m > 0:
+        raise ParameterDomainError(
+            f"delta_m must be positive for physical pulses, got {params.delta_m}"
+        )
+
+
 def physical_pulse_pair(params: PulseParameters, t):
     """Auxiliary pulse pair (g_m, omega_m) at time t.
 
@@ -110,10 +123,7 @@ def physical_pulse_pair(params: PulseParameters, t):
     g_m * omega_m / delta_m reproduces omega1 for every pulse arrangement.
     Both pulses are exactly zero where omega1 is clamped to zero.
     """
-    if not params.delta_m > 0:
-        raise ParameterDomainError(
-            f"delta_m must be positive for physical pulses, got {params.delta_m}"
-        )
+    _check_delta_m(params)
     omega1 = counterdiabatic_amplitude(params, t)
     omega_m = np.sqrt(params.delta_m * np.abs(omega1))
     return np.copysign(omega_m, omega1), omega_m
@@ -134,9 +144,9 @@ class ControlValues(NamedTuple):
 class ControlSchedule:
     """Evaluable record of every control channel for one model/drive choice.
 
-    The correction channel omega1 is active only on the effective model with
-    drive="tqd"; the auxiliary pair (g_m, omega_m) only on the full model
-    with drive="tqd".  Inactive channels evaluate to exactly zero.
+    ``channels`` are the ones that are on: all of the model's CHANNELS with
+    drive="tqd", the pump/Stokes pair alone with drive="stirap".  The
+    others evaluate to exactly zero.
     """
 
     params: PulseParameters
@@ -144,23 +154,22 @@ class ControlSchedule:
     drive: str = "stirap"
 
     def __post_init__(self):
-        if self.model not in ("effective", "full"):
+        if self.model not in CHANNELS:
             raise ParameterDomainError(f"unknown model {self.model!r}")
         if self.drive not in ("stirap", "tqd"):
             raise ParameterDomainError(f"unknown drive {self.drive!r}")
+        if "g_m" in self.channels:
+            _check_delta_m(self.params)
 
     @property
-    def correction_active(self) -> bool:
-        return self.model == "effective" and self.drive == "tqd"
-
-    @property
-    def auxiliary_active(self) -> bool:
-        return self.model == "full" and self.drive == "tqd"
+    def channels(self) -> tuple[str, ...]:
+        channels = CHANNELS[self.model]
+        return channels if self.drive == "tqd" else channels[:2]
 
     def values(self, t) -> ControlValues:
         """Every channel at ``t``, a time or an array of times."""
         omega_r, g = stirap_pair(self.params, t)
         off = np.zeros(np.shape(t))
-        omega1 = counterdiabatic_amplitude(self.params, t) if self.correction_active else off
-        auxiliary = physical_pulse_pair(self.params, t) if self.auxiliary_active else (off, off)
+        omega1 = counterdiabatic_amplitude(self.params, t) if "omega1" in self.channels else off
+        auxiliary = physical_pulse_pair(self.params, t) if "g_m" in self.channels else (off, off)
         return ControlValues(omega_r, g, omega1, *auxiliary)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numbers
+import sys
 import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -13,7 +14,7 @@ from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import ConfigError
 from .hamiltonians import Dissipation, LinearHamiltonian, ModelConfig, linear_hamiltonian
 from .hilbert import ProductBasis, _read_only, build_basis
-from .pulses import PulseParameters
+from .pulses import CHANNELS, ControlValues, PulseParameters
 
 CSV_COLUMNS = (
     "t_over_T",
@@ -32,6 +33,8 @@ CSV_COLUMNS = (
     "gm_T",
     "omegam_T",
 )
+# The basis states whose populations the CSV and the run summary report
+_REPORTED_STATES = (("g1", 0), ("e", 0), ("g2", 1), ("g2", 0), ("em", 0))
 
 
 @dataclass
@@ -63,6 +66,8 @@ INT_FIELDS = frozenset(f.name for f in fields(SimulationConfig) if f.type == "in
 OPTIONAL_FLOAT_FIELDS = frozenset(
     f.name for f in fields(SimulationConfig) if f.type == "float | None"
 )
+# The type of a field by its annotation, as messages name it; others are numbers
+_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "str": (str, "a string")}
 
 PRESETS: dict[str, dict] = {
     "fig2_stirap": dict(model="effective", drive="stirap", omega0_T=2.0),
@@ -135,7 +140,7 @@ class RunSummary:
             "drive": self.drive,
             **{
                 f"final_p_{level}_{n}": _fmt(final.get((level, n)))
-                for level, n in (("g1", 0), ("e", 0), ("g2", 1), ("g2", 0), ("em", 0))
+                for level, n in _REPORTED_STATES
             },
             "max_p_e_0": _fmt(self.max_p_e_0),
             "max_p_em_0": _fmt(self.max_p_em_0),
@@ -151,7 +156,16 @@ class RunSummary:
 
 def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, ProductBasis, TimeGrid]:
     """The model, basis and grid of a configuration: the one place where a
-    configuration is checked, raising on any value outside its domain."""
+    configuration is checked, raising on any value outside its domain.  Each
+    field must first hold a value of its type; nothing is coerced."""
+    for f in fields(sim):
+        value = getattr(sim, f.name)
+        kind, expected = _FIELD_TYPES.get(f.type, (numbers.Real, "a number"))
+        optional = value is None and f.name in OPTIONAL_FLOAT_FIELDS
+        # a bool is no number here, nor is an int beyond the float range
+        big = kind is numbers.Real and isinstance(value, int) and abs(value) > sys.float_info.max
+        if not optional and (big or isinstance(value, bool) or not isinstance(value, kind)):
+            raise ConfigError(f"{f.name} expects {expected}, got {value!r}")
     config = model_config(sim)
     basis = build_basis(sim.model, sim.n_max)
     grid = time_grid(sim)
@@ -160,8 +174,13 @@ def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, ProductBasis, Time
 
 def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
     """Run the configured simulation and summarize it (no file output)."""
-    model, basis, grid = _setup(sim)
+    return _simulate(sim, *_setup(sim))
 
+
+def _simulate(
+    sim: SimulationConfig, model: LinearHamiltonian, basis: ProductBasis, grid: TimeGrid
+) -> tuple[Trajectory, RunSummary]:
+    """simulate, with the model, basis and grid of ``sim`` built by _setup."""
     started = time.perf_counter()
     trajectory = propagate(model, basis.state("g1", 0), grid)
     wall = time.perf_counter() - started
@@ -174,7 +193,7 @@ def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
         drive=sim.drive,
         final_populations=trajectory.final_populations,
         max_p_e_0=trajectory.max_population("e", 0),
-        max_p_em_0=trajectory.max_population("em", 0) if sim.model == "full" else None,
+        max_p_em_0=trajectory.max_population("em", 0) if "em" in basis.levels else None,
         final_n=float(trajectory.mean_photon_n[-1]),
         final_q=None if np.isnan(final_q) else final_q,
         norm_or_trace_drift=drift,
@@ -209,31 +228,20 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     [1e-283, 1e299) - is formatted by ``"%.16e" % x`` itself; on the
     presets that is no cell at all.
     """
-    full = trajectory.model == "full"
+    levels, channels = trajectory.basis.levels, CHANNELS[trajectory.model]
     undefined = np.broadcast_to(np.nan, trajectory.times.shape)
     controls = trajectory.controls
-
-    def population(level: str, n: int) -> np.ndarray:
-        if level not in trajectory.basis.levels:
-            return undefined
-        return trajectory.population_series(level, n)
-
     columns = [
         trajectory.times,
-        population("g1", 0),
-        population("e", 0),
-        population("g2", 1),
-        population("g2", 0),
-        population("em", 0),
+        *(
+            trajectory.population_series(level, n) if level in levels else undefined
+            for level, n in _REPORTED_STATES
+        ),
         trajectory.dark_overlap,
         trajectory.mean_photon_n,
         trajectory.mandel_q,
         trajectory.norm_or_trace,
-        controls.omega_r,
-        controls.g,
-        undefined if full else controls.omega1,
-        controls.g_m if full else undefined,
-        controls.omega_m if full else undefined,
+        *(getattr(controls, c) if c in channels else undefined for c in ControlValues._fields),
     ]
     with open(path, "wb") as handle:
         handle.write((",".join(CSV_COLUMNS) + "\n").encode())
@@ -435,43 +443,28 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_value(parameter: str, value) -> int | float:
-    """A sweep value as its field's type: a real number, and an integer
-    for an integer field.  Nothing else is coerced."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ConfigError(f"{parameter} expects a number, got {value!r}")
-    if parameter not in INT_FIELDS:
-        try:
-            return float(value)
-        except OverflowError:  # an int beyond the float range
-            raise ConfigError(f"{parameter} expects a number, got {value!r}") from None
-    if not (isinstance(value, numbers.Integral) or float(value).is_integer()):
-        raise ConfigError(f"{parameter} expects an integer, got {value!r}")
-    return int(value)
-
-
 def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
     """Re-run the base configuration once per parameter value.
 
     One summary row is written per value, in input order.  Only numeric
-    configuration fields can be swept, and every value's configuration is
-    checked, its model, basis and grid built, before the first run.
+    fields can be swept, with a number for each value.  Every value's model,
+    basis and grid are built, which checks it, before the first run.
     """
     if parameter not in NUMERIC_FIELDS:
         raise ConfigError(
             f"parameter {parameter!r} is not a numeric configuration field; "
             f"choose from {', '.join(sorted(NUMERIC_FIELDS))}"
         )
-    typed_values = [_sweep_value(parameter, value) for value in values]
-    configs = [replace(base, **{parameter: typed}) for typed in typed_values]
-    for config in configs:
-        _setup(config)
+    configs = [replace(base, **{parameter: value}) for value in values]
+    if any(getattr(config, parameter) is None for config in configs):
+        raise ConfigError(f"{parameter} expects a number, got None")
+    built = [_setup(config) for config in configs]
     rows = [",".join(SWEEP_COLUMNS)]
-    for typed, config in zip(typed_values, configs):
-        _trajectory, summary = simulate(config)
+    for config, setup in zip(configs, built):
+        _trajectory, summary = _simulate(config, *setup)
         figures = summary.figures()
-        cells = [parameter, _fmt(float(typed))] + [figures[name] for name in SWEEP_COLUMNS[2:]]
-        rows.append(",".join(cells))
+        value = _fmt(float(getattr(config, parameter)))
+        rows.append(",".join([parameter, value] + [figures[name] for name in SWEEP_COLUMNS[2:]]))
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
     return out_path

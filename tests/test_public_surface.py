@@ -25,6 +25,11 @@ TEST_ORACLES = (
 )
 
 
+# Names that per-model tables replaced: pulses.CHANNELS, hilbert.LEVELS and
+# the channel couplings of hamiltonians
+REPLACED_BY_TABLES = ("EFFECTIVE_LEVELS", "FULL_LEVELS", "_coupling_terms", "_sweep_value")
+
+
 def test_exported_names_are_unique_and_resolve():
     names = cavityfock.__all__
     assert len(set(names)) == len(names)
@@ -41,6 +46,17 @@ def test_version_matches_pyproject():
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
 def test_test_oracles_are_not_in_the_package(module):
     assert [name for name in TEST_ORACLES if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_names_replaced_by_the_model_tables_are_gone(module):
+    assert [name for name in REPLACED_BY_TABLES if hasattr(module, name)] == []
+
+
+def test_schedule_has_channels_and_no_per_model_flags():
+    assert isinstance(cavityfock.ControlSchedule.channels, property)
+    for flag in ("correction_active", "auxiliary_active"):
+        assert not hasattr(cavityfock.ControlSchedule, flag)
 
 
 def test_eigensystem_is_not_placed_in_a_basis_by_the_package():

@@ -253,7 +253,7 @@ class TestControlSchedule:
         schedule = ControlSchedule(STANDARD, model="effective", drive="tqd")
         for t in (-1.0, 0.0, 0.5, 2.0):
             assert schedule.values(t).omega1 == counterdiabatic_amplitude(STANDARD, t)
-        assert schedule.correction_active and not schedule.auxiliary_active
+        assert schedule.channels == ("omega_r", "g", "omega1")
 
     def test_full_tqd_drives_auxiliary_channels(self):
         schedule = ControlSchedule(STANDARD, model="full", drive="tqd")
@@ -290,3 +290,18 @@ class TestControlSchedule:
         params = PulseParameters(omega0=2.0, delta_m=-1.0)
         with pytest.raises(ParameterDomainError):
             ControlSchedule(params, model="full", drive="tqd").values(0.0)
+
+    def test_schedule_with_auxiliary_pulses_rejects_detuning_when_built(self):
+        params = PulseParameters(omega0=2.0, delta_m=0.0)
+        with pytest.raises(ParameterDomainError, match="delta_m must be positive"):
+            ControlSchedule(params, model="full", drive="tqd")
+        # delta_m drives nothing here
+        for model, drive in (("full", "stirap"), ("effective", "tqd")):
+            assert ControlSchedule(params, model=model, drive=drive).values(0.0).g_m == 0.0
+
+    def test_channels_are_the_model_channels_switched_on_by_the_drive(self):
+        full = ControlSchedule(STANDARD, model="full", drive="tqd")
+        assert full.channels == ("omega_r", "g", "g_m", "omega_m")
+        for model in ("effective", "full"):
+            stirap = ControlSchedule(STANDARD, model=model, drive="stirap")
+            assert stirap.channels == ("omega_r", "g")

@@ -125,6 +125,30 @@ class TestRun:
         assert q_column[0] == ""
         assert float(q_column[-1]) < -0.99
 
+    @pytest.mark.parametrize(
+        "field, value, expected",
+        [
+            ("n_max", 1.5, "an integer"),
+            ("n_max", 2.0, "an integer"),
+            ("n_max", True, "an integer"),
+            ("stride", 2.5, "an integer"),
+            ("stride", True, "an integer"),
+            ("dt_over_T", "1e-3", "a number"),
+            ("omega0_T", 10**400, "a number"),
+            ("gamma_T", "5", "a number"),
+            ("model", ["full"], "a string"),
+        ],
+        ids=lambda x: "10**400" if x == 10**400 else None,
+    )
+    def test_library_configuration_is_type_checked(self, field, value, expected, monkeypatch):
+        built = []
+        monkeypatch.setattr(scenarios, "model_config", lambda sim: built.append(sim))
+        sim = replace(resolve_preset("fig2f_dissipative_tqd"), **{field: value})
+        with pytest.raises(ConfigError) as error:
+            simulate(sim)
+        assert str(error.value) == f"{field} expects {expected}, got {value!r}"
+        assert built == []  # checked before anything is built
+
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_conserves_norm_or_trace(self, name):
         _trajectory, summary = simulate(resolve_preset(name))
@@ -181,6 +205,19 @@ class TestSweep:
         with pytest.raises(ConfigError, match=parameter):
             sweep(base, parameter, [1, value], str(out))
         assert not out.exists()
+
+    def test_each_value_is_built_once(self, tmp_path, monkeypatch):
+        calls = []
+        real_setup = scenarios._setup
+
+        def counted(sim):
+            calls.append(sim.omega0_T)
+            return real_setup(sim)
+
+        monkeypatch.setattr(scenarios, "_setup", counted)
+        base = SimulationConfig(dt_over_T=1e-2, stride=100)
+        sweep(base, "omega0_T", [1.0, 2.0, 3.0], str(tmp_path / "once.csv"))
+        assert calls == [1.0, 2.0, 3.0]
 
     def test_rows_preserve_input_order(self, tmp_path):
         out = str(tmp_path / "order.csv")
@@ -267,11 +304,14 @@ class TestCli:
                 "dt_over_T=0.01",
                 "--set",
                 "stride=200",
+                "--set",
+                "model=full",
             ]
         )
         assert code == 0
         stdout = capsys.readouterr().out
         assert "final_p_g2_1=" in stdout
+        assert "model=full" in stdout.splitlines()
         assert os.path.exists(out)
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
@@ -295,6 +335,17 @@ class TestCli:
     def test_unknown_key_is_usage_error(self, capsys):
         assert main(["run", "--set", "bogus_key=1"]) == 2
         assert "bogus_key" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("omega0_T=abc", "error: omega0_T expects a number, got 'abc'\n"),
+            ("foo", "error: --set expects key=value, got 'foo'\n"),
+        ],
+    )
+    def test_malformed_override_is_usage_error(self, setting, message, capsys):
+        assert main(["run", "--set", setting]) == 2
+        assert capsys.readouterr().err == message
 
     def test_integration_failure_exit_code(self, tmp_path, capsys):
         code = main(
@@ -386,12 +437,13 @@ class TestCli:
             assert err.count("\n") == 1
             assert not os.path.exists(out)
 
-    def test_scenario_that_agrees_with_preset_runs_it(self, tmp_path, capsys):
+    @pytest.mark.parametrize("preset, drive", [("fig2_tqd", "tqd"), ("custom", "stirap")])
+    def test_scenario_that_agrees_with_preset_runs_it(self, preset, drive, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
-        argv = ["run", "--preset", "fig2_tqd", "--set", "scenario=fig2_tqd", "--out", out]
+        argv = ["run", "--preset", preset, "--set", f"scenario={preset}", "--out", out]
         assert main(argv + ["--set", "dt_over_T=0.01"]) == 0
         printed = capsys.readouterr().out.splitlines()
-        assert "scenario=fig2_tqd" in printed and "drive=tqd" in printed
+        assert f"scenario={preset}" in printed and f"drive={drive}" in printed
 
     def test_n_max_above_limit_is_usage_error_before_allocating(self, tmp_path, capsys):
         out = str(tmp_path / "x.csv")
@@ -432,27 +484,33 @@ class TestCli:
         assert not os.path.exists(out)
 
     @pytest.mark.parametrize(
-        "parameter,values,message",
+        "preset,parameter,values,message",
         [
-            ("omega0_T", "1,2,nan", "pulse parameters must be finite"),
-            ("n_max", "1,11", "n_max must be in 1..10"),
-            ("stride", "10,0", "stride must be at least 1"),
-            ("dt_over_T", "1e-3,0.3", "window [-4.0, 4.0] is not an integer number of steps"),
+            ("fig2_stirap", "omega0_T", "1,2,nan", "pulse parameters must be finite"),
+            ("fig2_stirap", "n_max", "1,11", "n_max must be in 1..10"),
+            ("fig2_stirap", "stride", "10,0", "stride must be at least 1"),
+            (
+                "fig2_stirap",
+                "dt_over_T",
+                "1e-3,0.3",
+                "window [-4.0, 4.0] is not an integer number of steps",
+            ),
+            ("fig3_full", "delta_m_T", "18,36,0", "delta_m must be positive for physical pulses"),
         ],
     )
     def test_sweep_rejects_an_out_of_domain_value_before_any_run(
-        self, parameter, values, message, tmp_path, capsys, monkeypatch
+        self, preset, parameter, values, message, tmp_path, capsys, monkeypatch
     ):
         runs = []
-        real_simulate = scenarios.simulate
+        real_propagate = scenarios.propagate
 
-        def counted(sim):
-            runs.append(sim)
-            return real_simulate(sim)
+        def counted(model, psi0, grid):
+            runs.append(grid)
+            return real_propagate(model, psi0, grid)
 
-        monkeypatch.setattr(scenarios, "simulate", counted)
+        monkeypatch.setattr(scenarios, "propagate", counted)
         out = str(tmp_path / "sweep.csv")
-        argv = ["sweep", "--preset", "fig2_stirap", "--param", parameter, "--values", values]
+        argv = ["sweep", "--preset", preset, "--param", parameter, "--values", values]
         assert main(argv + ["--out", out]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
