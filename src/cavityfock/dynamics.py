@@ -19,10 +19,10 @@ number and loss only feeds populations, so every preset builds on 3 or 4
 basis states and steps 6, 8 or 10 coordinates whatever n_max is.
 
 Time is taken in chunks of whole strides, and the controls at all half steps
-of a chunk come from one call.  The exact RK4 one-step matrices of a chunk
-are built by batched products, each stride of them is folded into one block
-product, and a log-depth doubling scan over the blocks gives exactly the
-recorded states.
+of a chunk come from one call.  The RK4 one-step matrices of a chunk come
+from batched products, each stride of them is folded into one block, and
+the recorded states from prefix products within groups of blocks and a
+doubling scan over the group totals, about one product per block.
 
 The recorded states stay in the stepped coordinates.  Observables and
 conservation checks are computed once per run from them, positivity by a
@@ -106,11 +106,12 @@ class Trajectory:
     a density matrix (_coordinates), and every other one is zero.
     ``states`` lifts them to pure states (S, d) or density matrices
     (S, d, d) on first access, and ``final_state`` lifts the last sample
-    alone.  ``populations`` (S, d) are the basis-state populations in the
-    order of ``basis.labels()``.  ``model`` is the schedule's model,
-    "effective" or "full", and ``controls`` holds each of its channels as
-    an (S,) array.  ``dark_overlap`` and ``mandel_q`` are NaN where
-    undefined: no drive field on, a full-model run, or an empty cavity.
+    alone.  ``populations`` (S, d), in the order of ``basis.labels()``,
+    lift ``kept_populations`` (S, k) likewise.  ``model`` is the
+    schedule's model, "effective" or "full", and ``controls`` holds each
+    of its channels as an (S,) array.  ``dark_overlap`` and ``mandel_q``
+    are NaN where undefined: no drive field on, a full-model run, or an
+    empty cavity.
     """
 
     basis: ProductBasis
@@ -121,7 +122,7 @@ class Trajectory:
     kept: np.ndarray
     reached: np.ndarray
     controls: ControlValues
-    populations: np.ndarray
+    kept_populations: np.ndarray
     norm_or_trace: np.ndarray
     dark_overlap: np.ndarray
     mean_photon_n: np.ndarray
@@ -130,6 +131,12 @@ class Trajectory:
     @cached_property
     def states(self) -> np.ndarray:
         return self._lifted(self.coordinates)
+
+    @cached_property
+    def populations(self) -> np.ndarray:
+        full = np.zeros((len(self.times), self.basis.dimension))
+        full[:, self.kept] = self.kept_populations
+        return full
 
     @property
     def final_state(self) -> np.ndarray:
@@ -180,12 +187,10 @@ def _integrate(
     """
     samples, stride = grid.sample_steps, grid.stride
     reached = _reachable(blocks, x0)
-    # At most 256 strides a chunk, in room for as many r x r step matrices as
-    # 256 take at r = 10, the largest preset, and at a larger r for 256, or
-    # fewer where they would outgrow 64 at full support at n_max = 3 (r = 144)
+    # Room for as many r x r step matrices as 256 take at r = 10, the largest
+    # preset, and at a larger r for 256 but no more than 64 take at r = 144
     r = len(reached)
-    room = max(1, 256 * 10**2 // r**2, min(256, 64 * 144**2 // r**2))
-    capacity = min(256 * stride, room)
+    capacity = max(1, 256 * 10**2 // r**2, min(256, 64 * 144**2 // r**2))
     advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt, capacity)
     chunk = np.empty((capacity, r))
     length = stride * (capacity // stride) or capacity
@@ -232,46 +237,46 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
 
     It takes n steps through the control columns (2n + 1, K) at their half
     steps, writes the state after each run of ``block`` steps to the
-    m = ceil(n / block) rows of ``out`` and returns the last one.  The
-    generators at the half steps are one product of the columns with the
-    stacked A_k, plus A_static; the RK4 one-step matrices S_j = I + dt/6
-    (A0 + 2 B2 + 2 B3 + B4) are batched products of them.  Each run of
-    them, the last padded with identities, is folded by a pairwise tree in
-    ceil(log2 block) passes, and the prefixes of the m block products come
-    by doubling in ceil(log2 m) passes (Hillis & Steele, CACM 29, 1170
-    (1986)): reduce, then scan (Blelloch, CMU-CS-90-190 (1990)).  One
-    product of the prefixes with x gives the states.  The passes go back
-    and forth between two stage buffers, all allocated once per run: large
+    m = ceil(n / block) rows of ``out`` and returns the last one.  One
+    product of the columns, with ones for A_static and, at whole steps,
+    for I, gives I + X_s, X_m and I + X_e, X = (dt/2) A; the RK4 one-step
+    matrix S = I + (X_s + X_e)/3 + 2/3 (Y2 + Y3 + X_e Y3), with Y2 = X_m +
+    X_m X_s and Y3 = X_m + X_m Y2, takes three batched products and four
+    passes.  Each run of ``block`` of them, the last padded with
+    identities, is folded by a pairwise tree.  In groups of g = isqrt(m)
+    block products, g - 1 batched products give the prefixes within each
+    group, a doubling scan (Hillis & Steele, CACM 29, 1170 (1986)) those of
+    the group totals, and one batched product the states: about
+    m + (m/g) log2(m/g) products, not m log2 m (Blelloch, CMU-CS-90-190
+    (1990)).  An operand that overlaps its product's output is read from a
+    copy, as numpy does.  The buffers are allocated once per run: large
     arrays allocated anew per chunk could be faulted back in every chunk.
     """
     size = blocks.shape[-1]
-    static = blocks[0]
-    terms = blocks[1:].reshape(len(blocks) - 1, size * size)
-    generators = np.empty((2 * length + 1, size * size))
-    buffers = np.empty((4, length, size, size))
-    identity = np.eye(size)
+    scaled = np.concatenate((0.5 * dt * blocks, np.eye(size)[None])).reshape(len(blocks) + 1, -1)
+    mix = np.zeros((2 * length + 1, len(scaled)))  # weights of the rows of scaled
+    mix[:, 0] = mix[::2, -1] = 1.0
+    halves = np.empty((2 * length + 1, size * size))  # I + X or X at each half step
+    buffers = np.empty((3, length, size, size))
 
     def advance(x, columns, block, out):
         n, m = len(columns) // 2, len(out)
-        a = np.matmul(columns, terms, out=generators[: 2 * n + 1]).reshape(2 * n + 1, size, size)
-        a += static
-        start, mid, end = a[:-1:2], a[1::2], a[2::2]
-        b2, b3, b4, steps = buffers[:, :n]
-        # B2 = mid + dt/2 mid start, B3 = mid + dt/2 mid B2, B4 = end + dt end B3
-        stages = ((b2, mid, start, 0.5 * dt), (b3, mid, b2, 0.5 * dt), (b4, end, b3, dt))
-        for b, left, right, scale in stages:
-            np.matmul(left, right, out=b)
-            b *= scale
-            b += left
-        np.multiply(2.0, b2, out=steps)
-        steps += start
-        b3 *= 2.0
-        steps += b3
-        steps += b4
-        steps *= dt / 6.0
-        steps += identity
-        buffers[3, n : m * block] = identity
-        product, spare, width = buffers[3], buffers[0], block
+        mix[: 2 * n + 1, 1:-1] = columns
+        a = np.matmul(mix[: 2 * n + 1], scaled, out=halves[: 2 * n + 1]).reshape(-1, size, size)
+        start, mid, end = a[:-1:2], a[1::2], a[2::2]  # I + X_s, X_m, I + X_e
+        y2, y3, steps = buffers[:, :n]
+        np.matmul(mid, start, out=y2)
+        np.matmul(mid, y2, out=y3)
+        y3 += mid
+        np.matmul(end, y3, out=steps)
+        steps += y2
+        steps *= 2.0 / 3.0
+        ends = mix[: 2 * n + 1 : 2, :-1]
+        np.matmul((ends[:-1] + ends[1:]) / 3.0, scaled[:-1], out=y3.reshape(n, -1))
+        steps += y3
+        steps.reshape(n, -1)[:, :: size + 1] += 1.0
+        buffers[2, n : m * block] = np.eye(size)
+        product, spare, width = buffers[2], buffers[0], block
         while width > 1:
             pairs, rest = divmod(width, 2)
             factors = product[: m * width].reshape(m, width, size, size)
@@ -281,12 +286,18 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
             if rest:
                 folded[:, pairs] = factors[:, -1]
             product, spare, width = spare, product, pairs + rest
-        prefix, spare, shift = product[:m], spare[:m], 1
-        while shift < m:
-            np.matmul(prefix[shift:], prefix[:-shift], out=spare[shift:])
-            spare[:shift] = prefix[:shift]
-            prefix, spare, shift = spare, prefix, 2 * shift
-        return np.matmul(prefix, x, out=out)[-1]  # x may be a row of out
+        group = math.isqrt(m)
+        for k in range(1, group):  # each block becomes its prefix within its group
+            np.matmul(product[k:m:group], product[k - 1 : m - 1 : group], out=product[k:m:group])
+        totals = spare[: (m - 1) // group]  # of every group but the last
+        totals[...] = product[group - 1 : m - 1 : group]
+        shift = 1
+        while shift < len(totals):
+            np.matmul(totals[shift:], totals[:-shift], out=totals[shift:])
+            shift *= 2
+        starts = np.concatenate((x[None], totals @ x))  # x may be a row of out
+        starts = np.repeat(starts, group, axis=0)[:m, :, None]
+        return np.matmul(product[:m], starts, out=out[:, :, None])[-1, :, 0]
 
     return advance
 
@@ -304,10 +315,11 @@ def _record(
     ``kept`` and ``reached`` map the coordinates as in Trajectory; a model
     with jumps records density matrices.  The populations are the diagonal
     coordinates, or |psi_k|^2 on the kept basis states, and the norm or
-    trace is their sum.  Density matrices are rebuilt on the kept basis
-    states 512 samples at a time for _check_positive, and the dark overlap
-    is a form on a few coordinates (_dark_overlaps): nothing is lifted to
-    the full dimension.  Every check is written so that NaN fails it.
+    trace is their sum; only that sum and the photon statistics see them on
+    all d basis states.  Density matrices are rebuilt on the kept basis
+    states, 512 samples at a time by one product each, for _check_positive,
+    and the dark overlap is a form on a few coordinates (_dark_overlaps).
+    Every check is written so that NaN fails it.
     """
     basis, is_density, size = hamiltonian.basis, bool(hamiltonian.jumps), len(kept)
     weights = np.zeros((len(times), basis.dimension))
@@ -322,6 +334,8 @@ def _record(
     if bad.any():
         i = int(np.argmax(bad))
         raise IntegrationError(f"{kind} drifted to {weight[i]:.12f} at t={times[i]:g}; reduce dt")
+    n_mean, q = photon_statistics(weights, basis)
+    weights = weights[:, kept]  # lifted again only when read
     if is_density:
         for start in range(0, len(times), 512):
             part = slice(start, start + 512)
@@ -332,7 +346,6 @@ def _record(
         dark = _dark_overlaps(coordinates, kept, reached, is_density, controls, basis)
     else:
         dark = np.full(len(times), np.nan)
-    n_mean, q = photon_statistics(weights, basis)
     return Trajectory(
         basis, is_density, model, times, coordinates, kept, reached, controls,
         weights, weight, dark, n_mean, q
@@ -463,11 +476,14 @@ def _kept_states(
     coordinates: np.ndarray, reached: np.ndarray, size: int, is_density: bool
 ) -> np.ndarray:
     """The states (S, k) or density matrices (S, k, k) on the k = ``size``
-    kept basis states whose coordinates (S, r) are the reached ones among
-    (Re psi, Im psi) or the k^2 real coordinates; every other one is zero."""
-    x = np.zeros((len(coordinates), size * size if is_density else 2 * size))
+    kept basis states whose reached coordinates are (S, r), every other one
+    zero; density matrices come from one product with the unit matrices."""
+    if is_density:
+        units = _unit_matrices(size).reshape(size * size, -1).view(float)[reached]
+        return (coordinates @ units).view(complex).reshape(-1, size, size)
+    x = np.zeros((len(coordinates), 2 * size))
     x[:, reached] = coordinates
-    return _density_matrices(x) if is_density else x[:, :size] + 1j * x[:, size:]
+    return x[:, :size] + 1j * x[:, size:]
 
 
 def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:

@@ -261,15 +261,22 @@ _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 # this to 1/2, the true ties among them, are left to "%.16e".
 _TIE_BOUND = 2.0**-40
 _CELL = 25  # sign, d.dddddddddddddddd, e, exponent sign, 3 digits, separator
+_FIXED = (0, 2, 19), np.frombuffer(b"-.e", dtype=np.uint8)  # bytes of every cell; "-" if signed
 
 
 def _csv_blocks(columns: list[np.ndarray]):
     """The rows of equal-length float columns as CSV bytes, one block of
-    rows at a time: each cell as ``"%.16e" % x``, NaN cells empty."""
-    rows = len(columns[0])
-    step = max(1, _BLOCK_CELLS // len(columns))
+    rows at a time: each cell as ``"%.16e" % x``, NaN cells empty.  The
+    table and cell buffers are allocated, and the bytes that every cell and
+    row end write are laid out, once per call."""
+    rows, width = len(columns[0]), len(columns)
+    step = max(1, min(rows, _BLOCK_CELLS // width))
+    table, cells = np.empty((step, width)), np.empty((step * width, _CELL), dtype=np.uint8)
+    cells[:, _FIXED[0]], cells[:, -1] = _FIXED[1], ord(",")
+    cells.reshape(step, width, _CELL)[:, -1, -1] = ord("\n")
     for first in range(0, rows, step):
-        yield _e16_cells(np.column_stack([column[first : first + step] for column in columns]))
+        part = table[: min(step, rows - first)]
+        yield _e16_cells(np.stack([c[first : first + step] for c in columns], 1, out=part), cells)
 
 
 @lru_cache(maxsize=None)
@@ -378,44 +385,39 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return digits, exponent, decided | zero
 
 
-def _e16_cells(table: np.ndarray) -> np.ndarray:
+def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """A (rows, columns) float table as the bytes (uint8) of CSV rows:
     exactly ``",".join("%.16e" % x for x in row) + "\\n"`` per row, with
     NaN cells empty.
 
     The digits and exponents come from _decimal_digits.  Every cell is laid
-    out in _CELL bytes, the digits four at a time from a lookup table, and
-    the bytes that the cell does not write (a plus sign, a hundreds digit
-    of the exponent, all of a NaN) are masked out.  Zeros keep their sign.
-    The cells that _decimal_digits leaves undecided - near-ties,
-    subnormals, infinities and magnitudes out of range - are formatted
-    with ``"%.16e"`` one by one.
+    out in _CELL bytes of the rows of ``cells``, whose _FIXED bytes,
+    separators and row ends are in place, the digits four at a time from a
+    lookup table, and the bytes that the cell does not write (a plus sign,
+    a hundreds digit of the exponent, all of a NaN) are masked out.  Zeros
+    keep their sign.  The cells that _decimal_digits leaves undecided -
+    near-ties, subnormals, infinities and magnitudes out of range - are
+    formatted with ``"%.16e"`` one by one.
     """
-    rows, width = table.shape
     x = table.ravel()
+    cells = cells[: len(x)]
     digits, exponent, decided = _decimal_digits(x)
     nan = np.isnan(x)
     slow = np.flatnonzero(~(decided | nan))
 
     _, quads, exponents, kept = _decimal_tables()
-    cells = np.empty((len(x), _CELL), dtype=np.uint8)
-    cells[:, 0] = ord("-")
     high = digits // 10**8
     digits -= high * 10**8
     lead = high // 10**8
     high -= lead * 10**8
     cells[:, 1] = lead + ord("0")
-    cells[:, 2] = ord(".")
     quad = cells[:, 3:19].view(np.uint32)
     for column, part in enumerate((high, digits)):
         upper = part // 10**4
         quad[:, 2 * column] = quads[upper]
         part -= upper * 10**4
         quad[:, 2 * column + 1] = quads[part]
-    cells[:, 19] = ord("e")
     cells[:, 20:24].view(np.uint32)[:, 0] = exponents[exponent + 400]
-    cells[:, 24] = ord(",")
-    cells.reshape(rows, width, _CELL)[:, -1, -1] = ord("\n")
     kind = np.signbit(x).view(np.uint8) | (np.abs(exponent) >= 100).view(np.uint8) << 1
     kind |= nan.view(np.uint8) << 2
     keep = np.take(kept, kind, axis=0)
@@ -424,7 +426,9 @@ def _e16_cells(table: np.ndarray) -> np.ndarray:
         padded = np.array(texts, dtype=f"S{_CELL - 1}").view(np.uint8)
         cells[slow, :-1] = padded.reshape(len(slow), _CELL - 1)
         keep[slow, :-1] = np.arange(_CELL - 1) < np.array([len(t) for t in texts])[:, None]
-    return cells[keep]
+    text = cells[keep]
+    cells[slow[:, None], _FIXED[0]] = _FIXED[1]  # laid out again where "%.16e" wrote
+    return text
 
 
 SWEEP_COLUMNS = (

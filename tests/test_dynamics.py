@@ -30,6 +30,7 @@ from cavityfock.dynamics import (
     NEGATIVITY_LIMIT,
     _coordinates,
     _density_matrices,
+    _linear_advance,
     _linear_form,
     _reachable,
     _real_liouvillian,
@@ -400,11 +401,12 @@ class TestScanLengths:
 class TestBlockScan:
     """Each stride of step matrices is folded into one block before the
     scan.  On 1 600 steps, with room for 711 steps a chunk (r = 6) or 256
-    (r = 10): 7 leaves a partial block at the grid end, 750 spans several
-    chunks and does not divide the grid, 1 600 is the whole grid and 2 000
-    records only its end."""
+    (r = 10): 1 records every step through several chunks, 7 leaves a
+    partial block at the grid end, 750 spans several chunks and does not
+    divide the grid, 1 600 is the whole grid and 2 000 records only its
+    end."""
 
-    @pytest.mark.parametrize("stride", [7, 750, 1600, 2000])
+    @pytest.mark.parametrize("stride", [1, 7, 750, 1600, 2000])
     @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
     def test_every_recorded_state_matches(self, dissipation, stride):
         config = ModelConfig("effective", "tqd", PULSES, dissipation)
@@ -418,6 +420,50 @@ class TestBlockScan:
             expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, BASIS)
         assert trajectory.states.shape == expected.shape
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
+
+
+def reference_advance(blocks, dt, x, columns, block):
+    """Per-step RK4 of dx/dt = (A_static + sum_k c_k A_k) x through the
+    control columns at the half steps, recording every ``block`` steps and
+    the last one: the reference for _linear_advance."""
+    generators = blocks[0] + np.einsum("hk,kij->hij", columns, blocks[1:])
+    n = len(columns) // 2
+    states = []
+    for step in range(n):
+        start, mid, end = generators[2 * step : 2 * step + 3]
+        k1 = start @ x
+        k2 = mid @ (x + (0.5 * dt) * k1)
+        k3 = mid @ (x + (0.5 * dt) * k2)
+        k4 = end @ (x + dt * k3)
+        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if (step + 1) % block == 0 or step + 1 == n:
+            states.append(x)
+    return np.array(states)
+
+
+class TestLinearAdvance:
+    """The stepper on seeded random real blocks against per-step products.
+    Chunks of m = 1 and 2 block products, a prime m, a perfect square and a
+    square plus one, so that the last group is partial; the last block is
+    partial too where the stride is above 1."""
+
+    @pytest.mark.parametrize("m", [1, 2, 13, 16, 17])
+    @pytest.mark.parametrize("stride", [1, 2, 3, 7])
+    @pytest.mark.parametrize("r", [3, 6, 10])
+    def test_every_recorded_state_matches(self, r, stride, m):
+        rng = np.random.default_rng(100 * r + 10 * stride + m)
+        blocks = rng.normal(size=(3, r, r)) / math.sqrt(r)
+        n, dt = m * stride - stride // 2, 1e-2
+        advance = _linear_advance(blocks, dt, m * stride)
+        out = np.empty((m, blocks.shape[-1]))
+        x = rng.normal(size=r)
+        for _ in range(2):  # the second chunk starts from a row of out
+            columns = rng.normal(size=(2 * n + 1, 2))
+            expected = reference_advance(blocks, dt, x, columns, stride)
+            last = advance(x, columns, stride, out)
+            assert np.max(np.abs(out - expected)) <= 1e-12
+            assert np.shares_memory(last, out) and np.array_equal(last, out[-1])
+            x = last
 
 
 class TestStrideIndependence:
@@ -542,6 +588,7 @@ class TestRecordedCoordinates:
         model = linear_hamiltonian(model_config(sim), basis)
         trajectory = propagate(model, basis.state("g1", 0), time_grid(sim))
         assert "states" not in vars(trajectory)  # lifted on first access only
+        assert "populations" not in vars(trajectory)
         states, density = trajectory.states, trajectory.is_density
         assert trajectory.states is states
         assert np.array_equal(trajectory.final_state, states[-1])
@@ -754,6 +801,15 @@ class TestMemory:
         coordinates of the master equation at n_max = 3, the largest chunk
         matrices of any run here.  With 64-step chunks its peak was 65.5 MB on
         these 800 steps; a longer chunk at this r raises it severalfold."""
+        assert self._full_support_peak(stride=80) <= 1.05 * 65.5e6
+
+    def test_full_support_stride_one_peak_allocation_stays_at_its_bound(self):
+        """As above, recording every step: the groups of the recurrence fit
+        in the rows of the chunk."""
+        assert self._full_support_peak(stride=1) <= 1.05 * 65.5e6
+
+    @staticmethod
+    def _full_support_peak(stride):
         basis = build_basis("effective", 3)
         d = basis.dimension
         model = linear_hamiltonian(
@@ -762,12 +818,11 @@ class TestMemory:
         rng = np.random.default_rng(7)
         psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi0 /= np.linalg.norm(psi0)
-        grid = TimeGrid(-4.0, 4.0, 8.0 / 800, stride=80)
+        grid = TimeGrid(-4.0, 4.0, 8.0 / 800, stride=stride)
         propagate(model, psi0, grid)  # fill the operator caches
         tracemalloc.start()
         try:
             propagate(model, psi0, grid)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.05 * 65.5e6
