@@ -49,7 +49,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "CavityFockError",

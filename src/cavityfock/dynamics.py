@@ -24,15 +24,18 @@ from batched products, each stride of them is folded into one block, and
 the recorded states from prefix products within groups of blocks and a
 doubling scan over the group totals, about one product per block.
 
-The recorded states stay in the stepped coordinates.  Observables and
-conservation checks are computed once per run from them, positivity by a
-Cholesky certificate, and the recorded controls from one schedule call at
-the recorded times; full states are lifted only when they are read.
+The recorded states are the real coordinates of the state on the basis
+states the model was built on, zero where a coordinate was not stepped.
+Observables and conservation checks are computed once per run from them,
+positivity by a Cholesky certificate, and the recorded controls from one
+schedule call at the recorded times; full states are lifted only when they
+are read.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import cached_property, lru_cache
 from typing import Callable
@@ -63,6 +66,8 @@ class TimeGrid:
         # every check is written so that NaN fails it
         if not 0.0 < self.dt < math.inf:
             raise ParameterDomainError(f"dt must be finite and positive, got {self.dt}")
+        if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral):
+            raise ParameterDomainError(f"stride must be an integer, got {self.stride}")
         if self.stride < 1:
             raise ParameterDomainError(f"stride must be at least 1, got {self.stride}")
         steps = (self.t_end - self.t_start) / self.dt
@@ -100,18 +105,17 @@ class Trajectory:
     """Columnar record of a run: each array holds one entry per recorded
     sample along its first axis.
 
-    ``coordinates`` (S, r) are the real coordinates that were stepped:
-    ``reached`` indexes them among the coordinates of a state on the k
-    basis states ``kept``, (Re psi, Im psi) or the k^2 real coordinates of
-    a density matrix (_coordinates), and every other one is zero.
-    ``states`` lifts them to pure states (S, d) or density matrices
-    (S, d, d) on first access, and ``final_state`` lifts the last sample
-    alone.  ``populations`` (S, d), in the order of ``basis.labels()``,
-    lift ``kept_populations`` (S, k) likewise.  ``model`` is the
-    schedule's model, "effective" or "full", and ``controls`` holds each
-    of its channels as an (S,) array.  ``dark_overlap`` and ``mandel_q``
-    are NaN where undefined: no drive field on, a full-model run, or an
-    empty cavity.
+    ``coordinates`` are the real coordinates of the state on the k basis
+    states ``kept``: (Re psi, Im psi), (S, 2k), or those of a density
+    matrix (_coordinates), (S, k^2); each is exactly zero where it was not
+    stepped.  ``states`` lifts them to pure states (S, d) or density
+    matrices (S, d, d) on first access, and ``final_state`` lifts the last
+    sample alone.  ``populations`` (S, d), in the order of
+    ``basis.labels()``, lift ``kept_populations`` (S, k) likewise.
+    ``model`` is the schedule's model, "effective" or "full", and
+    ``controls`` holds each of its channels as an (S,) array.
+    ``dark_overlap`` and ``mandel_q`` are NaN where undefined: no drive
+    field on, a full-model run, or an empty cavity.
     """
 
     basis: ProductBasis
@@ -120,7 +124,6 @@ class Trajectory:
     times: np.ndarray
     coordinates: np.ndarray
     kept: np.ndarray
-    reached: np.ndarray
     controls: ControlValues
     kept_populations: np.ndarray
     norm_or_trace: np.ndarray
@@ -145,7 +148,7 @@ class Trajectory:
     def _lifted(self, coordinates: np.ndarray) -> np.ndarray:
         """The states of the given samples, scattered into zeros of the
         full dimension."""
-        states = _kept_states(coordinates, self.reached, len(self.kept), self.is_density)
+        states = _kept_states(coordinates, len(self.kept), self.is_density)
         axes = states.ndim - 1
         full = np.zeros(states.shape[:1] + (self.basis.dimension,) * axes, dtype=complex)
         full[(slice(None),) + np.ix_(*[self.kept] * axes)] = states
@@ -156,7 +159,9 @@ class Trajectory:
         return populations(self.final_state, self.basis)
 
     def population_series(self, level: str, n: int) -> np.ndarray:
-        return self.populations[:, self.basis.index(level, n)]
+        """P(level, n) at every sample, zero if |level, n> was not kept."""
+        column = np.flatnonzero(self.kept == self.basis.index(level, n))
+        return self.kept_populations[:, column[0]] if len(column) else np.zeros(len(self.times))
 
     def max_population(self, level: str, n: int | None = None) -> float:
         """Largest recorded population of |level, n>, or of the whole level
@@ -171,19 +176,17 @@ class Trajectory:
 
 def _integrate(
     hamiltonian: LinearHamiltonian, grid: TimeGrid, blocks: np.ndarray, x0: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Integrate dx/dt = (A_static + sum_k c_k(t) A_k) x from x0 over the
-    grid one chunk at a time; return the recorded coordinates (S, r) and
-    the indices ``reached`` of the r coordinates stepped.
+    grid one chunk at a time; return the recorded coordinates (S, len(x0)).
 
     ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the
     coordinates that x0 reaches (_reachable) are stepped; every other one
-    stays exactly zero and is not stored.  The controls of a chunk are
-    evaluated at all its half steps in one call, and each half step once:
-    a chunk starts from the end point of the one before.  A chunk is a
-    whole number of strides, so its blocks of ``stride`` steps end at
-    recorded steps; a longer stride is cut into chunks of one block that
-    end at its recorded step.
+    stays exactly zero.  The controls of a chunk are evaluated at all its
+    half steps in one call, and each half step once: a chunk starts from
+    the end point of the one before.  A chunk is a whole number of strides,
+    so its blocks of ``stride`` steps end at recorded steps; a longer
+    stride is cut into chunks of one block that end at its recorded step.
     """
     samples, stride = grid.sample_steps, grid.stride
     reached = _reachable(blocks, x0)
@@ -195,8 +198,8 @@ def _integrate(
     chunk = np.empty((capacity, r))
     length = stride * (capacity // stride) or capacity
     period = max(length, stride)  # no chunk crosses a multiple of it
-    states = np.empty((len(samples), r))
-    states[0] = state = x0[reached]
+    states = np.zeros((len(samples), len(x0)))
+    states[0, reached] = state = x0[reached]
     columns = hamiltonian.evaluate(np.array([grid.t_start]))
     first = 0
     # A diverging run overflows to inf and NaN; _record reports it.
@@ -210,9 +213,9 @@ def _integrate(
             columns = np.concatenate((columns[-1:], chunk_columns))
             state = advance(state, columns, block, chunk[: -(-n // block)])
             lo, hi = np.searchsorted(samples, (first + 1, last + 1))
-            states[lo:hi] = chunk[(samples[lo:hi] - first - 1) // block]
+            states[lo:hi, reached] = chunk[(samples[lo:hi] - first - 1) // block]
             first = last
-    return states, reached
+    return states
 
 
 def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -303,31 +306,27 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
 
 
 def _record(
-    hamiltonian: LinearHamiltonian,
-    times: np.ndarray,
-    coordinates: np.ndarray,
-    kept: np.ndarray,
-    reached: np.ndarray,
+    hamiltonian: LinearHamiltonian, times: np.ndarray, coordinates: np.ndarray, kept: np.ndarray
 ) -> Trajectory:
-    """Check the recorded coordinates (S, r), derive the observables from
-    them, and evaluate the controls at the recorded times.
+    """Check the recorded coordinates, derive the observables from them,
+    and evaluate the controls at the recorded times.
 
-    ``kept`` and ``reached`` map the coordinates as in Trajectory; a model
-    with jumps records density matrices.  The populations are the diagonal
-    coordinates, or |psi_k|^2 on the kept basis states, and the norm or
-    trace is their sum; only that sum and the photon statistics see them on
-    all d basis states.  Density matrices are rebuilt on the kept basis
-    states, 512 samples at a time by one product each, for _check_positive,
-    and the dark overlap is a form on a few coordinates (_dark_overlaps).
-    Every check is written so that NaN fails it.
+    The coordinates are those of the state on the basis states ``kept``, as
+    in Trajectory; a model with jumps records density matrices.  The
+    populations are the diagonal coordinates, or |psi_k|^2 on the kept
+    basis states, and the norm or trace is their sum; only that sum and the
+    photon statistics see them on all d basis states.  Density matrices are
+    rebuilt on the kept basis states, 512 samples at a time by one product
+    each (_kept_states), for _check_positive, and the dark overlap is a
+    form on a few coordinates (_dark_overlaps).  Every check is written so
+    that NaN fails it.
     """
     basis, is_density, size = hamiltonian.basis, bool(hamiltonian.jumps), len(kept)
     weights = np.zeros((len(times), basis.dimension))
     if is_density:
-        diagonal = np.count_nonzero(reached < size)  # the diagonal coordinates come first
-        weights[:, kept[reached[:diagonal]]] = coordinates[:, :diagonal]
+        weights[:, kept] = coordinates[:, :size]  # the diagonal coordinates come first
     else:
-        weights[:, kept] = diagonal_weights(_kept_states(coordinates, reached, size, False), False)
+        weights[:, kept] = diagonal_weights(_kept_states(coordinates, size, False), False)
     weight = weights.sum(axis=-1)
     kind = "trace" if is_density else "norm"
     bad = ~(np.abs(weight - 1.0) <= NORM_DRIFT_LIMIT)
@@ -339,23 +338,22 @@ def _record(
     if is_density:
         for start in range(0, len(times), 512):
             part = slice(start, start + 512)
-            _check_positive(_kept_states(coordinates[part], reached, size, True), times[part])
+            _check_positive(_kept_states(coordinates[part], size, True), times[part])
     model = hamiltonian.schedule.model
     controls = hamiltonian.schedule.values(times)
     if model == "effective":
-        dark = _dark_overlaps(coordinates, kept, reached, is_density, controls, basis)
+        dark = _dark_overlaps(coordinates, kept, is_density, controls, basis)
     else:
         dark = np.full(len(times), np.nan)
     return Trajectory(
-        basis, is_density, model, times, coordinates, kept, reached, controls,
-        weights, weight, dark, n_mean, q
+        basis, is_density, model, times, coordinates, kept, controls, weights, weight, dark,
+        n_mean, q
     )
 
 
 def _dark_overlaps(
     coordinates: np.ndarray,
     kept: np.ndarray,
-    reached: np.ndarray,
     is_density: bool,
     controls: ControlValues,
     basis: ProductBasis,
@@ -366,10 +364,13 @@ def _dark_overlaps(
     is c^2 rho_aa + c s Re rho_ab + s c Re rho_ab + s^2 rho_bb, or
     |c psi_a + s psi_b|^2, each product rounded and the terms summed in
     the order of the complex form, so that it equals the reference on full
-    states in tests/oracles.py bit for bit.  A coordinate that was not
-    stepped, or a basis state not kept, is zero."""
+    states in tests/oracles.py bit for bit.  A basis state not kept has
+    zero coordinates."""
     size = len(kept)
-    values = dict(zip(reached.tolist(), coordinates.T))
+
+    def column(p, shift=0):
+        return 0.0 if p is None else coordinates[:, p + shift]
+
     where = {index: p for p, index in enumerate(kept.tolist())}
     a, b = where.get(basis.index("g1", 0)), where.get(basis.index("g2", 1))
     theta = np.arctan2(controls.omega_r, controls.g)
@@ -377,12 +378,10 @@ def _dark_overlaps(
     if is_density:
         # kept is sorted, so a < b and Re rho_ab is an upper-triangle coordinate
         upper = None if None in (a, b) else np.searchsorted(_triangles(size)[1], a * size + b)
-        aa, bb, ab = (values.get(i, 0.0) for i in (a, b, None if upper is None else size + upper))
+        aa, bb, ab = column(a), column(b), column(upper, size)
         dark = (c * aa) * c + (c * ab) * s + (s * ab) * c + (s * bb) * s
     else:
-        re_a, im_a, re_b, im_b = (
-            0.0 if p is None else values.get(p + shift, 0.0) for p in (a, b) for shift in (0, size)
-        )
+        re_a, im_a, re_b, im_b = column(a), column(a, size), column(b), column(b, size)
         dark = np.abs((c * re_a + s * re_b) + 1j * (c * im_a + s * im_b)) ** 2
     driven = (controls.omega_r != 0.0) | (controls.g != 0.0)
     return np.where(driven, dark, np.nan)
@@ -455,8 +454,8 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
     operators = np.array([model.static, *model.terms.values(), *(op for _, op in model.jumps)])
     kept = _reachable(operators, psi)
     blocks, x0 = _linear_form(_restricted(model, kept), psi[kept])
-    coordinates, reached = _integrate(model, grid, blocks, x0)
-    return _record(model, grid.time(grid.sample_steps), coordinates, kept, reached)
+    coordinates = _integrate(model, grid, blocks, x0)
+    return _record(model, grid.time(grid.sample_steps), coordinates, kept)
 
 
 def _restricted(model: LinearHamiltonian, kept: np.ndarray) -> LinearHamiltonian:
@@ -472,18 +471,15 @@ def _restricted(model: LinearHamiltonian, kept: np.ndarray) -> LinearHamiltonian
     )
 
 
-def _kept_states(
-    coordinates: np.ndarray, reached: np.ndarray, size: int, is_density: bool
-) -> np.ndarray:
+def _kept_states(coordinates: np.ndarray, size: int, is_density: bool) -> np.ndarray:
     """The states (S, k) or density matrices (S, k, k) on the k = ``size``
-    kept basis states whose reached coordinates are (S, r), every other one
-    zero; density matrices come from one product with the unit matrices."""
+    kept basis states, from their real coordinates (S, 2k) or (S, k^2).  A
+    density matrix is one product with the unit matrices, each entry one
+    coordinate times +-1 plus zeros: exact on finite input, and Hermitian."""
     if is_density:
-        units = _unit_matrices(size).reshape(size * size, -1).view(float)[reached]
+        units = _unit_matrices(size).reshape(size * size, -1).view(float)
         return (coordinates @ units).view(complex).reshape(-1, size, size)
-    x = np.zeros((len(coordinates), 2 * size))
-    x[:, reached] = coordinates
-    return x[:, :size] + 1j * x[:, size:]
+    return coordinates[:, :size] + 1j * coordinates[:, size:]
 
 
 def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:
@@ -512,8 +508,16 @@ def _triangles(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def _unit_matrices(dim: int) -> np.ndarray:
-    """The d^2 coordinate unit matrices E_i (d^2, d, d), read-only."""
-    return _read_only(_density_matrices(np.eye(dim * dim)))
+    """The d^2 coordinate unit matrices E_i (d^2, d, d), read-only: E_i has
+    coordinate i (_coordinates) 1 and every other 0.  The entries are set
+    by their real and imaginary parts, so that no zero is negative."""
+    diagonal, upper, lower = _triangles(dim)
+    re, im = np.split(np.arange(dim, dim * dim), 2)  # the upper entries' coordinates
+    units = np.zeros((dim * dim, dim * dim), dtype=complex)
+    units.real[np.arange(dim), diagonal] = 1.0
+    units.real[re, upper] = units.real[re, lower] = units.imag[im, upper] = 1.0
+    units.imag[im, lower] = -1.0
+    return _read_only(units.reshape(-1, dim, dim))
 
 
 def _coordinates(rho: np.ndarray) -> np.ndarray:
@@ -526,20 +530,6 @@ def _coordinates(rho: np.ndarray) -> np.ndarray:
     return np.concatenate(
         (flat[..., diagonal].real, flat[..., upper].real, flat[..., upper].imag), axis=-1
     )
-
-
-def _density_matrices(x: np.ndarray) -> np.ndarray:
-    """The Hermitian matrices (..., d, d) of real coordinates x (..., d^2).
-    Each lower entry is the conjugate of the same two reals as its upper
-    mirror, so every matrix is exactly Hermitian."""
-    dim = math.isqrt(x.shape[-1])
-    diagonal, upper, lower = _triangles(dim)
-    re, im = np.split(x[..., dim:], 2, axis=-1)
-    rho = np.empty(x.shape[:-1] + (dim * dim,), dtype=complex)
-    rho[..., np.concatenate((diagonal, upper, lower))] = np.concatenate(
-        (x[..., :dim], re + 1j * im, re - 1j * im), axis=-1
-    )
-    return rho.reshape(x.shape[:-1] + (dim, dim))
 
 
 def _real_liouvillian(model: LinearHamiltonian) -> np.ndarray:

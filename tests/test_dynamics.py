@@ -29,13 +29,14 @@ from cavityfock import dynamics
 from cavityfock.dynamics import (
     NEGATIVITY_LIMIT,
     _coordinates,
-    _density_matrices,
+    _kept_states,
     _linear_advance,
     _linear_form,
     _reachable,
     _real_liouvillian,
     _record,
     _smallest_eigenvalues,
+    _unit_matrices,
 )
 from cavityfock.observables import diagonal_weights
 from cavityfock.scenarios import model_config, time_grid
@@ -64,6 +65,11 @@ class TestTimeGrid:
             TimeGrid(0.0, 1.0, -0.1)
         with pytest.raises(ParameterDomainError):
             TimeGrid(0.0, 1.0, 0.1, stride=0)
+
+    @pytest.mark.parametrize("stride", [2.5, 10.0, True])
+    def test_rejects_a_stride_that_is_not_an_integer(self, stride):
+        with pytest.raises(ParameterDomainError, match=f"stride must be an integer, got {stride}"):
+            TimeGrid(-4.0, 4.0, 1e-3, stride=stride)
 
     @pytest.mark.parametrize(
         "window",
@@ -505,7 +511,7 @@ class TestRealLiouvillian:
         rho = raw + raw.conj().T  # exactly Hermitian
         rho /= np.trace(rho).real
         x = _coordinates(rho)
-        assert np.array_equal(_density_matrices(x), rho)
+        assert np.array_equal(_kept_states(x[None], d, True)[0], rho)
         for controls in rng.normal(scale=3.0, size=(5, len(model.terms))):
             h = model.static + sum(c * term for c, term in zip(controls, model.terms.values()))
             expected = -1j * (h @ rho - rho @ h.conj().T)
@@ -513,7 +519,7 @@ class TestRealLiouvillian:
                 expected += rate * (op @ rho @ op_dag)
             blocks = (stack @ x).reshape(-1, d * d)
             derivative = np.concatenate(([1.0], controls)) @ blocks
-            assert np.max(np.abs(_density_matrices(derivative) - expected)) <= 1e-13
+            assert np.max(np.abs(_kept_states(derivative[None], d, True)[0] - expected)) <= 1e-13
 
 
 class TestReachableSubspace:
@@ -621,6 +627,34 @@ class TestRecordedCoordinates:
         assert np.array_equal(trajectory.dark_overlap, dark, equal_nan=True)
 
 
+class TestRecordContract:
+    """A run records the real coordinates of its state on the basis states
+    it kept, and every coordinate of them."""
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_coordinates_are_those_of_the_state_on_the_kept_basis_states(self, name, n_max):
+        """2k coordinates for a pure state, k^2 for a density matrix; the
+        master equation steps 10 of its 16 and leaves the others zero."""
+        sim = replace(resolve_preset(name), n_max=n_max, stride=7)
+        basis = build_basis(sim.model, n_max)
+        model = linear_hamiltonian(model_config(sim), basis)
+        trajectory = propagate(model, basis.state("g1", 0), time_grid(sim))
+        k = len(trajectory.kept)
+        width = trajectory.coordinates.shape[1]
+        assert width == (k * k if trajectory.is_density else 2 * k)
+        if name.startswith("fig2f_"):
+            assert width == 16
+            assert np.count_nonzero(trajectory.coordinates.any(axis=0)) == 10
+
+    @pytest.mark.parametrize("dim", range(1, 7))
+    def test_unit_matrices_have_the_unit_coordinates(self, dim):
+        units = _unit_matrices(dim)
+        assert np.array_equal(_coordinates(units), np.eye(dim * dim))
+        parts = units.view(float)
+        assert not np.signbit(parts[parts == 0.0]).any()
+
+
 def embedded_density_stack(rng, support, dim, smallest):
     """Exactly Hermitian unit-trace matrices (S, dim, dim) that are zero
     outside the rows and columns ``support``; the block on it has the
@@ -639,9 +673,8 @@ def embedded_density_stack(rng, support, dim, smallest):
 
 def record_stack(model, times, stack):
     """_record of density matrices (S, d, d) given in full: their d^2 real
-    coordinates, all kept and all reached."""
-    dim = stack.shape[-1]
-    return _record(model, times, _coordinates(stack), np.arange(dim), np.arange(dim * dim))
+    coordinates, all kept."""
+    return _record(model, times, _coordinates(stack), np.arange(stack.shape[-1]))
 
 
 class TestNegativityCheck:

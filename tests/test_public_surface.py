@@ -1,5 +1,6 @@
 """The package's public surface: its exported names and its version."""
 
+import dataclasses
 import importlib
 import pkgutil
 import re
@@ -51,6 +52,15 @@ def test_test_oracles_are_not_in_the_package(module):
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
 def test_names_replaced_by_the_model_tables_are_gone(module):
     assert [name for name in REPLACED_BY_TABLES if hasattr(module, name)] == []
+
+
+def test_trajectory_holds_no_stepped_coordinate_indices():
+    assert "reached" not in {f.name for f in dataclasses.fields(cavityfock.Trajectory)}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_one_decoder_of_density_coordinates(module):
+    assert not hasattr(module, "_density_matrices")
 
 
 def test_schedule_has_channels_and_no_per_model_flags():

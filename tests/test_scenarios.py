@@ -85,6 +85,13 @@ class TestRun:
         assert float(last[header.index("n_mean")]) == summary.final_n
         assert float(last[header.index("mandel_q")]) == summary.final_q
 
+    def test_summary_and_csv_lift_no_states_and_no_populations(self, tmp_path):
+        sim = replace(resolve_preset("fig2f_dissipative_tqd"), stride=1)
+        trajectory, _summary = simulate(sim)
+        scenarios.write_trajectory_csv(trajectory, str(tmp_path / "d.csv"))
+        assert "populations" not in vars(trajectory)
+        assert "states" not in vars(trajectory)
+
     def test_effective_model_leaves_full_columns_empty(self, tmp_path):
         cfg = replace(
             resolve_preset("fig2_tqd"),
