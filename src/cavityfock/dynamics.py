@@ -27,9 +27,9 @@ doubling scan over the group totals, about one product per block.
 The recorded states are the real coordinates of the state on the basis
 states the model was built on, zero where a coordinate was not stepped.
 Observables and conservation checks are computed once per run from them,
-positivity by a Cholesky certificate, and the recorded controls from one
-schedule call at the recorded times; full states are lifted only when they
-are read.
+positivity by a Cholesky certificate.  The recorded controls are the
+stepper's control columns at the recorded steps, so each half step is
+evaluated once per run; full states are lifted only when they are read.
 """
 
 from __future__ import annotations
@@ -176,24 +176,29 @@ class Trajectory:
 
 def _integrate(
     hamiltonian: LinearHamiltonian, grid: TimeGrid, blocks: np.ndarray, x0: np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Integrate dx/dt = (A_static + sum_k c_k(t) A_k) x from x0 over the
-    grid one chunk at a time; return the recorded coordinates (S, len(x0)).
+    grid one chunk at a time; return the recorded coordinates (S, len(x0))
+    and the control columns c_k at the recorded steps (S, K).
 
     ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the
     coordinates that x0 reaches (_reachable) are stepped; every other one
     stays exactly zero.  The controls of a chunk are evaluated at all its
     half steps in one call, and each half step once: a chunk starts from
-    the end point of the one before.  A chunk is a whole number of strides,
-    so its blocks of ``stride`` steps end at recorded steps; a longer
-    stride is cut into chunks of one block that end at its recorded step.
+    the end point of the one before.  A recorded step k is half step 2k,
+    at t_start + (dt/2)(2k), the same double as t_start + k dt, so the
+    recorded controls are those columns.  A chunk is a whole number of
+    strides, so its blocks of ``stride`` steps end at recorded steps; a
+    longer stride is cut into chunks of one block that end at its recorded
+    step.
     """
     samples, stride = grid.sample_steps, grid.stride
     reached = _reachable(blocks, x0)
-    # Room for as many r x r step matrices as 256 take at r = 10, the largest
-    # preset, and at a larger r for 256 but no more than 64 take at r = 144
+    # Chunks of 711 steps, since each costs one control call and one advance
+    # call, but with r x r step matrices that take no more room than 64
+    # steps' at full support at n_max = 3, r = 144
     r = len(reached)
-    capacity = max(1, 256 * 10**2 // r**2, min(256, 64 * 144**2 // r**2))
+    capacity = max(1, min(711, 64 * 144**2 // r**2))
     advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt, capacity)
     chunk = np.empty((capacity, r))
     length = stride * (capacity // stride) or capacity
@@ -201,6 +206,8 @@ def _integrate(
     states = np.zeros((len(samples), len(x0)))
     states[0, reached] = state = x0[reached]
     columns = hamiltonian.evaluate(np.array([grid.t_start]))
+    controls = np.empty((len(samples), columns.shape[1]))
+    controls[0] = columns[0]
     first = 0
     # A diverging run overflows to inf and NaN; _record reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -213,9 +220,10 @@ def _integrate(
             columns = np.concatenate((columns[-1:], chunk_columns))
             state = advance(state, columns, block, chunk[: -(-n // block)])
             lo, hi = np.searchsorted(samples, (first + 1, last + 1))
-            states[lo:hi, reached] = chunk[(samples[lo:hi] - first - 1) // block]
+            states[lo:hi, reached] = chunk[: hi - lo]  # the ends of its blocks, in order
+            controls[lo:hi] = columns[2 * (samples[lo:hi] - first)]
             first = last
-    return states
+    return states, controls
 
 
 def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
@@ -306,13 +314,20 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
 
 
 def _record(
-    hamiltonian: LinearHamiltonian, times: np.ndarray, coordinates: np.ndarray, kept: np.ndarray
+    hamiltonian: LinearHamiltonian,
+    times: np.ndarray,
+    coordinates: np.ndarray,
+    columns: np.ndarray,
+    kept: np.ndarray,
 ) -> Trajectory:
-    """Check the recorded coordinates, derive the observables from them,
-    and evaluate the controls at the recorded times.
+    """Check the recorded coordinates and derive the observables from them
+    and from the control columns at the recorded times.
 
     The coordinates are those of the state on the basis states ``kept``, as
     in Trajectory; a model with jumps records density matrices.  The
+    columns (S, K) are the stepper's (_integrate), in the order of the
+    model's terms; a channel without a term is off and recorded as zeros,
+    so the schedule is not evaluated again.  The
     populations are the diagonal coordinates, or |psi_k|^2 on the kept
     basis states, and the norm or trace is their sum; only that sum and the
     photon statistics see them on all d basis states.  Density matrices are
@@ -340,7 +355,9 @@ def _record(
             part = slice(start, start + 512)
             _check_positive(_kept_states(coordinates[part], size, True), times[part])
     model = hamiltonian.schedule.model
-    controls = hamiltonian.schedule.values(times)
+    recorded = dict(zip(hamiltonian.terms, columns.T.copy()))
+    off = np.zeros(len(times))
+    controls = ControlValues(*(recorded.get(name, off) for name in ControlValues._fields))
     if model == "effective":
         dark = _dark_overlaps(coordinates, kept, is_density, controls, basis)
     else:
@@ -454,8 +471,8 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
     operators = np.array([model.static, *model.terms.values(), *(op for _, op in model.jumps)])
     kept = _reachable(operators, psi)
     blocks, x0 = _linear_form(_restricted(model, kept), psi[kept])
-    coordinates = _integrate(model, grid, blocks, x0)
-    return _record(model, grid.time(grid.sample_steps), coordinates, kept)
+    coordinates, columns = _integrate(model, grid, blocks, x0)
+    return _record(model, grid.time(grid.sample_steps), coordinates, columns, kept)
 
 
 def _restricted(model: LinearHamiltonian, kept: np.ndarray) -> LinearHamiltonian:

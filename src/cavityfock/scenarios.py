@@ -226,7 +226,9 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     of all cells at once.  A cell whose rounding it cannot prove - within
     2^-40 of a tie, subnormal, infinite, or with |x| outside
     [1e-283, 1e299) - is formatted by ``"%.16e" % x`` itself; on the
-    presets that is no cell at all.
+    presets that is no cell at all.  A column that is NaN in every row,
+    such as that of a level or channel the model lacks, is written as
+    separators alone and never formatted (_csv_blocks).
     """
     levels, channels = trajectory.basis.levels, CHANNELS[trajectory.model]
     undefined = np.broadcast_to(np.nan, trajectory.times.shape)
@@ -260,37 +262,102 @@ _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 # The scaled fraction carries an error below 2^-47; fractions closer than
 # this to 1/2, the true ties among them, are left to "%.16e".
 _TIE_BOUND = 2.0**-40
-_CELL = 25  # sign, d.dddddddddddddddd, e, exponent sign, 3 digits, separator
+_CELL = 25  # sign, d.dddddddddddddddd, e, exponent sign, 2 or 3 digits, separator
 _FIXED = (0, 2, 19), np.frombuffer(b"-.e", dtype=np.uint8)  # bytes of every cell; "-" if signed
+_FALLBACK = 8  # the kind of a cell that "%.16e" wrote
 
 
 def _csv_blocks(columns: list[np.ndarray]):
     """The rows of equal-length float columns as CSV bytes, one block of
-    rows at a time: each cell as ``"%.16e" % x``, NaN cells empty.  The
-    table and cell buffers are allocated, and the bytes that every cell and
-    row end write are laid out, once per call."""
+    rows at a time: each cell as ``"%.16e" % x``, NaN cells empty.
+
+    A column that is NaN in every row is left out of the table that
+    _e16_cells formats and written as separators alone.  A block in which
+    every other column keeps one kind of cell (_decimal_tables) is laid out
+    by column slices (_sliced_rows), any other by a mask over the cell
+    slots (_masked_rows).  The table and cell buffers are allocated, and
+    the bytes that every cell writes are laid out, once per call.
+    """
     rows, width = len(columns[0]), len(columns)
+    live = [j for j, column in enumerate(columns) if not np.isnan(column).all()]
     step = max(1, min(rows, _BLOCK_CELLS // width))
-    table, cells = np.empty((step, width)), np.empty((step * width, _CELL), dtype=np.uint8)
-    cells[:, _FIXED[0]], cells[:, -1] = _FIXED[1], ord(",")
-    cells.reshape(step, width, _CELL)[:, -1, -1] = ord("\n")
+    table = np.empty((step, len(live)))
+    cells = np.empty((step * len(live), _CELL), dtype=np.uint8)
+    cells[:, _FIXED[0]] = _FIXED[1]
     for first in range(0, rows, step):
         part = table[: min(step, rows - first)]
-        yield _e16_cells(np.stack([c[first : first + step] for c in columns], 1, out=part), cells)
+        for p, j in enumerate(live):
+            part[:, p] = columns[j][first : first + step]
+        kind = _e16_cells(part, cells).reshape(part.shape)
+        text = _sliced_rows(cells, kind, live, width)
+        yield _masked_rows(cells, kind, live, width) if text is None else text
+
+
+def _sliced_rows(
+    cells: np.ndarray, kind: np.ndarray, live: list[int], width: int
+) -> np.ndarray | None:
+    """The CSV bytes of a block laid out by column slices, or None when a
+    live column of it holds more than one kind of cell or a "%.16e" one.
+
+    ``kind`` (rows, live columns) holds the kinds of the cells of ``cells``
+    (_e16_cells), and ``live`` the columns of the ``width`` in the table;
+    the others are empty.  Every row has the same length, and a cell's
+    text is one slice of its slot, so the rows are one (rows, length)
+    array, written by one slice copy per live column and one write of the
+    separators.
+    """
+    kinds = kind[0]
+    if (kind != kinds).any() or (kinds == _FALLBACK).any():
+        return None
+    starts, stops = np.zeros((2, width), dtype=np.intp)
+    starts[live], stops[live] = _decimal_tables()[4][kinds].T
+    ends = np.cumsum(stops - starts + 1)  # one past each separator
+    rows = np.empty((len(kind), int(ends[-1])), dtype=np.uint8)
+    rows[:, ends - 1] = ord(",")
+    rows[:, -1] = ord("\n")
+    slots = cells[: kind.size].reshape(len(kind), len(live), _CELL)
+    bounds = zip(*(bound[live].tolist() for bound in (starts, stops, ends)))
+    for p, (start, stop, end) in enumerate(bounds):
+        rows[:, end - 1 - (stop - start) : end - 1] = slots[:, p, start:stop]
+    return rows.ravel()
+
+
+def _masked_rows(cells: np.ndarray, kind: np.ndarray, live: list[int], width: int) -> np.ndarray:
+    """The CSV bytes of a block by a mask over its cell slots: each live
+    cell keeps the bytes that its kind writes (_decimal_tables), or all
+    that "%.16e" wrote, and every cell its separator."""
+    count, size = kind.shape
+    kind = kind.ravel()
+    slow = np.flatnonzero(kind == _FALLBACK)
+    keep = np.zeros((count, width, _CELL), dtype=bool)
+    keep[:, :, -1] = True
+    live_keep = np.take(_decimal_tables()[3], kind, axis=0)
+    live_keep[slow, :-1] &= cells[slow, :-1] != 0  # "%.16e" text padded with zeros
+    keep[:, live] = live_keep.reshape(count, size, _CELL)
+    slots = np.empty((count, width, _CELL), dtype=np.uint8)
+    slots[:, live] = cells[: kind.size].reshape(count, size, _CELL)
+    slots[:, :, -1] = ord(",")
+    slots[:, -1, -1] = ord("\n")
+    cells[slow[:, None], _FIXED[0]] = _FIXED[1]  # laid out again where "%.16e" wrote
+    return slots[keep]
 
 
 @lru_cache(maxsize=None)
-def _decimal_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Lookup tables of _e16_cells, built on first use.
+def _decimal_tables() -> tuple[np.ndarray, ...]:
+    """Lookup tables of _e16_cells and of the CSV row layouts, built on
+    first use.
 
     ``scales`` has four rows over the exponents E in [_EXP_MIN, _EXP_MAX]:
     the nearest double h to 10^(16-E), the Veltkamp halves of h, and the
     nearest double to the remainder 10^(16-E) - h; both roundings are the
     correct ones of Python integer division.  ``quads`` holds the ASCII of
     0000..9999 as one uint32 each, and ``exponents`` that of the sign and
-    three digits of each exponent in [-400, 400].  Row k of ``kept`` marks
-    the bytes that a cell of kind k writes: kind 1 has a minus sign, 2 a
-    three-digit exponent, and 4 is NaN, of which only the separator stays.
+    the digits of each exponent in [-400, 400], left-aligned: two digits
+    fill the first two of the three places.  A cell of kind k has a minus
+    sign if k & 1, a three-digit exponent if k & 2, and is NaN, with no
+    text, if k & 4; _FALLBACK is a cell that "%.16e" wrote.  Its text is
+    bytes [start, stop) of its slot, row k of ``spans``, and row k of
+    ``kept`` marks those bytes and the separator.
     """
     scales = []
     for exponent in range(_EXP_MIN, _EXP_MAX + 1):
@@ -305,17 +372,22 @@ def _decimal_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     ascii = np.empty((len(numbers), 4), dtype=np.uint8)
     for place, unit in enumerate((1000, 100, 10, 1)):
         ascii[:, place] = numbers // unit % 10 + ord("0")
-    exponents = ascii[np.abs(numbers[:801] - 400)]
+    magnitude = np.abs(numbers[:801] - 400)
+    exponents = ascii[magnitude]
+    exponents[magnitude < 100, 1:3] = exponents[magnitude < 100, 2:]
     exponents[:, 0] = np.where(numbers[:801] < 400, ord("-"), ord("+"))
-    kept = np.ones((8, _CELL), dtype=bool)
-    kept[:, 0] = numbers[:8] % 2
-    kept[:, 21] = numbers[:8] // 2 % 2
-    kept[4:, :-1] = False
+    kinds = numbers[: _FALLBACK + 1]
+    spans = np.stack((1 - kinds % 2, 23 + kinds // 2 % 2), axis=1)
+    spans[4:] = 0, 0
+    spans[_FALLBACK] = 0, _CELL - 1  # as far as the text's zero padding
+    kept = (spans[:, :1] <= numbers[:_CELL]) & (numbers[:_CELL] < spans[:, 1:])
+    kept[:, -1] = True
     tables = (
         np.array(scales).T.copy(),
         ascii.view(np.uint32).ravel(),
         exponents.view(np.uint32).ravel(),
         kept,
+        spans,
     )
     return tuple(map(_read_only, tables))
 
@@ -325,20 +397,17 @@ def _scaled(a: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Dekker's exact product a h = p + err (Numer. Math. 18, 224 (1971)),
     with a split by Veltkamp as numpy has no fused multiply-add, plus a
     times the remainder 10^(16 - exponent) - h."""
-    high, high_top, high_bottom, rest = _decimal_tables()[0]
-    index = exponent - _EXP_MIN
-    p = a * high[index]
-    lo = a * rest[index]
+    high, high_top, high_bottom, rest = np.take(_decimal_tables()[0], exponent - _EXP_MIN, axis=1)
+    p = a * high
+    lo = a * rest
     top = a * _SPLITTER
     top -= top - a
     bottom = a - top
-    h = high_top[index]
-    err = top * h
+    err = top * high_top
     err -= p
-    err += np.multiply(bottom, h, out=h)
-    h = high_bottom[index]
-    err += np.multiply(top, h, out=top)
-    err += np.multiply(bottom, h, out=h)
+    err += np.multiply(bottom, high_top, out=high_top)
+    err += np.multiply(top, high_bottom, out=top)
+    err += np.multiply(bottom, high_bottom, out=high_bottom)
     lo += err
     return p, lo
 
@@ -386,18 +455,18 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """A (rows, columns) float table as the bytes (uint8) of CSV rows:
-    exactly ``",".join("%.16e" % x for x in row) + "\\n"`` per row, with
-    NaN cells empty.
+    """Lay out each cell of a (rows, columns) float table in its _CELL-byte
+    slot, the rows of ``cells`` in the table's order, and return the kind
+    of each cell (uint8, _decimal_tables): the text of ``"%.16e" % x`` is
+    bytes [start, stop) of the slot of a cell of that kind, empty for NaN.
 
-    The digits and exponents come from _decimal_digits.  Every cell is laid
-    out in _CELL bytes of the rows of ``cells``, whose _FIXED bytes,
-    separators and row ends are in place, the digits four at a time from a
-    lookup table, and the bytes that the cell does not write (a plus sign,
-    a hundreds digit of the exponent, all of a NaN) are masked out.  Zeros
-    keep their sign.  The cells that _decimal_digits leaves undecided -
-    near-ties, subnormals, infinities and magnitudes out of range - are
-    formatted with ``"%.16e"`` one by one.
+    The digits and exponents come from _decimal_digits.  The _FIXED bytes
+    of every slot are in place; the digits are written four at a time from
+    a lookup table, and the exponent's sign and digits as one uint32.
+    Zeros keep their sign.  The cells that _decimal_digits leaves
+    undecided - near-ties, subnormals, infinities and magnitudes out of
+    range - are formatted with ``"%.16e"`` one by one into their slots,
+    padded with zero bytes, and are of kind _FALLBACK.
     """
     x = table.ravel()
     cells = cells[: len(x)]
@@ -405,7 +474,7 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     nan = np.isnan(x)
     slow = np.flatnonzero(~(decided | nan))
 
-    _, quads, exponents, kept = _decimal_tables()
+    _, quads, exponents = _decimal_tables()[:3]
     high = digits // 10**8
     digits -= high * 10**8
     lead = high // 10**8
@@ -420,15 +489,12 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     cells[:, 20:24].view(np.uint32)[:, 0] = exponents[exponent + 400]
     kind = np.signbit(x).view(np.uint8) | (np.abs(exponent) >= 100).view(np.uint8) << 1
     kind |= nan.view(np.uint8) << 2
-    keep = np.take(kept, kind, axis=0)
     if len(slow):
         texts = [_fmt(value).encode() for value in x[slow].tolist()]
         padded = np.array(texts, dtype=f"S{_CELL - 1}").view(np.uint8)
         cells[slow, :-1] = padded.reshape(len(slow), _CELL - 1)
-        keep[slow, :-1] = np.arange(_CELL - 1) < np.array([len(t) for t in texts])[:, None]
-    text = cells[keep]
-    cells[slow[:, None], _FIXED[0]] = _FIXED[1]  # laid out again where "%.16e" wrote
-    return text
+        kind[slow] = _FALLBACK
+    return kind
 
 
 SWEEP_COLUMNS = (

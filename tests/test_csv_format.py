@@ -5,6 +5,7 @@ kept here as it was, and Python's own "%.16e" for single values.
 """
 
 import math
+import os
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -94,6 +95,21 @@ def fallbacks(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def sliced(monkeypatch):
+    """Whether each block, in order, is laid out by column slices."""
+    seen = []
+    original = scenarios._sliced_rows
+
+    def recording(*args):
+        text = original(*args)
+        seen.append(text is not None)
+        return text
+
+    monkeypatch.setattr(scenarios, "_sliced_rows", recording)
+    return seen
+
+
 class TestAgainstRowWriter:
     @pytest.mark.parametrize("stride", [1, 7, 10])
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -105,11 +121,81 @@ class TestAgainstRowWriter:
         trajectory, _summary = simulate(replace(resolve_preset("fig2f_dissipative_tqd"), n_max=3))
         self._assert_identical(trajectory, tmp_path)
 
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_masked_layout_is_byte_identical(self, name, stride, tmp_path, monkeypatch):
+        """Every block forced through the mask over the cell slots."""
+        trajectory, _summary = simulate(replace(resolve_preset(name), stride=stride))
+        write_trajectory_csv(trajectory, str(tmp_path / "sliced.csv"))
+        monkeypatch.setattr(scenarios, "_sliced_rows", lambda *args: None)
+        self._assert_identical(trajectory, tmp_path)
+        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "sliced.csv").read_bytes()
+
     @staticmethod
     def _assert_identical(trajectory, tmp_path):
         write_trajectory_csv(trajectory, str(tmp_path / "new.csv"))
         reference_write_trajectory_csv(trajectory, str(tmp_path / "old.csv"))
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+
+
+class TestLayouts:
+    """A block whose live columns each keep one kind of cell is laid out by
+    column slices, any other by a mask; a column that is NaN in every row
+    is never formatted."""
+
+    @pytest.mark.parametrize("name, live", [("fig2_tqd", 12), ("fig3_full", 13)])
+    def test_all_nan_columns_never_reach_the_digits(self, name, live, monkeypatch):
+        """The effective model lacks p_em_0, gm_T and omegam_T; the full
+        model omega1_T, and its dark_overlap is undefined."""
+        trajectory, _summary = simulate(replace(resolve_preset(name), stride=1))
+        counted = []
+        original = scenarios._decimal_digits
+
+        def counting(x):
+            counted.append(len(x))
+            return original(x)
+
+        monkeypatch.setattr(scenarios, "_decimal_digits", counting)
+        write_trajectory_csv(trajectory, os.devnull)
+        assert sum(counted) == live * len(trajectory.times)
+
+    def test_stride_one_blocks_take_the_slices_but_two(self, sliced):
+        """t changes sign in one block and mandel_q stops being NaN in
+        another; the other 13 of the 15 blocks of 8 001 rows are sliced."""
+        trajectory, _summary = simulate(replace(resolve_preset("fig2_tqd"), stride=1))
+        write_trajectory_csv(trajectory, os.devnull)
+        assert (len(sliced), sum(sliced)) == (15, 13)
+
+    @staticmethod
+    def _table():
+        """Two blocks of 546 rows.  The first holds one sign flip of t and
+        a column that is NaN in some rows; in the second every column keeps
+        one kind: each sign with two- and three-digit exponents, and a
+        column that is NaN in this block only."""
+        rows = 2 * (scenarios._BLOCK_CELLS // 15)
+        t = np.linspace(-0.5, 1.5, rows)
+        ramp = np.linspace(1.0, 2.0, rows)
+        first = np.arange(rows) < rows // 2
+        partial, second = np.where(first & (t < 0), np.nan, ramp), np.where(first, ramp, np.nan)
+        nan = np.full(rows, np.nan)
+        columns = [t, ramp, -ramp, 1e-120 * ramp, -1e150 * ramp, partial, nan, 3e-7 * ramp]
+        columns += [-ramp * 1e5, np.full(rows, -0.0), np.zeros(rows), nan, second, nan, ramp**2]
+        return np.column_stack(columns)
+
+    def test_sign_flip_and_every_kind_against_percent_format(self, sliced):
+        table = self._table()
+        assert formatted(table) == expected_rows(table)
+        assert sliced == [False, True]
+
+    def test_masked_layout_writes_the_same_bytes(self, monkeypatch):
+        table = self._table()
+        sliced = formatted(table)
+        monkeypatch.setattr(scenarios, "_sliced_rows", lambda *args: None)
+        assert formatted(table) == sliced
+
+    def test_all_nan_table_is_separators_alone(self, fallbacks):
+        assert formatted(np.full((3, 4), np.nan)) == b",,,\n" * 3
+        assert not fallbacks
 
 
 class TestAgainstPercentFormat:

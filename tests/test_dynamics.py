@@ -8,6 +8,7 @@ from scipy.linalg import expm
 
 from cavityfock import (
     PRESETS,
+    ControlSchedule,
     Dissipation,
     IntegrationError,
     LinearHamiltonian,
@@ -655,6 +656,47 @@ class TestRecordContract:
         assert not np.signbit(parts[parts == 0.0]).any()
 
 
+class TestRecordedControls:
+    """The recorded controls are the stepper's control columns at the
+    recorded steps: half step 2k is at t_start + (dt/2)(2k), the same
+    double as t_start + k dt, so they equal a schedule call at the recorded
+    times bit for bit, and the schedule is evaluated once per half step."""
+
+    @pytest.mark.parametrize("stride", [1, 3, 7, 10, 9000])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_controls_equal_the_schedule_at_the_recorded_times(self, name, stride):
+        """9000 is a stride longer than the run: the first and last steps."""
+        sim = replace(resolve_preset(name), stride=stride)
+        basis = build_basis(sim.model, sim.n_max)
+        model = linear_hamiltonian(model_config(sim), basis)
+        grid = time_grid(sim)
+        trajectory = propagate(model, basis.state("g1", 0), grid)
+        expected = model.schedule.values(grid.time(grid.sample_steps))
+        assert len(trajectory.times) == len(grid.sample_steps)
+        for channel, recorded, value in zip(expected._fields, trajectory.controls, expected):
+            assert np.array_equal(recorded, value), channel
+
+    @pytest.mark.parametrize("stride", [1, 7, 9000])
+    @pytest.mark.parametrize("name", ["fig2_stirap", "fig2f_dissipative_tqd", "fig3_full"])
+    def test_each_half_step_is_evaluated_once(self, name, stride, monkeypatch):
+        evaluated = []
+        original = ControlSchedule.values
+
+        def recording(schedule, t):
+            evaluated.append(np.array(t, dtype=float, ndmin=1))
+            return original(schedule, t)
+
+        monkeypatch.setattr(ControlSchedule, "values", recording)
+        sim = replace(resolve_preset(name), stride=stride)
+        basis = build_basis(sim.model, sim.n_max)
+        model = linear_hamiltonian(model_config(sim), basis)
+        grid = time_grid(sim)
+        propagate(model, basis.state("g1", 0), grid)
+        times = np.concatenate(evaluated)
+        half_steps = grid.t_start + (0.5 * grid.dt) * np.arange(2 * grid.n_steps + 1)
+        assert np.array_equal(times, half_steps)
+
+
 def embedded_density_stack(rng, support, dim, smallest):
     """Exactly Hermitian unit-trace matrices (S, dim, dim) that are zero
     outside the rows and columns ``support``; the block on it has the
@@ -673,8 +715,9 @@ def embedded_density_stack(rng, support, dim, smallest):
 
 def record_stack(model, times, stack):
     """_record of density matrices (S, d, d) given in full: their d^2 real
-    coordinates, all kept."""
-    return _record(model, times, _coordinates(stack), np.arange(stack.shape[-1]))
+    coordinates, all kept, with the model's controls at ``times``."""
+    columns = model.evaluate(times)
+    return _record(model, times, _coordinates(stack), columns, np.arange(stack.shape[-1]))
 
 
 class TestNegativityCheck:
@@ -792,7 +835,7 @@ class TestMemory:
 
     @pytest.mark.parametrize("dissipative", [False, True])
     def test_peak_allocation_does_not_grow_with_stride(self, dissipative):
-        """8 000 steps at the presets' stride of 10, in chunks of 71 or 25
+        """8 000 steps at the presets' stride of 10, in chunks of 71
         strides, and at a stride of 4 000 that spans several chunks."""
         config = ModelConfig("effective", "tqd", PULSES, Dissipation(1.0, 0.1))
         chosen = config if dissipative else replace(config, dissipation=None)
