@@ -21,7 +21,6 @@ from .hilbert import (
     EigenSystem,
     ProductBasis,
     analytic_eigensystem,
-    atomic_raising,
     build_basis,
     ladder_operators,
     level_projector,
@@ -49,7 +48,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     "CavityFockError",
@@ -71,7 +70,6 @@ __all__ = [
     "TimeGrid",
     "Trajectory",
     "analytic_eigensystem",
-    "atomic_raising",
     "bound_hamiltonian",
     "build_basis",
     "counterdiabatic_amplitude",

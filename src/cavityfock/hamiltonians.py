@@ -25,7 +25,6 @@ from .hilbert import (
     LEVELS,
     ProductBasis,
     _read_only,
-    atomic_raising,
     ladder_operators,
     level_projector,
     transition_operator,
@@ -95,8 +94,8 @@ Jumps = tuple[tuple[float, np.ndarray], ...]
 def jump_operators(config: ModelConfig, basis: ProductBasis) -> Jumps:
     """Lindblad jumps (rate, L) of the master equation: cavity loss
     (kappa, a) and spontaneous emission of the intermediate excited level
-    into each ground level, (gamma/2, S1) and (gamma/2, S2), so that the
-    total emission rate is gamma.  Empty without dissipation.
+    into each ground level, (gamma/2, |g1><e|) and (gamma/2, |g2><e|), so
+    that the total emission rate is gamma.  Empty without dissipation.
     """
     if config.dissipation is None:
         return ()
@@ -106,8 +105,8 @@ def jump_operators(config: ModelConfig, basis: ProductBasis) -> Jumps:
     gamma, kappa = config.dissipation.gamma, config.dissipation.kappa
     return (
         (kappa, a),
-        (0.5 * gamma, atomic_raising(basis, "S1").conj().T),
-        (0.5 * gamma, atomic_raising(basis, "S2").conj().T),
+        (0.5 * gamma, transition_operator(basis, "g1", "e")),
+        (0.5 * gamma, transition_operator(basis, "g2", "e")),
     )
 
 

@@ -99,34 +99,6 @@ def level_projector(basis: ProductBasis, level: str) -> np.ndarray:
     return transition_operator(basis, level, level)
 
 
-_RAISING_PAIRS = {
-    "S1": ("e", "g1"),
-    "S2": ("e", "g2"),
-    "F1": ("em", "g1"),
-    "F2": ("em", "g2"),
-}
-
-
-def atomic_raising(basis: ProductBasis, which: str) -> np.ndarray:
-    """Atomic raising operator |upper><lower| (x) Fock identity.
-
-    S1/S2 raise g1/g2 to the intermediate excited level, F1/F2 raise them to
-    the auxiliary excited level (full model only).
-    """
-    try:
-        upper, lower = _RAISING_PAIRS[which]
-    except KeyError:
-        raise ParameterDomainError(
-            f"unknown raising operator {which!r}; expected one of "
-            f"{sorted(_RAISING_PAIRS)}"
-        ) from None
-    if upper not in basis.levels:
-        raise ModelMismatchError(
-            f"{which} requires level {upper!r}, absent from basis {basis.levels}"
-        )
-    return transition_operator(basis, upper, lower)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Instantaneous eigensystem of the transfer Hamiltonian restricted to

@@ -223,12 +223,13 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     not grow with the row count.  The kernel takes the 17 digits of each
     |x| from an exact double-double product with a power of ten, rounds
     them to nearest as correctly rounded dtoa does, and lays out the bytes
-    of all cells at once.  A cell whose rounding it cannot prove - within
-    2^-40 of a tie, subnormal, infinite, or with |x| outside
-    [1e-283, 1e299) - is formatted by ``"%.16e" % x`` itself; on the
-    presets that is no cell at all.  A column that is NaN in every row,
-    such as that of a level or channel the model lacks, is written as
-    separators alone and never formatted (_csv_blocks).
+    of all cells at once.  A finite cell whose rounding it cannot prove -
+    within 2^-40 of a tie, subnormal, or with |x| outside [1e-283, 1e299) -
+    is formatted by ``"%.16e" % x`` itself; on the presets that is no cell
+    at all.  A column that is NaN in every row, such as that of a level or
+    channel the model lacks, is written as separators alone and never
+    formatted (_csv_blocks).  Every block of rows is laid out by column
+    slices (_block_rows).
     """
     levels, channels = trajectory.basis.levels, CHANNELS[trajectory.model]
     undefined = np.broadcast_to(np.nan, trajectory.times.shape)
@@ -262,9 +263,8 @@ _SPLITTER = 134217729.0  # 2^27 + 1, Veltkamp's splitting constant
 # The scaled fraction carries an error below 2^-47; fractions closer than
 # this to 1/2, the true ties among them, are left to "%.16e".
 _TIE_BOUND = 2.0**-40
-_CELL = 25  # sign, d.dddddddddddddddd, e, exponent sign, 2 or 3 digits, separator
+_CELL = 24  # sign, d.dddddddddddddddd, e, exponent sign, 2 or 3 digits
 _FIXED = (0, 2, 19), np.frombuffer(b"-.e", dtype=np.uint8)  # bytes of every cell; "-" if signed
-_FALLBACK = 8  # the kind of a cell that "%.16e" wrote
 
 
 def _csv_blocks(columns: list[np.ndarray]):
@@ -272,10 +272,8 @@ def _csv_blocks(columns: list[np.ndarray]):
     rows at a time: each cell as ``"%.16e" % x``, NaN cells empty.
 
     A column that is NaN in every row is left out of the table that
-    _e16_cells formats and written as separators alone.  A block in which
-    every other column keeps one kind of cell (_decimal_tables) is laid out
-    by column slices (_sliced_rows), any other by a mask over the cell
-    slots (_masked_rows).  The table and cell buffers are allocated, and
+    _e16_cells formats and written as separators alone.  Every block is
+    laid out by _block_rows.  The table and cell buffers are allocated, and
     the bytes that every cell writes are laid out, once per call.
     """
     rows, width = len(columns[0]), len(columns)
@@ -289,57 +287,41 @@ def _csv_blocks(columns: list[np.ndarray]):
         for p, j in enumerate(live):
             part[:, p] = columns[j][first : first + step]
         kind = _e16_cells(part, cells).reshape(part.shape)
-        text = _sliced_rows(cells, kind, live, width)
-        yield _masked_rows(cells, kind, live, width) if text is None else text
+        yield _block_rows(cells, kind, live, width)
 
 
-def _sliced_rows(
-    cells: np.ndarray, kind: np.ndarray, live: list[int], width: int
-) -> np.ndarray | None:
-    """The CSV bytes of a block laid out by column slices, or None when a
-    live column of it holds more than one kind of cell or a "%.16e" one.
+def _block_rows(cells: np.ndarray, kind: np.ndarray, live: list[int], width: int) -> np.ndarray:
+    """The CSV bytes of a block of rows laid out by column slices.
 
     ``kind`` (rows, live columns) holds the kinds of the cells of ``cells``
     (_e16_cells), and ``live`` the columns of the ``width`` in the table;
-    the others are empty.  Every row has the same length, and a cell's
-    text is one slice of its slot, so the rows are one (rows, length)
-    array, written by one slice copy per live column and one write of the
-    separators.
+    the others are empty.  Each live column is copied into the rows as one
+    slice of its cells' slots: the text span of its kind (_decimal_tables)
+    when every cell of the column in this block has one kind, and the whole
+    slot otherwise.  The separators are written once.  Only a block with
+    such a mixed column is then compressed, by a mask that keeps, in each
+    mixed cell, the bytes that its kind writes.
     """
-    kinds = kind[0]
-    if (kind != kinds).any() or (kinds == _FALLBACK).any():
-        return None
+    count = len(kind)
+    kept, spans = _decimal_tables()[3:]
+    mixed = (kind != kind[0]).any(axis=0)
     starts, stops = np.zeros((2, width), dtype=np.intp)
-    starts[live], stops[live] = _decimal_tables()[4][kinds].T
+    starts[live], stops[live] = np.where(mixed[:, None], (0, _CELL), spans[kind[0]]).T
     ends = np.cumsum(stops - starts + 1)  # one past each separator
-    rows = np.empty((len(kind), int(ends[-1])), dtype=np.uint8)
+    rows = np.empty((count, int(ends[-1])), dtype=np.uint8)
     rows[:, ends - 1] = ord(",")
     rows[:, -1] = ord("\n")
-    slots = cells[: kind.size].reshape(len(kind), len(live), _CELL)
+    slots = cells[: kind.size].reshape(count, len(live), _CELL)
     bounds = zip(*(bound[live].tolist() for bound in (starts, stops, ends)))
     for p, (start, stop, end) in enumerate(bounds):
         rows[:, end - 1 - (stop - start) : end - 1] = slots[:, p, start:stop]
-    return rows.ravel()
-
-
-def _masked_rows(cells: np.ndarray, kind: np.ndarray, live: list[int], width: int) -> np.ndarray:
-    """The CSV bytes of a block by a mask over its cell slots: each live
-    cell keeps the bytes that its kind writes (_decimal_tables), or all
-    that "%.16e" wrote, and every cell its separator."""
-    count, size = kind.shape
-    kind = kind.ravel()
-    slow = np.flatnonzero(kind == _FALLBACK)
-    keep = np.zeros((count, width, _CELL), dtype=bool)
-    keep[:, :, -1] = True
-    live_keep = np.take(_decimal_tables()[3], kind, axis=0)
-    live_keep[slow, :-1] &= cells[slow, :-1] != 0  # "%.16e" text padded with zeros
-    keep[:, live] = live_keep.reshape(count, size, _CELL)
-    slots = np.empty((count, width, _CELL), dtype=np.uint8)
-    slots[:, live] = cells[: kind.size].reshape(count, size, _CELL)
-    slots[:, :, -1] = ord(",")
-    slots[:, -1, -1] = ord("\n")
-    cells[slow[:, None], _FIXED[0]] = _FIXED[1]  # laid out again where "%.16e" wrote
-    return slots[keep]
+    if not mixed.any():
+        return rows.ravel()
+    keep = np.ones(rows.shape, dtype=bool)
+    for p in np.flatnonzero(mixed).tolist():
+        end = int(ends[live[p]])
+        keep[:, end - 1 - _CELL : end - 1] = kept[kind[:, p]]
+    return rows[keep]
 
 
 @lru_cache(maxsize=None)
@@ -354,10 +336,9 @@ def _decimal_tables() -> tuple[np.ndarray, ...]:
     0000..9999 as one uint32 each, and ``exponents`` that of the sign and
     the digits of each exponent in [-400, 400], left-aligned: two digits
     fill the first two of the three places.  A cell of kind k has a minus
-    sign if k & 1, a three-digit exponent if k & 2, and is NaN, with no
-    text, if k & 4; _FALLBACK is a cell that "%.16e" wrote.  Its text is
-    bytes [start, stop) of its slot, row k of ``spans``, and row k of
-    ``kept`` marks those bytes and the separator.
+    sign if k & 1, a three-digit exponent if k & 2, is NaN, with no text,
+    if k & 4, and infinite if k & 8.  Its text is bytes [start, stop) of
+    its slot, row k of ``spans``, and row k of ``kept`` marks those bytes.
     """
     scales = []
     for exponent in range(_EXP_MIN, _EXP_MAX + 1):
@@ -376,12 +357,11 @@ def _decimal_tables() -> tuple[np.ndarray, ...]:
     exponents = ascii[magnitude]
     exponents[magnitude < 100, 1:3] = exponents[magnitude < 100, 2:]
     exponents[:, 0] = np.where(numbers[:801] < 400, ord("-"), ord("+"))
-    kinds = numbers[: _FALLBACK + 1]
+    kinds = numbers[:10]  # the finite and NaN kinds, then the two infinities
     spans = np.stack((1 - kinds % 2, 23 + kinds // 2 % 2), axis=1)
-    spans[4:] = 0, 0
-    spans[_FALLBACK] = 0, _CELL - 1  # as far as the text's zero padding
+    spans[4:8] = 0, 0
+    spans[8:] = (4, 7), (3, 7)  # "inf" and "-inf" in the digit bytes
     kept = (spans[:, :1] <= numbers[:_CELL]) & (numbers[:_CELL] < spans[:, 1:])
-    kept[:, -1] = True
     tables = (
         np.array(scales).T.copy(),
         ascii.view(np.uint32).ravel(),
@@ -463,16 +443,19 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     The digits and exponents come from _decimal_digits.  The _FIXED bytes
     of every slot are in place; the digits are written four at a time from
     a lookup table, and the exponent's sign and digits as one uint32.
-    Zeros keep their sign.  The cells that _decimal_digits leaves
-    undecided - near-ties, subnormals, infinities and magnitudes out of
-    range - are formatted with ``"%.16e"`` one by one into their slots,
-    padded with zero bytes, and are of kind _FALLBACK.
+    Zeros keep their sign.  The finite cells that _decimal_digits leaves
+    undecided - near-ties, subnormals and magnitudes out of range - are
+    formatted with ``"%.16e"`` one by one, and each text goes where the
+    kernel writes the cells of its sign and exponent width, whose kind it
+    takes.  An infinity writes "-inf" into digit bytes 3-6, which the
+    digits of every block rewrite; its kind's span starts after the sign
+    unless it is negative.
     """
     x = table.ravel()
     cells = cells[: len(x)]
     digits, exponent, decided = _decimal_digits(x)
-    nan = np.isnan(x)
-    slow = np.flatnonzero(~(decided | nan))
+    nan, infinite = np.isnan(x), np.isinf(x)
+    slow = np.flatnonzero(~(decided | nan | infinite))
 
     _, quads, exponents = _decimal_tables()[:3]
     high = digits // 10**8
@@ -488,12 +471,15 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
         quad[:, 2 * column + 1] = quads[part]
     cells[:, 20:24].view(np.uint32)[:, 0] = exponents[exponent + 400]
     kind = np.signbit(x).view(np.uint8) | (np.abs(exponent) >= 100).view(np.uint8) << 1
-    kind |= nan.view(np.uint8) << 2
+    kind |= nan.view(np.uint8) << 2 | infinite.view(np.uint8) << 3
     if len(slow):
-        texts = [_fmt(value).encode() for value in x[slow].tolist()]
+        # the text of |x| follows the sign byte, and fills the slot if the
+        # exponent has three digits
+        texts = [_fmt(value).encode() for value in np.abs(x[slow]).tolist()]
         padded = np.array(texts, dtype=f"S{_CELL - 1}").view(np.uint8)
-        cells[slow, :-1] = padded.reshape(len(slow), _CELL - 1)
-        kind[slow] = _FALLBACK
+        cells[slow, 1:] = padded.reshape(len(slow), _CELL - 1)
+        kind[slow] = kind[slow] & 1 | (cells[slow, -1] != 0).view(np.uint8) << 1
+    cells[infinite, 3:7] = np.frombuffer(b"-inf", dtype=np.uint8)
     return kind
 
 

@@ -83,7 +83,7 @@ def formatted(table):
 
 @pytest.fixture
 def fallbacks(monkeypatch):
-    """Every value that the kernel leaves to "%.16e", as it formats it."""
+    """The magnitude of every value that the kernel leaves to "%.16e"."""
     seen = []
     original = scenarios._fmt
 
@@ -96,17 +96,16 @@ def fallbacks(monkeypatch):
 
 
 @pytest.fixture
-def sliced(monkeypatch):
-    """Whether each block, in order, is laid out by column slices."""
+def mixed(monkeypatch):
+    """For each block, in order, how many of its live columns change kind."""
     seen = []
-    original = scenarios._sliced_rows
+    original = scenarios._block_rows
 
-    def recording(*args):
-        text = original(*args)
-        seen.append(text is not None)
-        return text
+    def recording(cells, kind, live, width):
+        seen.append(int((kind != kind[0]).any(axis=0).sum()))
+        return original(cells, kind, live, width)
 
-    monkeypatch.setattr(scenarios, "_sliced_rows", recording)
+    monkeypatch.setattr(scenarios, "_block_rows", recording)
     return seen
 
 
@@ -121,15 +120,13 @@ class TestAgainstRowWriter:
         trajectory, _summary = simulate(replace(resolve_preset("fig2f_dissipative_tqd"), n_max=3))
         self._assert_identical(trajectory, tmp_path)
 
-    @pytest.mark.parametrize("stride", [1, 7, 10])
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_masked_layout_is_byte_identical(self, name, stride, tmp_path, monkeypatch):
-        """Every block forced through the mask over the cell slots."""
-        trajectory, _summary = simulate(replace(resolve_preset(name), stride=stride))
-        write_trajectory_csv(trajectory, str(tmp_path / "sliced.csv"))
-        monkeypatch.setattr(scenarios, "_sliced_rows", lambda *args: None)
+    def test_earlier_start_is_byte_identical(self, name, tmp_path):
+        """From t = -16 T the populations' exponents drop from three digits
+        to two within blocks of rows."""
+        config = replace(resolve_preset(name), stride=1, t_start_over_T=-16.0)
+        trajectory, _summary = simulate(config)
         self._assert_identical(trajectory, tmp_path)
-        assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "sliced.csv").read_bytes()
 
     @staticmethod
     def _assert_identical(trajectory, tmp_path):
@@ -139,9 +136,9 @@ class TestAgainstRowWriter:
 
 
 class TestLayouts:
-    """A block whose live columns each keep one kind of cell is laid out by
-    column slices, any other by a mask; a column that is NaN in every row
-    is never formatted."""
+    """Every block is laid out by column slices, and only a block with a
+    column that changes kind is compressed by a mask; a column that is NaN
+    in every row is never formatted."""
 
     @pytest.mark.parametrize("name, live", [("fig2_tqd", 12), ("fig3_full", 13)])
     def test_all_nan_columns_never_reach_the_digits(self, name, live, monkeypatch):
@@ -159,12 +156,19 @@ class TestLayouts:
         write_trajectory_csv(trajectory, os.devnull)
         assert sum(counted) == live * len(trajectory.times)
 
-    def test_stride_one_blocks_take_the_slices_but_two(self, sliced):
+    def test_stride_one_blocks_change_kind_in_two_columns(self, mixed):
         """t changes sign in one block and mandel_q stops being NaN in
-        another; the other 13 of the 15 blocks of 8 001 rows are sliced."""
+        another; in the other 13 of the 15 blocks of 8 001 rows every
+        column keeps one kind."""
         trajectory, _summary = simulate(replace(resolve_preset("fig2_tqd"), stride=1))
         write_trajectory_csv(trajectory, os.devnull)
-        assert (len(sliced), sum(sliced)) == (15, 13)
+        assert sorted(mixed) == [0] * 13 + [1, 1]
+
+    def test_earlier_start_changes_exponent_widths_within_blocks(self, mixed):
+        config = replace(resolve_preset("fig2_tqd"), stride=1, t_start_over_T=-16.0)
+        trajectory, _summary = simulate(config)
+        write_trajectory_csv(trajectory, os.devnull)
+        assert (len(mixed), np.count_nonzero(mixed), max(mixed)) == (37, 7, 2)
 
     @staticmethod
     def _table():
@@ -182,16 +186,23 @@ class TestLayouts:
         columns += [-ramp * 1e5, np.full(rows, -0.0), np.zeros(rows), nan, second, nan, ramp**2]
         return np.column_stack(columns)
 
-    def test_sign_flip_and_every_kind_against_percent_format(self, sliced):
+    def test_sign_flip_and_every_kind_against_percent_format(self, mixed):
         table = self._table()
         assert formatted(table) == expected_rows(table)
-        assert sliced == [False, True]
+        assert mixed == [2, 0]
 
-    def test_masked_layout_writes_the_same_bytes(self, monkeypatch):
-        table = self._table()
-        sliced = formatted(table)
-        monkeypatch.setattr(scenarios, "_sliced_rows", lambda *args: None)
-        assert formatted(table) == sliced
+    def test_columns_that_percent_format_writes(self, mixed, fallbacks):
+        """Columns wholly of cells that "%.16e" writes, or of infinities,
+        are laid out by the spans of their kinds."""
+        rows = 40
+        ramp = np.linspace(1.0, 2.0, rows)
+        subnormal, large = ramp * 5e-320, ramp * 1e300
+        table = np.column_stack(
+            [subnormal, -subnormal, large, -large, np.full(rows, math.inf), np.full(rows, -math.inf)]
+        )
+        assert formatted(table) == expected_rows(table)
+        assert mixed == [0]
+        assert len(fallbacks) == 4 * rows
 
     def test_all_nan_table_is_separators_alone(self, fallbacks):
         assert formatted(np.full((3, 4), np.nan)) == b",,,\n" * 3
@@ -211,9 +222,9 @@ class TestAgainstPercentFormat:
 
     def test_random_bit_patterns(self, fallbacks):
         """10^6 seeded random 64-bit patterns, every class of double among
-        them.  Outside the kernel's range [1e-283, 1e299) all of them go
-        to "%.16e" but NaN, which is empty; inside it only near-ties do,
-        and those are rare."""
+        them.  Outside the kernel's range [1e-283, 1e299) every finite
+        one goes to "%.16e"; inside it only near-ties do, and those are
+        rare."""
         rng = np.random.default_rng(20)
         values = rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64)
         step = scenarios._BLOCK_CELLS
@@ -222,7 +233,7 @@ class TestAgainstPercentFormat:
         magnitudes = np.abs(values)
         in_range = (magnitudes >= 1e-283) & (magnitudes < 1e299)
         inside = [value for value in fallbacks if 1e-283 <= abs(value) < 1e299]
-        assert len(fallbacks) - len(inside) == np.count_nonzero(~in_range & ~np.isnan(values))
+        assert len(fallbacks) - len(inside) == np.count_nonzero(~in_range & np.isfinite(values))
         assert len(inside) < 1e-3 * np.count_nonzero(in_range)
 
     def test_edge_values(self, fallbacks):

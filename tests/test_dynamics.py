@@ -17,7 +17,6 @@ from cavityfock import (
     ParameterDomainError,
     PulseParameters,
     TimeGrid,
-    atomic_raising,
     bound_hamiltonian,
     build_basis,
     ladder_operators,
@@ -320,10 +319,13 @@ def reference_schrodinger(hamiltonian, psi, grid):
 
 
 def reference_jumps(config, basis):
-    """The Lindblad jumps (rate, L, L^dag) written out by hand."""
+    """The Lindblad jumps (rate, L, L^dag) written out by hand, with the
+    emission branches |g><e| (x) I summed from the basis states."""
     a, a_dag = ladder_operators(basis)
-    s1 = atomic_raising(basis, "S1").conj().T
-    s2 = atomic_raising(basis, "S2").conj().T
+    s1, s2 = (
+        sum(np.outer(basis.state(lower, n), basis.state("e", n)) for n in range(basis.n_fock))
+        for lower in ("g1", "g2")
+    )
     gamma, kappa = config.dissipation.gamma, config.dissipation.kappa
     jumps = [(kappa, a, a_dag), (0.5 * gamma, s1, s1.conj().T), (0.5 * gamma, s2, s2.conj().T)]
     return [(rate, op, op_dag) for rate, op, op_dag in jumps if rate > 0.0]

@@ -7,7 +7,6 @@ from cavityfock import (
     ModelMismatchError,
     PulseParameters,
     analytic_eigensystem,
-    atomic_raising,
     build_basis,
     bound_hamiltonian,
     counterdiabatic_amplitude,
@@ -17,6 +16,7 @@ from cavityfock import (
     linear_hamiltonian,
     physical_pulse_pair,
     stirap_pair,
+    transition_operator,
 )
 
 from oracles import generic_counterdiabatic, single_excitation_matrix
@@ -87,8 +87,8 @@ class TestEffectiveHamiltonian:
         h = hamiltonian_at(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, t)
         omega_r, g = stirap_pair(PULSES, t)
         a, _ = ladder_operators(EFFECTIVE_BASIS)
-        s1_dag = atomic_raising(EFFECTIVE_BASIS, "S1")
-        s2_dag_a = atomic_raising(EFFECTIVE_BASIS, "S2") @ a
+        s1_dag = transition_operator(EFFECTIVE_BASIS, "e", "g1")
+        s2_dag_a = transition_operator(EFFECTIVE_BASIS, "e", "g2") @ a
         manual = (
             PULSES.delta * level_projector(EFFECTIVE_BASIS, "e")
             + omega_r * (s1_dag + s1_dag.conj().T)
@@ -171,8 +171,8 @@ class TestJumpOperators:
         a, _ = ladder_operators(EFFECTIVE_BASIS)
         expected = [
             (0.05, a),
-            (2.5, atomic_raising(EFFECTIVE_BASIS, "S1").conj().T),
-            (2.5, atomic_raising(EFFECTIVE_BASIS, "S2").conj().T),
+            (2.5, transition_operator(EFFECTIVE_BASIS, "e", "g1").conj().T),
+            (2.5, transition_operator(EFFECTIVE_BASIS, "e", "g2").conj().T),
         ]
         for jumps in (
             jump_operators(config, EFFECTIVE_BASIS),

@@ -7,10 +7,10 @@ from cavityfock import (
     ModelMismatchError,
     ParameterDomainError,
     analytic_eigensystem,
-    atomic_raising,
     build_basis,
     ladder_operators,
     number_operator,
+    transition_operator,
 )
 
 from oracles import single_excitation_matrix
@@ -97,35 +97,31 @@ class TestLadderOperators:
         assert np.count_nonzero(comm - np.diag(np.diagonal(comm))) == 0
 
 
-class TestAtomicRaising:
+class TestTransitionOperator:
     def test_pump_raising_definition(self):
         basis = build_basis("effective", 1)
-        s1_dag = atomic_raising(basis, "S1")
+        s1_dag = transition_operator(basis, "e", "g1")
         raised = s1_dag @ basis.state("g1", 0)
         assert raised[basis.index("e", 0)] == 1.0
 
     def test_raising_preserves_photon_number(self):
         basis = build_basis("effective", 1)
-        s2_dag = atomic_raising(basis, "S2")
+        s2_dag = transition_operator(basis, "e", "g2")
         raised = s2_dag @ basis.state("g2", 1)
         assert raised[basis.index("e", 1)] == 1.0
 
     def test_wrong_source_level_gives_zero(self):
         basis = build_basis("effective", 1)
-        s1_dag = atomic_raising(basis, "S1")
+        s1_dag = transition_operator(basis, "e", "g1")
         assert np.linalg.norm(s1_dag @ basis.state("g2", 0)) == 0.0
 
-    def test_auxiliary_operators_need_full_model(self):
+    def test_auxiliary_level_needs_full_model(self):
         basis = build_basis("effective", 1)
         with pytest.raises(ModelMismatchError):
-            atomic_raising(basis, "F1")
+            transition_operator(basis, "em", "g1")
         full = build_basis("full", 1)
-        f2_dag = atomic_raising(full, "F2")
+        f2_dag = transition_operator(full, "em", "g2")
         assert (f2_dag @ full.state("g2", 1))[full.index("em", 1)] == 1.0
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ParameterDomainError):
-            atomic_raising(build_basis("full", 1), "S3")
 
 
 class TestAnalyticEigensystem:

@@ -29,6 +29,9 @@ TEST_ORACLES = (
 # Names that per-model tables replaced: pulses.CHANNELS, hilbert.LEVELS and
 # the channel couplings of hamiltonians
 REPLACED_BY_TABLES = ("EFFECTIVE_LEVELS", "FULL_LEVELS", "_coupling_terms", "_sweep_value")
+# The second CSV row layout, its cell kind for "%.16e" text, and the raising
+# operators that transition_operator gives
+REMOVED = ("_sliced_rows", "_masked_rows", "_FALLBACK", "atomic_raising", "_RAISING_PAIRS")
 
 
 def test_exported_names_are_unique_and_resolve():
@@ -71,3 +74,8 @@ def test_schedule_has_channels_and_no_per_model_flags():
 
 def test_eigensystem_is_not_placed_in_a_basis_by_the_package():
     assert not hasattr(cavityfock.EigenSystem, "embed")
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_one_csv_row_layout_and_no_raising_wrapper(module):
+    assert [name for name in REMOVED if hasattr(module, name)] == []
