@@ -120,11 +120,13 @@ class TestAgainstRowWriter:
         trajectory, _summary = simulate(replace(resolve_preset("fig2f_dissipative_tqd"), n_max=3))
         self._assert_identical(trajectory, tmp_path)
 
+    @pytest.mark.parametrize("stride", [1, 7, 10])
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_earlier_start_is_byte_identical(self, name, tmp_path):
+    def test_earlier_start_is_byte_identical(self, name, stride, tmp_path):
         """From t = -16 T the populations' exponents drop from three digits
-        to two within blocks of rows."""
-        config = replace(resolve_preset(name), stride=1, t_start_over_T=-16.0)
+        to two within blocks of rows: 7 of 37 blocks at stride 1, and at
+        least 3 of 4 at stride 10, take the mask."""
+        config = replace(resolve_preset(name), stride=stride, t_start_over_T=-16.0)
         trajectory, _summary = simulate(config)
         self._assert_identical(trajectory, tmp_path)
 

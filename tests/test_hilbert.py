@@ -123,6 +123,10 @@ class TestTransitionOperator:
         f2_dag = transition_operator(full, "em", "g2")
         assert (f2_dag @ full.state("g2", 1))[full.index("em", 1)] == 1.0
 
+    def test_unknown_name_raises(self):
+        with pytest.raises(ModelMismatchError):
+            transition_operator(build_basis("full", 1), "e3", "g1")
+
 
 class TestAnalyticEigensystem:
     def test_equal_couplings_give_balanced_dark_state(self):
