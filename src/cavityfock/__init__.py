@@ -23,7 +23,6 @@ from .hilbert import (
     analytic_eigensystem,
     build_basis,
     ladder_operators,
-    level_projector,
     number_operator,
     transition_operator,
 )
@@ -48,7 +47,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 __all__ = [
     "CavityFockError",
@@ -76,7 +75,6 @@ __all__ = [
     "gaussian_pulse",
     "jump_operators",
     "ladder_operators",
-    "level_projector",
     "linear_hamiltonian",
     "number_operator",
     "physical_pulse_pair",

@@ -7,16 +7,15 @@ Exit codes: 0 success, 2 usage/configuration error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
+import numbers
 import sys
 
 from .errors import CavityFockError, ConfigError, IntegrationError
 from .scenarios import (
-    INT_FIELDS,
+    FIELD_KINDS,
     NUMERIC_FIELDS,
-    OPTIONAL_FLOAT_FIELDS,
     PRESETS,
     SimulationConfig,
-    config_field_names,
     resolve_preset,
     run,
     sweep,
@@ -24,19 +23,15 @@ from .scenarios import (
 
 
 def _coerce(key: str, raw: str):
+    """The value of a field from its text: an int field's is int(raw), so
+    "2.0" is no integer, and every other numeric field's float(raw)."""
     if key not in NUMERIC_FIELDS:
         return raw
-    if key in INT_FIELDS:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ConfigError(f"{key} expects an integer, got {raw!r}") from None
-    if key in OPTIONAL_FLOAT_FIELDS and raw.lower() in ("", "none"):
-        return None
+    kind, expected = FIELD_KINDS[key]
     try:
-        return float(raw)
+        return int(raw) if kind is numbers.Integral else float(raw)
     except ValueError:
-        raise ConfigError(f"{key} expects a number, got {raw!r}") from None
+        raise ConfigError(f"{key} expects {expected}, got {raw!r}") from None
 
 
 def parse_config_file(path: str) -> dict[str, str]:
@@ -75,12 +70,11 @@ def _resolve_config(args) -> SimulationConfig:
     scenario = args.preset or scenario
     config = resolve_preset(scenario) if scenario else SimulationConfig()
 
-    known = set(config_field_names())
     for key, raw in overrides.items():
-        if key not in known:
+        if key not in FIELD_KINDS:
             raise ConfigError(
                 f"unknown configuration key {key!r}; valid keys: "
-                + ", ".join(sorted(known))
+                + ", ".join(sorted(FIELD_KINDS))
             )
         setattr(config, key, _coerce(key, raw))
     if args.out:

@@ -26,7 +26,6 @@ from .hilbert import (
     ProductBasis,
     _read_only,
     ladder_operators,
-    level_projector,
     transition_operator,
 )
 from .pulses import ControlSchedule, PulseParameters
@@ -155,9 +154,9 @@ def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamilt
     schedule = config.schedule()
     pulses = config.pulses
 
-    static = pulses.delta * level_projector(basis, "e")
+    static = pulses.delta * transition_operator(basis, "e", "e")
     if "em" in basis.levels:
-        static = static + pulses.delta_m * level_projector(basis, "em")
+        static = static + pulses.delta_m * transition_operator(basis, "em", "em")
     jumps = jump_operators(config, basis)
     if jumps:
         static = static - 0.5j * sum(rate * (op.conj().T @ op) for rate, op in jumps)

@@ -94,11 +94,6 @@ def transition_operator(basis: ProductBasis, upper: str, lower: str) -> np.ndarr
     return _read_only(op)
 
 
-@lru_cache(maxsize=None)
-def level_projector(basis: ProductBasis, level: str) -> np.ndarray:
-    return transition_operator(basis, level, level)
-
-
 @dataclass(frozen=True)
 class EigenSystem:
     """Instantaneous eigensystem of the transfer Hamiltonian restricted to

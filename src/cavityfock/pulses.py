@@ -32,6 +32,11 @@ from .errors import ParameterDomainError
 # 0/0 ratio.
 TAIL_CLAMP = 1e-30
 _LOG_TAIL_CLAMP = math.log(TAIL_CLAMP)
+# Pulses whose centers are farther apart than this (in T) have a correction
+# amplitude that underflows to exactly zero wherever either pulse is on, so
+# their separation is clipped to it: that changes no value, and keeps the
+# amplitude, at most this many 1/T, finite.
+_FAR_APART = 40.0
 
 # The control channels of each model, in ControlValues order: the full model
 # synthesizes the correction omega1 through the auxiliary level em.
@@ -66,8 +71,10 @@ class PulseParameters:
 
 def gaussian_pulse(omega0: float, center: float, t):
     """Gaussian envelope omega0 * exp(-(t - center)**2) of unit width."""
-    u = np.asarray(t, dtype=float) - center
-    return omega0 * np.exp(-u * u)
+    # a square past the float range is inf, and its exponential exactly 0
+    with np.errstate(over="ignore"):
+        u = np.asarray(t, dtype=float) - center
+        return omega0 * np.exp(-u * u)
 
 
 def stirap_pair(params: PulseParameters, t):
@@ -97,13 +104,17 @@ def counterdiabatic_amplitude(params: PulseParameters, t):
     below TAIL_CLAMP * omega0.
     """
     tt = np.asarray(t, dtype=float)
-    exponent_p = -((tt - params.tau_p) ** 2)
-    exponent_s = -((tt + params.tau_s) ** 2)
-    log_ratio = exponent_p - exponent_s  # log(omega_r / g); omega0 cancels
-    prefactor = 2.0 * (params.tau_p + params.tau_s)
-    # 1 / (r + 1/r) rewritten so neither exponential can overflow.
-    damp = np.exp(-np.abs(log_ratio))
-    value = prefactor * damp / (1.0 + damp * damp)
+    # An exponent past the float range is -inf.  With one, the ratio is 0
+    # or inf and damp exactly 0; with two, both pulses are off and the NaN
+    # ratio is clamped below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent_p = -((tt - params.tau_p) ** 2)
+        exponent_s = -((tt + params.tau_s) ** 2)
+        log_ratio = exponent_p - exponent_s  # log(omega_r / g); omega0 cancels
+        separation = min(max(params.tau_p + params.tau_s, -_FAR_APART), _FAR_APART)
+        # 1 / (r + 1/r) rewritten so neither exponential can overflow.
+        damp = np.exp(-np.abs(log_ratio))
+        value = 2.0 * separation * damp / (1.0 + damp * damp)
     switched_off = (exponent_p < _LOG_TAIL_CLAMP) & (exponent_s < _LOG_TAIL_CLAMP)
     return np.where(switched_off, 0.0, value)
 
@@ -121,11 +132,13 @@ def physical_pulse_pair(params: PulseParameters, t):
     omega_m = sqrt(delta_m |omega1|) and g_m = sign(omega1) omega_m, with
     omega1 the correction amplitude, so that the far-detuned Raman product
     g_m * omega_m / delta_m reproduces omega1 for every pulse arrangement.
-    Both pulses are exactly zero where omega1 is clamped to zero.
+    Both pulses are exactly zero where omega1 is clamped to zero.  The
+    product under the root is taken over 64, which is exact, so that it
+    stays finite for every finite delta_m, as |omega1| <= _FAR_APART.
     """
     _check_delta_m(params)
     omega1 = counterdiabatic_amplitude(params, t)
-    omega_m = np.sqrt(params.delta_m * np.abs(omega1))
+    omega_m = 8.0 * np.sqrt(params.delta_m / 64.0 * np.abs(omega1))
     return np.copysign(omega_m, omega1), omega_m
 
 

@@ -49,8 +49,8 @@ class SimulationConfig:
     delta_m_T: float = 18.0
     tau_p_over_T: float = 0.5
     tau_s_over_T: float = 0.5
-    gamma_T: float | None = None
-    kappa_T: float | None = None
+    gamma_T: float = 0.0
+    kappa_T: float = 0.0
     t_start_over_T: float = -4.0
     t_end_over_T: float = 4.0
     dt_over_T: float = 1e-3
@@ -59,15 +59,17 @@ class SimulationConfig:
     stride: int = 10
 
 
-# Fields that a sweep may vary, by their annotations (strings, as
-# annotations are not evaluated in this module).
-NUMERIC_FIELDS = frozenset(f.name for f in fields(SimulationConfig) if f.type != "str")
-INT_FIELDS = frozenset(f.name for f in fields(SimulationConfig) if f.type == "int")
-OPTIONAL_FLOAT_FIELDS = frozenset(
-    f.name for f in fields(SimulationConfig) if f.type == "float | None"
-)
-# The type of a field by its annotation, as messages name it; others are numbers
-_FIELD_TYPES = {"int": (numbers.Integral, "an integer"), "str": (str, "a string")}
+# Each field's kind, by its annotation (a string, as annotations are not
+# evaluated in this module): the values it takes and how messages name them.
+# A float field takes any real number, an int field any integer.
+_KINDS = {
+    "float": (numbers.Real, "a number"),
+    "int": (numbers.Integral, "an integer"),
+    "str": (str, "a string"),
+}
+FIELD_KINDS = {f.name: _KINDS[f.type] for f in fields(SimulationConfig)}
+# The fields that a sweep may vary
+NUMERIC_FIELDS = frozenset(name for name, (kind, _) in FIELD_KINDS.items() if kind is not str)
 
 PRESETS: dict[str, dict] = {
     "fig2_stirap": dict(model="effective", drive="stirap", omega0_T=2.0),
@@ -103,12 +105,10 @@ def model_config(sim: SimulationConfig) -> ModelConfig:
         delta=sim.delta_T,
         delta_m=sim.delta_m_T,
     )
+    # a zero rate is no loss; NaN is not zero, and Dissipation rejects it
     dissipation = None
-    if sim.gamma_T is not None or sim.kappa_T is not None:
-        dissipation = Dissipation(
-            gamma=sim.gamma_T if sim.gamma_T is not None else 0.0,
-            kappa=sim.kappa_T if sim.kappa_T is not None else 0.0,
-        )
+    if sim.gamma_T != 0 or sim.kappa_T != 0:
+        dissipation = Dissipation(gamma=sim.gamma_T, kappa=sim.kappa_T)
     return ModelConfig(sim.model, sim.drive, pulses, dissipation)
 
 
@@ -158,14 +158,12 @@ def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, ProductBasis, Time
     """The model, basis and grid of a configuration: the one place where a
     configuration is checked, raising on any value outside its domain.  Each
     field must first hold a value of its type; nothing is coerced."""
-    for f in fields(sim):
-        value = getattr(sim, f.name)
-        kind, expected = _FIELD_TYPES.get(f.type, (numbers.Real, "a number"))
-        optional = value is None and f.name in OPTIONAL_FLOAT_FIELDS
+    for name, (kind, expected) in FIELD_KINDS.items():
+        value = getattr(sim, name)
         # a bool is no number here, nor is an int beyond the float range
         big = kind is numbers.Real and isinstance(value, int) and abs(value) > sys.float_info.max
-        if not optional and (big or isinstance(value, bool) or not isinstance(value, kind)):
-            raise ConfigError(f"{f.name} expects {expected}, got {value!r}")
+        if big or isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(f"{name} expects {expected}, got {value!r}")
     config = model_config(sim)
     basis = build_basis(sim.model, sim.n_max)
     grid = time_grid(sim)
@@ -512,8 +510,6 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
             f"choose from {', '.join(sorted(NUMERIC_FIELDS))}"
         )
     configs = [replace(base, **{parameter: value}) for value in values]
-    if any(getattr(config, parameter) is None for config in configs):
-        raise ConfigError(f"{parameter} expects a number, got None")
     built = [_setup(config) for config in configs]
     rows = [",".join(SWEEP_COLUMNS)]
     for config, setup in zip(configs, built):
@@ -524,7 +520,3 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
     return out_path
-
-
-def config_field_names() -> list[str]:
-    return [f.name for f in fields(SimulationConfig)]

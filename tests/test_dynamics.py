@@ -547,7 +547,8 @@ class TestReachableSubspace:
 
     @pytest.mark.parametrize("n_max", [1, 3])
     @pytest.mark.parametrize(
-        "name", sorted(name for name in PRESETS if resolve_preset(name).gamma_T is None)
+        "name",
+        sorted(name for name in PRESETS if model_config(resolve_preset(name)).dissipation is None),
     )
     def test_closed_presets_step_three_or_four_basis_states(self, name, n_max):
         sim = replace(resolve_preset(name), n_max=n_max)

@@ -12,7 +12,6 @@ from cavityfock import (
     counterdiabatic_amplitude,
     jump_operators,
     ladder_operators,
-    level_projector,
     linear_hamiltonian,
     physical_pulse_pair,
     stirap_pair,
@@ -90,7 +89,7 @@ class TestEffectiveHamiltonian:
         s1_dag = transition_operator(EFFECTIVE_BASIS, "e", "g1")
         s2_dag_a = transition_operator(EFFECTIVE_BASIS, "e", "g2") @ a
         manual = (
-            PULSES.delta * level_projector(EFFECTIVE_BASIS, "e")
+            PULSES.delta * transition_operator(EFFECTIVE_BASIS, "e", "e")
             + omega_r * (s1_dag + s1_dag.conj().T)
             + g * (s2_dag_a + s2_dag_a.conj().T)
         )

@@ -20,16 +20,18 @@ from cavityfock import PRESETS
 from cavityfock.cli import main
 from cavityfock.dynamics import NORM_DRIFT_LIMIT
 
-# Finite ranges reach past the physical domain and into unstable steps; the
-# window stays a whole number of coarse steps.
+# Finite ranges reach past the physical domain and into unstable steps, and
+# the pulse parameters reach every finite float; the window stays a whole
+# number of coarse steps.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 OVERRIDES = {
-    "omega0_T": st.floats(-1.0, 1e3),
+    "omega0_T": st.floats(-1.0, 1e3) | FINITE,
     "delta_T": st.floats(-1e3, 1e3),
-    "delta_m_T": st.floats(-50.0, 1e3),
-    "tau_p_over_T": st.floats(-2.0, 2.0),
-    "tau_s_over_T": st.floats(-2.0, 2.0),
-    "gamma_T": st.none() | st.floats(-1.0, 1e3),
-    "kappa_T": st.none() | st.floats(-1.0, 1e3),
+    "delta_m_T": st.floats(-50.0, 1e3) | FINITE,
+    "tau_p_over_T": st.floats(-2.0, 2.0) | FINITE,
+    "tau_s_over_T": st.floats(-2.0, 2.0) | FINITE,
+    "gamma_T": st.just(0.0) | st.floats(-1.0, 1e3),
+    "kappa_T": st.just(0.0) | st.floats(-1.0, 1e3),
     "t_start_over_T": st.sampled_from([-4.0, -2.0, 0.0]),
     "t_end_over_T": st.sampled_from([-1.0, 2.0, 4.0]),
     "n_max": st.integers(0, 2),

@@ -29,9 +29,21 @@ TEST_ORACLES = (
 # Names that per-model tables replaced: pulses.CHANNELS, hilbert.LEVELS and
 # the channel couplings of hamiltonians
 REPLACED_BY_TABLES = ("EFFECTIVE_LEVELS", "FULL_LEVELS", "_coupling_terms", "_sweep_value")
-# The second CSV row layout, its cell kind for "%.16e" text, and the raising
-# operators that transition_operator gives
-REMOVED = ("_sliced_rows", "_masked_rows", "_FALLBACK", "atomic_raising", "_RAISING_PAIRS")
+# The second CSV row layout, its cell kind for "%.16e" text, the raising
+# operators and level projectors that transition_operator gives, and the
+# field-kind sets and field names that scenarios.FIELD_KINDS gives
+REMOVED = (
+    "_sliced_rows",
+    "_masked_rows",
+    "_FALLBACK",
+    "atomic_raising",
+    "_RAISING_PAIRS",
+    "level_projector",
+    "OPTIONAL_FLOAT_FIELDS",
+    "INT_FIELDS",
+    "_FIELD_TYPES",
+    "config_field_names",
+)
 
 
 def test_exported_names_are_unique_and_resolve():

@@ -1,7 +1,11 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityfock import (
     ControlSchedule,
@@ -12,6 +16,7 @@ from cavityfock import (
     physical_pulse_pair,
     stirap_pair,
 )
+from cavityfock.pulses import TAIL_CLAMP
 
 from oracles import (
     DegenerateSpectrumError,
@@ -20,6 +25,7 @@ from oracles import (
 )
 
 STANDARD = PulseParameters(omega0=2.0)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 class TestPulseParameters:
@@ -305,3 +311,59 @@ class TestControlSchedule:
         for model in ("effective", "full"):
             stirap = ControlSchedule(STANDARD, model=model, drive="stirap")
             assert stirap.channels == ("omega_r", "g")
+
+
+class TestEveryFiniteParameter:
+    """Every finite pulse parameter gives finite controls at every finite
+    time, and numpy warns of nothing on the way."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        omega0=st.floats(0.0, sys.float_info.max),
+        tau_p=FINITE,
+        tau_s=FINITE,
+        delta_m=st.floats(0.0, sys.float_info.max, exclude_min=True),
+        times=st.lists(FINITE, max_size=8),
+    )
+    def test_controls_are_finite_without_warnings(self, omega0, tau_p, tau_s, delta_m, times):
+        params = PulseParameters(omega0, tau_p, tau_s, delta_m=delta_m)
+        t = np.concatenate((np.linspace(-4.0, 4.0, 17), times))
+        for model in ("effective", "full"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                values = ControlSchedule(params, model, "tqd").values(t)
+            assert all(np.isfinite(column).all() for column in values)
+
+    @pytest.mark.parametrize("tau_p, tau_s", [(1e308, 0.5), (1e200, 0.5), (1e308, 1e308)])
+    def test_pulses_far_apart_give_no_correction(self, tau_p, tau_s):
+        # the pump never meets the Stokes pulse, so d/dt arctan(omega_r/g)
+        # is zero to far below the smallest float
+        params = PulseParameters(omega0=2.0, tau_p=tau_p, tau_s=tau_s)
+        t = np.linspace(-4.0, 4.0, 9)
+        values = ControlSchedule(params, "effective", "tqd").values(t)
+        assert np.array_equal(values.omega1, np.zeros(9))
+        assert np.array_equal(values.omega_r, np.zeros(9))
+        g_m, omega_m = physical_pulse_pair(params, t)
+        assert np.array_equal(g_m, np.zeros(9)) and np.array_equal(omega_m, np.zeros(9))
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(tau_p=st.floats(-50.0, 50.0), separation=st.floats(-100.0, 100.0))
+    def test_clipping_the_separation_changes_no_value(self, tau_p, separation):
+        # the ratio form on the unclipped separation, near both pulses
+        params = PulseParameters(omega0=2.0, tau_p=tau_p, tau_s=separation - tau_p)
+        near = np.linspace(-9.0, 9.0, 1801)
+        t = np.concatenate((tau_p + near, -params.tau_s + near))
+        exponent_p, exponent_s = -((t - params.tau_p) ** 2), -((t + params.tau_s) ** 2)
+        damp = np.exp(-np.abs(exponent_p - exponent_s))
+        direct = 2.0 * (params.tau_p + params.tau_s) * damp / (1.0 + damp * damp)
+        direct[np.maximum(exponent_p, exponent_s) < math.log(TAIL_CLAMP)] = 0.0
+        assert np.array_equal(counterdiabatic_amplitude(params, t), direct)
+
+    def test_largest_detuning_gives_the_root_of_its_product(self):
+        # delta_m |omega1| passes the float range where omega1 = 2; its
+        # root does not
+        params = PulseParameters(omega0=2.0, tau_p=1.0, tau_s=1.0, delta_m=sys.float_info.max)
+        g_m, omega_m = physical_pulse_pair(params, 0.0)
+        omega1 = counterdiabatic_amplitude(params, 0.0)
+        assert omega_m == pytest.approx(math.sqrt(params.delta_m) * math.sqrt(omega1), rel=1e-15)
+        assert g_m == omega_m

@@ -15,7 +15,7 @@ from cavityfock import (
 )
 from cavityfock import scenarios
 from cavityfock.cli import main, parse_config_file
-from cavityfock.scenarios import CSV_COLUMNS
+from cavityfock.scenarios import CSV_COLUMNS, SWEEP_COLUMNS
 
 
 def _read_csv(path):
@@ -36,7 +36,7 @@ class TestPresets:
         assert cfg.model == "effective" and cfg.drive == "stirap"
         assert cfg.omega0_T == 2.0 and cfg.delta_T == 1.0
         assert cfg.tau_p_over_T == 0.5 and cfg.tau_s_over_T == 0.5
-        assert cfg.gamma_T is None and cfg.kappa_T is None
+        assert cfg.gamma_T == 0.0 and cfg.kappa_T == 0.0
 
     def test_dissipative_preset_values(self):
         cfg = resolve_preset("fig2f_dissipative_tqd")
@@ -256,6 +256,15 @@ class TestSweep:
         finals = [float(v) for v in _column(header, rows, "final_n")]
         assert finals[1] < finals[0]
 
+    def test_zero_rate_row_is_the_lossless_run(self, tmp_path):
+        # a rate of 0 is no loss: the Schroedinger equation, as in fig2_tqd
+        out = str(tmp_path / "kappa.csv")
+        sweep(resolve_preset("fig2_tqd"), "kappa_T", [0.0, 0.05], out)
+        _header, rows = _read_csv(out)
+        figures = simulate(resolve_preset("fig2_tqd"))[1].figures()
+        assert rows[0][2:] == [figures[name] for name in SWEEP_COLUMNS[2:]]
+        assert rows[1][2:] != rows[0][2:]
+
 
 class TestConfigFile:
     def test_parse_with_comments_and_blank_lines(self, tmp_path):
@@ -347,12 +356,34 @@ class TestCli:
         "setting, message",
         [
             ("omega0_T=abc", "error: omega0_T expects a number, got 'abc'\n"),
+            ("gamma_T=none", "error: gamma_T expects a number, got 'none'\n"),
             ("foo", "error: --set expects key=value, got 'foo'\n"),
         ],
     )
     def test_malformed_override_is_usage_error(self, setting, message, capsys):
         assert main(["run", "--set", setting]) == 2
         assert capsys.readouterr().err == message
+
+    def test_zero_rate_runs_the_closed_full_model(self, tmp_path, capsys):
+        outputs = []
+        for sets in ([], ["--set", "gamma_T=0", "--set", "kappa_T=0"]):
+            out = tmp_path / f"full{len(sets)}.csv"
+            assert main(["run", "--preset", "fig3_full", *sets, "--out", str(out)]) == 0
+            printed = capsys.readouterr().out.splitlines()
+            summary = [line for line in printed if not line.startswith(("wall_time_s=", "output_path="))]
+            outputs.append((out.read_bytes(), summary))
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("preset", ["fig2_tqd", "fig3_full"])
+    def test_pulses_beyond_overflow_run_with_finite_controls(self, preset, tmp_path, capsys):
+        # tau_p + tau_s overflows; the pump never meets the cavity pulse
+        out = tmp_path / "far.csv"
+        argv = ["run", "--preset", preset, "--set", "tau_p_over_T=1e308", "--out", str(out)]
+        assert main(argv + ["--set", "dt_over_T=0.01"]) == 0
+        assert "final_p_g1_0=1.0000000000000000e+00" in capsys.readouterr().out.splitlines()
+        header, rows = _read_csv(out)
+        for name in ("omega_r_T", "omega1_T", "gm_T", "omegam_T"):
+            assert {cell for cell in _column(header, rows, name)} <= {"", "0.0000000000000000e+00"}
 
     def test_integration_failure_exit_code(self, tmp_path, capsys):
         code = main(
