@@ -58,11 +58,17 @@ def _resolve_config(args) -> SimulationConfig:
     overrides: dict[str, str] = {}
     if args.config:
         overrides.update(parse_config_file(args.config))
+    given: set[str] = set()
     for item in args.set or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key in given:
+            raise ConfigError(f"--set: duplicate key {key!r}")
+        given.add(key)
+        overrides[key] = value
+    if args.command == "sweep" and "output_path" in overrides:
+        raise ConfigError("sweep writes its table to --out and takes no output_path")
 
     scenario = overrides.pop("scenario", None)
     if args.preset and scenario not in (None, args.preset):

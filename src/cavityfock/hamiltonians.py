@@ -91,22 +91,21 @@ Jumps = tuple[tuple[float, np.ndarray], ...]
 
 
 def jump_operators(config: ModelConfig, basis: ProductBasis) -> Jumps:
-    """Lindblad jumps (rate, L) of the master equation: cavity loss
-    (kappa, a) and spontaneous emission of the intermediate excited level
-    into each ground level, (gamma/2, |g1><e|) and (gamma/2, |g2><e|), so
-    that the total emission rate is gamma.  Empty without dissipation.
+    """Lindblad jumps (rate, L) on either model: cavity loss (kappa, a) and
+    spontaneous emission of |e> into each ground level, (gamma/2, |g1><e|)
+    and (gamma/2, |g2><e|), so that its total rate is gamma.  A zero rate
+    adds no jump, and |em> does not decay.
     """
     if config.dissipation is None:
         return ()
-    if config.model != "effective":
-        raise ModelMismatchError("dissipative dynamics is only defined for the effective model")
     a, _ = ladder_operators(basis)
     gamma, kappa = config.dissipation.gamma, config.dissipation.kappa
-    return (
+    jumps = (
         (kappa, a),
         (0.5 * gamma, transition_operator(basis, "g1", "e")),
         (0.5 * gamma, transition_operator(basis, "g2", "e")),
     )
+    return tuple((rate, op) for rate, op in jumps if rate > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,9 +142,9 @@ def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamilt
         adiabatic transfer; H1' = i omega1 |g1><g2| a + h.c. is the correction
         channel, present only with drive="tqd".
 
-    With dissipation configured (effective model only) the model carries the
-    jumps of jump_operators and the matching decay terms, so that the master
-    equation preserves the trace.
+    With a nonzero decay rate the model carries the jumps of jump_operators
+    and the matching decay terms, so that the master equation preserves the
+    trace.
     """
     if basis.levels != LEVELS[config.model]:
         raise ModelMismatchError(
@@ -172,8 +171,6 @@ def bound_hamiltonian(
     with include_decay H' with its decay terms, else the model without them."""
     if not include_decay:
         config = replace(config, dissipation=None)
-    elif config.dissipation is None:
-        raise ModelMismatchError("dissipation is not configured")
     model = linear_hamiltonian(config, basis)
     d = basis.dimension
     matrices = np.reshape(list(model.terms.values()), (len(model.terms), d * d))

@@ -105,10 +105,7 @@ def model_config(sim: SimulationConfig) -> ModelConfig:
         delta=sim.delta_T,
         delta_m=sim.delta_m_T,
     )
-    # a zero rate is no loss; NaN is not zero, and Dissipation rejects it
-    dissipation = None
-    if sim.gamma_T != 0 or sim.kappa_T != 0:
-        dissipation = Dissipation(gamma=sim.gamma_T, kappa=sim.kappa_T)
+    dissipation = Dissipation(gamma=sim.gamma_T, kappa=sim.kappa_T)
     return ModelConfig(sim.model, sim.drive, pulses, dissipation)
 
 

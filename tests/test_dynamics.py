@@ -47,6 +47,15 @@ PULSES = PulseParameters(omega0=2.0)
 BASIS = build_basis("effective", 1)
 
 
+def _lossless(name):
+    """Whether a preset's model has no jumps, so that it runs pure states."""
+    sim = resolve_preset(name)
+    return not linear_hamiltonian(model_config(sim), build_basis(sim.model, sim.n_max)).jumps
+
+
+LOSSLESS_PRESETS = sorted(filter(_lossless, PRESETS))
+
+
 class TestTimeGrid:
     def test_step_count(self):
         grid = TimeGrid(-4.0, 4.0, 1e-3)
@@ -221,15 +230,32 @@ class TestLindblad:
             assert n_mean == pytest.approx(expected, abs=1e-6)
 
     def test_closed_system_limit_matches_pure_propagation(self):
-        config = ModelConfig("effective", "tqd", PULSES, Dissipation(0.0, 0.0))
+        # a zero-rate jump, given explicitly, keeps the master equation
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=200)
         psi0 = BASIS.state("g1", 0)
-        closed = linear_hamiltonian(replace(config, dissipation=None), BASIS)
+        closed = linear_hamiltonian(ModelConfig("effective", "tqd", PULSES), BASIS)
         pure = propagate(closed, psi0, grid)
-        mixed = propagate(linear_hamiltonian(config, BASIS), psi0, grid)
+        a, _ = ladder_operators(BASIS)
+        mixed = propagate(replace(closed, jumps=((0.0, a),)), psi0, grid)
+        assert mixed.is_density and not pure.is_density
         for psi, rho in zip(pure.states, mixed.states):
             projector = np.outer(psi, psi.conj())
             assert np.max(np.abs(rho - projector)) <= 1e-8
+
+    @pytest.mark.parametrize("model", ["effective", "full"])
+    def test_zero_rates_run_the_pure_states_of_no_dissipation(self, model):
+        basis = build_basis(model, 1)
+        grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
+        runs = [
+            propagate(
+                linear_hamiltonian(ModelConfig(model, "tqd", PULSES, dissipation), basis),
+                basis.state("g1", 0),
+                grid,
+            )
+            for dissipation in (None, Dissipation(0.0, 0.0))
+        ]
+        assert not runs[1].is_density
+        assert runs[1].coordinates.tobytes() == runs[0].coordinates.tobytes()
 
     def test_trace_preserved_with_dissipation(self):
         config = ModelConfig(
@@ -276,6 +302,18 @@ class TestEliminationResidual:
             linear_hamiltonian(config, basis), basis.state("g1", 0), grid
         )
         assert 0.0 < trajectory.max_population("em") < 0.1
+
+    def test_lossy_full_model_approaches_the_effective_model(self):
+        """With the same losses, the full model comes closer to the
+        effective one as delta_m grows (0.81461 at 18 and 0.81885 at 72,
+        against 0.81890)."""
+        lossy = replace(resolve_preset("fig3_full"), gamma_T=5.0, kappa_T=0.05)
+        effective = simulate(replace(lossy, model="effective"))[1].final_populations[("g2", 1)]
+        gaps = []
+        for delta_m in (18.0, 72.0):
+            _trajectory, summary = simulate(replace(lossy, delta_m_T=delta_m))
+            gaps.append(abs(summary.final_populations[("g2", 1)] - effective))
+        assert gaps[1] < gaps[0] / 10
 
 
 class TestTruncationIndependence:
@@ -372,18 +410,31 @@ class TestAgainstReferenceLoops:
         [(name, 1) for name in sorted(PRESETS)] + [("fig2f_dissipative_tqd", 3)],
     )
     def test_every_recorded_state_matches(self, name, n_max):
-        sim = replace(resolve_preset(name), n_max=n_max)
+        self.check(replace(resolve_preset(name), n_max=n_max))
+
+    @pytest.mark.parametrize("n_max", [1, 3])
+    def test_lossy_full_model_matches(self, n_max):
+        """The four-level model takes the losses of the effective one."""
+        sim = replace(resolve_preset("fig3_full"), n_max=n_max, gamma_T=5.0, kappa_T=0.05)
+        trajectory = self.check(sim)
+        assert trajectory.is_density
+        labels = [("g1", 0), ("e", 0), ("g2", 0), ("g2", 1), ("em", 0)]
+        assert trajectory.kept.tolist() == [trajectory.basis.index(*label) for label in labels]
+
+    @staticmethod
+    def check(sim):
         trajectory, _summary = simulate(sim)
         config = model_config(sim)
-        basis = build_basis(sim.model, n_max)
+        basis = build_basis(sim.model, sim.n_max)
         psi0 = basis.state("g1", 0)
-        if config.dissipation is None:
+        if not linear_hamiltonian(config, basis).jumps:
             expected = reference_schrodinger(bound_hamiltonian(config, basis), psi0, time_grid(sim))
         else:
             rho0 = np.outer(psi0, psi0.conj())
             expected = reference_lindblad(config, rho0, time_grid(sim), basis)
         assert trajectory.states.shape == expected.shape
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
+        return trajectory
 
 
 class TestScanLengths:
@@ -545,11 +596,11 @@ class TestReachableSubspace:
         assert len(expected) == 10
         assert np.array_equal(_reachable(blocks, x0), expected)
 
+    def test_four_presets_are_lossless(self):
+        assert LOSSLESS_PRESETS == ["fig2_stirap", "fig2_tqd", "fig2e_lossless", "fig3_full"]
+
     @pytest.mark.parametrize("n_max", [1, 3])
-    @pytest.mark.parametrize(
-        "name",
-        sorted(name for name in PRESETS if model_config(resolve_preset(name)).dissipation is None),
-    )
+    @pytest.mark.parametrize("name", LOSSLESS_PRESETS)
     def test_closed_presets_step_three_or_four_basis_states(self, name, n_max):
         sim = replace(resolve_preset(name), n_max=n_max)
         basis = build_basis(sim.model, n_max)

@@ -150,36 +150,36 @@ class TestDissipativeHamiltonian:
         assert h[e0, e0] == PULSES.delta - 2.5j
         assert h[g21, g21] == -0.025j
 
-    def test_missing_dissipation_raises(self):
-        with pytest.raises(ModelMismatchError):
-            hamiltonian_at(EFFECTIVE_STIRAP, EFFECTIVE_BASIS, 0.0, include_decay=True)
-
-    def test_full_model_dissipation_out_of_scope(self):
-        config = ModelConfig("full", "tqd", PULSES, Dissipation(5.0, 0.05))
-        with pytest.raises(ModelMismatchError):
-            hamiltonian_at(config, FULL_BASIS, 0.0, include_decay=True)
-
 
 class TestJumpOperators:
     def test_none_without_dissipation(self):
         assert jump_operators(EFFECTIVE_TQD, EFFECTIVE_BASIS) == ()
         assert linear_hamiltonian(EFFECTIVE_TQD, EFFECTIVE_BASIS).jumps == ()
 
-    def test_cavity_loss_and_both_emission_branches(self):
-        config = ModelConfig("effective", "tqd", PULSES, Dissipation(5.0, 0.05))
-        a, _ = ladder_operators(EFFECTIVE_BASIS)
-        expected = [
-            (0.05, a),
-            (2.5, transition_operator(EFFECTIVE_BASIS, "e", "g1").conj().T),
-            (2.5, transition_operator(EFFECTIVE_BASIS, "e", "g2").conj().T),
-        ]
-        for jumps in (
-            jump_operators(config, EFFECTIVE_BASIS),
-            linear_hamiltonian(config, EFFECTIVE_BASIS).jumps,
-        ):
-            assert [rate for rate, _ in jumps] == [rate for rate, _ in expected]
-            for (_, op), (_, want) in zip(jumps, expected):
-                assert np.array_equal(op, want)
+    @pytest.mark.parametrize(
+        "dissipation, expected",
+        [
+            (Dissipation(5.0, 0.05), ["a", "g1", "g2"]),
+            (Dissipation(5.0, 0.0), ["g1", "g2"]),
+            (Dissipation(0.0, 0.05), ["a"]),
+            (Dissipation(0.0, 0.0), []),
+        ],
+    )
+    @pytest.mark.parametrize("model", ["effective", "full"])
+    def test_cavity_loss_and_both_emission_branches(self, model, dissipation, expected):
+        """Either model takes the same jumps, and a zero rate adds none."""
+        basis = build_basis(model, 1)
+        config = ModelConfig(model, "tqd", PULSES, dissipation)
+        a, _ = ladder_operators(basis)
+        every = {
+            "a": (dissipation.kappa, a),
+            "g1": (dissipation.gamma / 2, transition_operator(basis, "e", "g1").conj().T),
+            "g2": (dissipation.gamma / 2, transition_operator(basis, "e", "g2").conj().T),
+        }
+        for jumps in (jump_operators(config, basis), linear_hamiltonian(config, basis).jumps):
+            assert [rate for rate, _ in jumps] == [every[name][0] for name in expected]
+            for (_, op), name in zip(jumps, expected):
+                assert np.array_equal(op, every[name][1])
 
     def test_decay_terms_match_jumps_so_trace_is_preserved(self):
         """d tr(rho)/dt = 0 for any rho: the decay terms of H' balance the

@@ -364,6 +364,34 @@ class TestCli:
         assert main(["run", "--set", setting]) == 2
         assert capsys.readouterr().err == message
 
+    def test_repeated_set_key_is_usage_error(self, tmp_path, capsys):
+        # as a repeated key of a configuration file is; --set may still
+        # override a file's key (test_config_file_with_flag_override)
+        out = tmp_path / "twice.csv"
+        sets = ["--set", "stride=100", "--set", "stride=200"]
+        assert main(["run", "--preset", "fig2_tqd", *sets, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --set: duplicate key 'stride'\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_sweep_rejects_output_path(self, source, tmp_path, capsys, monkeypatch):
+        # a sweep writes its table to --out; an output_path would be ignored
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "job.cfg").write_text("output_path=mine.csv\n", encoding="utf-8")
+        given = ["--set", "output_path=mine.csv"] if source == "set" else ["--config", "job.cfg"]
+        argv = ["sweep", "--preset", "fig2_stirap", "--param", "omega0_T", "--values", "2"]
+        assert main(argv + given) == 2
+        assert "output_path" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["job.cfg"]
+
+    def test_lossy_full_model_runs(self, tmp_path, capsys):
+        out = tmp_path / "lossy.csv"
+        sets = ["--set", "gamma_T=5", "--set", "kappa_T=0.05"]
+        assert main(["run", "--preset", "fig3_full", *sets, "--out", str(out)]) == 0
+        summary = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+        assert 0.81 < float(summary["final_p_g2_1"]) < 0.82
+        assert float(summary["final_p_g2_0"]) > 0.1  # the photon leaks, the atom decays
+
     def test_zero_rate_runs_the_closed_full_model(self, tmp_path, capsys):
         outputs = []
         for sets in ([], ["--set", "gamma_T=0", "--set", "kappa_T=0"]):
