@@ -99,7 +99,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
-    values = [_coerce(args.param, raw) for raw in args.values.split(",")] if args.values else []
+    values = [_coerce(args.param, raw) for raw in args.values.split(",")]
     out = args.out or "sweep.csv"
     path = sweep(config, args.param, values, out)
     print(f"rows={len(values)}")

@@ -315,13 +315,13 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
 
 def _record(
     hamiltonian: LinearHamiltonian,
-    times: np.ndarray,
+    grid: TimeGrid,
     coordinates: np.ndarray,
     columns: np.ndarray,
     kept: np.ndarray,
 ) -> Trajectory:
-    """Check the recorded coordinates and derive the observables from them
-    and from the control columns at the recorded times.
+    """Check the coordinates recorded at the grid's sample steps and derive
+    the observables from them and from the control columns at those steps.
 
     The coordinates are those of the state on the basis states ``kept``, as
     in Trajectory; a model with jumps records density matrices.  The
@@ -337,6 +337,8 @@ def _record(
     that NaN fails it.
     """
     basis, is_density, size = hamiltonian.basis, bool(hamiltonian.jumps), len(kept)
+    steps = grid.sample_steps
+    times = grid.time(steps)
     weights = np.zeros((len(times), basis.dimension))
     if is_density:
         weights[:, kept] = coordinates[:, :size]  # the diagonal coordinates come first
@@ -347,13 +349,15 @@ def _record(
     bad = ~(np.abs(weight - 1.0) <= NORM_DRIFT_LIMIT)
     if bad.any():
         i = int(np.argmax(bad))
-        raise IntegrationError(f"{kind} drifted to {weight[i]:.12f} at t={times[i]:g}; reduce dt")
+        raise IntegrationError(
+            f"{kind} drifted to {weight[i]:.6e} at step {steps[i]}, t={times[i]:g}; reduce dt"
+        )
     n_mean, q = photon_statistics(weights, basis)
     weights = weights[:, kept]  # lifted again only when read
     if is_density:
         for start in range(0, len(times), 512):
             part = slice(start, start + 512)
-            _check_positive(_kept_states(coordinates[part], size, True), times[part])
+            _check_positive(_kept_states(coordinates[part], size, True), steps[part], times[part])
     model = hamiltonian.schedule.model
     recorded = dict(zip(hamiltonian.terms, columns.T.copy()))
     off = np.zeros(len(times))
@@ -404,9 +408,9 @@ def _dark_overlaps(
     return np.where(driven, dark, np.nan)
 
 
-def _check_positive(states: np.ndarray, times: np.ndarray) -> None:
+def _check_positive(states: np.ndarray, steps: np.ndarray, times: np.ndarray) -> None:
     """Raise IntegrationError at the first density matrix of the stack
-    (S, k, k) with an eigenvalue below NEGATIVITY_LIMIT.
+    (S, k, k) with an eigenvalue below NEGATIVITY_LIMIT, naming its step.
 
     rho - NEGATIVITY_LIMIT * I has a Cholesky factor exactly when every
     eigenvalue of rho is above the limit, and a factorization in floating
@@ -428,7 +432,7 @@ def _check_positive(states: np.ndarray, times: np.ndarray) -> None:
         i = int(np.argmax(bad))
         raise IntegrationError(
             f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
-            f"at t={times[i]:g}; reduce dt"
+            f"at step {steps[i]}, t={times[i]:g}; reduce dt"
         )
 
 
@@ -472,7 +476,7 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
     kept = _reachable(operators, psi)
     blocks, x0 = _linear_form(_restricted(model, kept), psi[kept])
     coordinates, columns = _integrate(model, grid, blocks, x0)
-    return _record(model, grid.time(grid.sample_steps), coordinates, columns, kept)
+    return _record(model, grid, coordinates, columns, kept)
 
 
 def _restricted(model: LinearHamiltonian, kept: np.ndarray) -> LinearHamiltonian:

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import math
 import numbers
+import operator
 import sys
 import time
 from dataclasses import dataclass, fields, replace
@@ -113,37 +115,38 @@ def time_grid(sim: SimulationConfig) -> TimeGrid:
     return TimeGrid(sim.t_start_over_T, sim.t_end_over_T, sim.dt_over_T, sim.stride)
 
 
+# Each printed figure of merit by name: the CSV column (_table) that it
+# reduces, and how: to its last entry, its maximum, or its largest |x - 1|
+_last = operator.itemgetter(-1)
+_FIGURES = {
+    **{f"final_p_{level}_{n}": (f"p_{level}_{n}", _last) for level, n in _REPORTED_STATES},
+    "max_p_e_0": ("p_e_0", np.max),
+    "max_p_em_0": ("p_em_0", np.max),
+    "final_n": ("n_mean", _last),
+    "final_q": ("mandel_q", _last),
+    "norm_or_trace_drift": ("norm_or_trace", lambda column: np.max(np.abs(column - 1.0))),
+}
+
+
 @dataclass
 class RunSummary:
-    """End-of-run figures of merit, consistent with the final trajectory row."""
+    """End-of-run figures: ``figures_of_merit`` holds each of _FIGURES by
+    name, reduced from the table that the CSV is written from."""
 
     scenario: str
     model: str
     drive: str
     final_populations: dict[tuple[str, int], float]
-    max_p_e_0: float
-    max_p_em_0: float | None
-    final_n: float
-    final_q: float | None
-    norm_or_trace_drift: float
+    figures_of_merit: dict[str, float]
     wall_time_s: float
 
     def figures(self) -> dict[str, str]:
-        """Every summary entry by name, as printed."""
-        final = self.final_populations
+        """Every summary entry by name, as printed: a NaN figure is empty."""
         return {
             "scenario": self.scenario,
             "model": self.model,
             "drive": self.drive,
-            **{
-                f"final_p_{level}_{n}": _fmt(final.get((level, n)))
-                for level, n in _REPORTED_STATES
-            },
-            "max_p_e_0": _fmt(self.max_p_e_0),
-            "max_p_em_0": _fmt(self.max_p_em_0),
-            "final_n": _fmt(self.final_n),
-            "final_q": _fmt(self.final_q),
-            "norm_or_trace_drift": _fmt(self.norm_or_trace_drift),
+            **{name: _fmt(value) for name, value in self.figures_of_merit.items()},
             "wall_time_s": f"{self.wall_time_s:.3f}",
         }
 
@@ -179,19 +182,14 @@ def _simulate(
     started = time.perf_counter()
     trajectory = propagate(model, basis.state("g1", 0), grid)
     wall = time.perf_counter() - started
-
-    drift = float(np.max(np.abs(trajectory.norm_or_trace - 1.0)))
-    final_q = float(trajectory.mandel_q[-1])
+    table = _table(trajectory)
+    figures = {name: float(reduce(table[column])) for name, (column, reduce) in _FIGURES.items()}
     summary = RunSummary(
         scenario=sim.scenario,
         model=sim.model,
         drive=sim.drive,
         final_populations=trajectory.final_populations,
-        max_p_e_0=trajectory.max_population("e", 0),
-        max_p_em_0=trajectory.max_population("em", 0) if "em" in basis.levels else None,
-        final_n=float(trajectory.mean_photon_n[-1]),
-        final_q=None if np.isnan(final_q) else final_q,
-        norm_or_trace_drift=drift,
+        figures_of_merit=figures,
         wall_time_s=wall,
     )
     return trajectory, summary
@@ -204,12 +202,34 @@ def run(sim: SimulationConfig) -> tuple[str, RunSummary]:
     return sim.output_path, summary
 
 
-def _fmt(value: float | None) -> str:
-    return "" if value is None else f"{value:.16e}"
+def _fmt(value: float) -> str:
+    return "" if math.isnan(value) else f"{value:.16e}"
+
+
+def _table(trajectory: Trajectory) -> dict[str, np.ndarray]:
+    """Each CSV column of the trajectory by name, in CSV order: its own
+    arrays, not copies, and a broadcast NaN for a level or channel that the
+    model lacks.  Every column is NaN wherever its value is undefined."""
+    levels, channels = trajectory.basis.levels, CHANNELS[trajectory.model]
+    undefined = np.broadcast_to(np.nan, trajectory.times.shape)
+    controls = trajectory.controls
+    columns = [
+        trajectory.times,
+        *(
+            trajectory.population_series(level, n) if level in levels else undefined
+            for level, n in _REPORTED_STATES
+        ),
+        trajectory.dark_overlap,
+        trajectory.mean_photon_n,
+        trajectory.mandel_q,
+        trajectory.norm_or_trace,
+        *(getattr(controls, c) if c in channels else undefined for c in ControlValues._fields),
+    ]
+    return dict(zip(CSV_COLUMNS, columns))
 
 
 def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
-    """Write the trajectory with the fixed column schema.
+    """Write the trajectory's table (_table) with the fixed column schema.
 
     Columns that do not apply to the trajectory's model are left empty, as
     are undefined dark_overlap / mandel_q entries.  Every other cell is
@@ -226,24 +246,10 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     formatted (_csv_blocks).  Every block of rows is laid out by column
     slices (_block_rows).
     """
-    levels, channels = trajectory.basis.levels, CHANNELS[trajectory.model]
-    undefined = np.broadcast_to(np.nan, trajectory.times.shape)
-    controls = trajectory.controls
-    columns = [
-        trajectory.times,
-        *(
-            trajectory.population_series(level, n) if level in levels else undefined
-            for level, n in _REPORTED_STATES
-        ),
-        trajectory.dark_overlap,
-        trajectory.mean_photon_n,
-        trajectory.mandel_q,
-        trajectory.norm_or_trace,
-        *(getattr(controls, c) if c in channels else undefined for c in ControlValues._fields),
-    ]
+    table = _table(trajectory)
     with open(path, "wb") as handle:
-        handle.write((",".join(CSV_COLUMNS) + "\n").encode())
-        handle.writelines(_csv_blocks(columns))
+        handle.write((",".join(table) + "\n").encode())
+        handle.writelines(_csv_blocks(list(table.values())))
 
 
 # Rows are formatted about 8 000 cells at a time (546 trajectory rows), so
@@ -478,20 +484,7 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     return kind
 
 
-SWEEP_COLUMNS = (
-    "parameter",
-    "value",
-    "final_p_g1_0",
-    "final_p_e_0",
-    "final_p_g2_1",
-    "final_p_g2_0",
-    "final_p_em_0",
-    "max_p_e_0",
-    "max_p_em_0",
-    "final_n",
-    "final_q",
-    "norm_or_trace_drift",
-)
+SWEEP_COLUMNS = ("parameter", "value", *_FIGURES)
 
 
 def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
@@ -510,10 +503,9 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
     built = [_setup(config) for config in configs]
     rows = [",".join(SWEEP_COLUMNS)]
     for config, setup in zip(configs, built):
-        _trajectory, summary = _simulate(config, *setup)
-        figures = summary.figures()
-        value = _fmt(float(getattr(config, parameter)))
-        rows.append(",".join([parameter, value] + [figures[name] for name in SWEEP_COLUMNS[2:]]))
+        figures = _simulate(config, *setup)[1].figures_of_merit
+        value = float(getattr(config, parameter))
+        rows.append(",".join([parameter, *map(_fmt, (value, *figures.values()))]))
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
     return out_path

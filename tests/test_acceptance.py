@@ -183,7 +183,7 @@ def test_criterion_06_master_equation_hygiene(fig2f_results):
     worst_drift = 0.0
     worst_negative = 0.0
     for _name, (trajectory, summary) in fig2f_results.items():
-        worst_drift = max(worst_drift, summary.norm_or_trace_drift)
+        worst_drift = max(worst_drift, summary.figures_of_merit["norm_or_trace_drift"])
         for rho in trajectory.states:
             smallest = float(np.linalg.eigvalsh(rho)[0])
             worst_negative = min(worst_negative, smallest)
@@ -231,20 +231,20 @@ def test_criterion_06_master_equation_hygiene(fig2f_results):
 
 
 def test_criterion_07_dissipative_robustness(fig2f_results):
-    _, summary_stirap = fig2f_results["fig2f_dissipative_stirap"]
-    _, summary_tqd = fig2f_results["fig2f_dissipative_tqd"]
-    _trajectory, lossless = simulate(resolve_preset("fig2e_lossless"))
+    stirap = fig2f_results["fig2f_dissipative_stirap"][1].figures_of_merit
+    tqd = fig2f_results["fig2f_dissipative_tqd"][1].figures_of_merit
+    lossless = simulate(resolve_preset("fig2e_lossless"))[1].figures_of_merit
     ok = (
-        summary_tqd.final_n > summary_stirap.final_n
-        and lossless.final_n >= 0.999
-        and lossless.final_q is not None
-        and lossless.final_q <= -0.99
+        tqd["final_n"] > stirap["final_n"]
+        and lossless["final_n"] >= 0.999
+        and math.isfinite(lossless["final_q"])
+        and lossless["final_q"] <= -0.99
     )
     _report(
         "criterion 7 (dissipative robustness)",
         ok,
-        f"n_tqd={summary_tqd.final_n:.4f} > n_stirap={summary_stirap.final_n:.4f}; "
-        f"lossless n={lossless.final_n:.6f} (>=0.999), Q={lossless.final_q:.6f} "
+        f"n_tqd={tqd['final_n']:.4f} > n_stirap={stirap['final_n']:.4f}; "
+        f"lossless n={lossless['final_n']:.6f} (>=0.999), Q={lossless['final_q']:.6f} "
         f"(<=-0.99)",
     )
 

@@ -767,11 +767,12 @@ def embedded_density_stack(rng, support, dim, smallest):
     return stack
 
 
-def record_stack(model, times, stack):
-    """_record of density matrices (S, d, d) given in full: their d^2 real
-    coordinates, all kept, with the model's controls at ``times``."""
-    columns = model.evaluate(times)
-    return _record(model, times, _coordinates(stack), columns, np.arange(stack.shape[-1]))
+def record_stack(model, grid, stack):
+    """_record of density matrices (S, d, d) given in full at the grid's
+    sample steps: their d^2 real coordinates, all kept, with the model's
+    controls at those steps."""
+    columns = model.evaluate(grid.time(grid.sample_steps))
+    return _record(model, grid, _coordinates(stack), columns, np.arange(stack.shape[-1]))
 
 
 class TestNegativityCheck:
@@ -797,20 +798,21 @@ class TestNegativityCheck:
         rng = np.random.default_rng(3)
         smallest = [0.0, 1e-7, -5e-7, -3e-6, -1e-5]
         stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, smallest)
-        times = np.linspace(-1.0, 1.0, len(smallest))
+        grid = TimeGrid(-1.0, 1.0, 0.5)
         first = int(np.argmax(np.linalg.eigvalsh(stack)[:, 0] < NEGATIVITY_LIMIT))
         assert first == 3
-        message = f"negative eigenvalue .* at t={times[first]:g};"
+        message = f"negative eigenvalue .* at step {first}, t={grid.time(first):g};"
         with pytest.raises(IntegrationError, match=message):
-            record_stack(self.MODEL, times, stack)
-        record_stack(self.MODEL, times[:first], stack[:first])  # the samples before it pass
+            record_stack(self.MODEL, grid, stack)
+        # the samples before it pass
+        record_stack(self.MODEL, TimeGrid(-1.0, 0.0, 0.5), stack[:first])
 
     def test_nan_fails_the_trace_check_first(self):
         rng = np.random.default_rng(4)
         stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, [0.0, 1e-3])
         stack[1, 4, 4] = np.nan
-        with pytest.raises(IntegrationError, match="trace drifted to nan at t=1;"):
-            record_stack(self.MODEL, np.array([0.0, 1.0]), stack)
+        with pytest.raises(IntegrationError, match="trace drifted to nan at step 1, t=1;"):
+            record_stack(self.MODEL, TimeGrid(0.0, 1.0, 1.0), stack)
 
     @pytest.mark.parametrize("support", [[0, 2], [1, 2, 4], [0, 3, 4, 5], list(range(6))])
     def test_certificate_passes_and_fails_as_the_full_spectrum(self, support):
@@ -822,13 +824,13 @@ class TestNegativityCheck:
         smallest = np.linalg.eigvalsh(stack)[:, 0]
         passing = stack[smallest >= NEGATIVITY_LIMIT]
         samples = np.concatenate((passing, passing))[:600]
-        times = np.arange(600.0)
-        record_stack(self.MODEL, times, samples)
+        grid = TimeGrid(0.0, 5.99, 0.01)
+        record_stack(self.MODEL, grid, samples)
         closest = np.argmax(np.where(smallest < NEGATIVITY_LIMIT, smallest, -np.inf))
         assert smallest[closest] == pytest.approx(-3e-6, rel=1e-9)
         samples[530] = stack[closest]
-        with pytest.raises(IntegrationError, match="eigenvalue -3.000e-06 at t=530;"):
-            record_stack(self.MODEL, times, samples)
+        with pytest.raises(IntegrationError, match="eigenvalue -3.000e-06 at step 530, t=5.3;"):
+            record_stack(self.MODEL, grid, samples)
 
     @pytest.mark.parametrize("cholesky", ["numpy", "raises", "nan factor"])
     def test_nan_coherence_fails_at_its_sample(self, cholesky, monkeypatch):
@@ -848,8 +850,8 @@ class TestNegativityCheck:
         rng = np.random.default_rng(5)
         stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, [0.0, 1e-3, 1e-3])
         stack[1, 0, 2] = stack[1, 2, 0] = np.nan
-        with pytest.raises(IntegrationError, match="negative eigenvalue nan at t=1;"):
-            record_stack(self.MODEL, np.array([0.0, 1.0, 2.0]), stack)
+        with pytest.raises(IntegrationError, match="negative eigenvalue nan at step 1, t=1;"):
+            record_stack(self.MODEL, TimeGrid(0.0, 2.0, 1.0), stack)
 
     @pytest.mark.parametrize("n_max", [1, 3])
     def test_a_positive_run_is_never_diagonalized(self, n_max, monkeypatch):

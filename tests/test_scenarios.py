@@ -1,4 +1,5 @@
 import os
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -71,19 +72,32 @@ class TestRun:
         assert set(_column(header, rows, "dark_overlap")) == {""}
         assert summary.final_populations[("g1", 0)] == 1.0
 
-    def test_summary_matches_last_row(self, tmp_path):
-        cfg = replace(
-            resolve_preset("fig2_stirap"),
-            dt_over_T=5e-3,
-            stride=100,
-            output_path=str(tmp_path / "t.csv"),
-        )
+    @pytest.mark.parametrize("stride", [7, 10])
+    @pytest.mark.parametrize("n_max", [1, 3])
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_summary_matches_last_row(self, name, n_max, stride, tmp_path):
+        """Every printed figure is, as text, the CSV's last cell of its
+        column (final_*) or "%.16e" of the column's maximum (max_*); the
+        drift is the largest |x - 1| over the norm_or_trace cells."""
+        out = str(tmp_path / "t.csv")
+        cfg = replace(resolve_preset(name), n_max=n_max, stride=stride, output_path=out)
         path, summary = run(cfg)
+        printed = summary.figures()
         header, rows = _read_csv(path)
+        assert list(scenarios._FIGURES) == list(SWEEP_COLUMNS[2:])
+        for figure, (column, _reduce) in scenarios._FIGURES.items():
+            cells = _column(header, rows, column)
+            values = [float(cell) for cell in cells if cell]
+            if figure == "norm_or_trace_drift":
+                expected = "%.16e" % max(abs(value - 1.0) for value in values)
+            elif figure.startswith("final_"):
+                expected = cells[-1]
+            else:
+                assert figure.startswith("max_")
+                expected = "%.16e" % max(values) if values else ""
+            assert printed[figure] == expected, figure
         last = rows[-1]
         assert float(last[header.index("p_g2_1")]) == summary.final_populations[("g2", 1)]
-        assert float(last[header.index("n_mean")]) == summary.final_n
-        assert float(last[header.index("mandel_q")]) == summary.final_q
 
     def test_summary_and_csv_lift_no_states_and_no_populations(self, tmp_path):
         sim = replace(resolve_preset("fig2f_dissipative_tqd"), stride=1)
@@ -159,7 +173,7 @@ class TestRun:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_conserves_norm_or_trace(self, name):
         _trajectory, summary = simulate(resolve_preset(name))
-        assert summary.norm_or_trace_drift <= 1e-8
+        assert summary.figures_of_merit["norm_or_trace_drift"] <= 1e-8
 
     @pytest.mark.parametrize("tau_p, tau_s", [(0.7, 0.5), (0.5, 0.3)])
     def test_full_model_transfer_off_the_paper_geometry(self, tau_p, tau_s):
@@ -455,6 +469,20 @@ class TestCli:
             assert "drifted" in captured.err
             assert captured.err.count("\n") == 1
 
+    def test_drift_prints_a_readable_number_and_names_the_step(self, tmp_path, capsys):
+        # gamma dt = 1000 is far outside RK4's stability region: the trace
+        # blows up within the first recorded stride
+        out = tmp_path / "unstable.csv"
+        argv = ["run", "--preset", "fig2f_dissipative_tqd", "--set", "gamma_T=1e6"]
+        assert main(argv + ["--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert re.fullmatch(
+            r"error: trace drifted to -?\d\.\d{6}e[+-]\d{2,3} at step 10, t=-3\.99; reduce dt\n",
+            captured.err,
+        ), captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_max", [1, 3])
     def test_negative_eigenvalue_is_integration_failure(self, n_max, tmp_path, capsys):
         # at dt = 0.05 T the trace holds but rho loses positivity at t = -0.5 T
@@ -465,7 +493,7 @@ class TestCli:
         assert code == 3
         assert captured.out == ""
         assert captured.err == (
-            "error: density matrix developed negative eigenvalue -2.505e-06 at t=-0.5; "
+            "error: density matrix developed negative eigenvalue -2.505e-06 at step 70, t=-0.5; "
             "reduce dt\n"
         )
         assert not out.exists()
@@ -541,6 +569,17 @@ class TestCli:
             assert main(argv) == 2
             assert "n_max" in capsys.readouterr().err
             assert not os.path.exists(out)
+
+    @pytest.mark.parametrize("values", ["", "1,,2", "1,"])
+    def test_sweep_rejects_an_empty_value(self, values, tmp_path, capsys):
+        # an empty --values is one empty item, not an empty list
+        out = tmp_path / "empty.csv"
+        argv = ["sweep", "--preset", "fig2_stirap", "--param", "omega0_T", "--values", values]
+        assert main(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: omega0_T expects a number, got ''\n"
+        assert not out.exists()
 
     def test_sweep_rejects_none_values(self, tmp_path, capsys):
         out = str(tmp_path / "gamma.csv")
