@@ -357,7 +357,7 @@ def _record(
     if is_density:
         for start in range(0, len(times), 512):
             part = slice(start, start + 512)
-            _check_positive(_kept_states(coordinates[part], size, True), steps[part], times[part])
+            _check_positive(_kept_states(coordinates[part], size, True), steps[part], grid)
     model = hamiltonian.schedule.model
     recorded = dict(zip(hamiltonian.terms, columns.T.copy()))
     off = np.zeros(len(times))
@@ -408,7 +408,7 @@ def _dark_overlaps(
     return np.where(driven, dark, np.nan)
 
 
-def _check_positive(states: np.ndarray, steps: np.ndarray, times: np.ndarray) -> None:
+def _check_positive(states: np.ndarray, steps: np.ndarray, grid: TimeGrid) -> None:
     """Raise IntegrationError at the first density matrix of the stack
     (S, k, k) with an eigenvalue below NEGATIVITY_LIMIT, naming its step.
 
@@ -432,7 +432,7 @@ def _check_positive(states: np.ndarray, steps: np.ndarray, times: np.ndarray) ->
         i = int(np.argmax(bad))
         raise IntegrationError(
             f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
-            f"at step {steps[i]}, t={times[i]:g}; reduce dt"
+            f"at step {steps[i]}, t={grid.time(steps[i]):g}; reduce dt"
         )
 
 

@@ -31,6 +31,21 @@ def _column(header, rows, name):
     return [row[i] for row in rows]
 
 
+# Each printed figure and the CSV column that it reduces, in printed order
+_REDUCED = {
+    "final_p_g1_0": "p_g1_0",
+    "final_p_e_0": "p_e_0",
+    "final_p_g2_1": "p_g2_1",
+    "final_p_g2_0": "p_g2_0",
+    "final_p_em_0": "p_em_0",
+    "max_p_e_0": "p_e_0",
+    "max_p_em_0": "p_em_0",
+    "final_n": "n_mean",
+    "final_q": "mandel_q",
+    "norm_or_trace_drift": "norm_or_trace",
+}
+
+
 class TestPresets:
     def test_known_names_resolve(self):
         cfg = resolve_preset("fig2_stirap")
@@ -84,8 +99,9 @@ class TestRun:
         path, summary = run(cfg)
         printed = summary.figures()
         header, rows = _read_csv(path)
-        assert list(scenarios._FIGURES) == list(SWEEP_COLUMNS[2:])
-        for figure, (column, _reduce) in scenarios._FIGURES.items():
+        reduced = [(name, column) for name, (column, _) in scenarios._FIGURES.items()]
+        assert reduced == list(_REDUCED.items())
+        for figure, column in _REDUCED.items():
             cells = _column(header, rows, column)
             values = [float(cell) for cell in cells if cell]
             if figure == "norm_or_trace_drift":
@@ -98,6 +114,11 @@ class TestRun:
             assert printed[figure] == expected, figure
         last = rows[-1]
         assert float(last[header.index("p_g2_1")]) == summary.final_populations[("g2", 1)]
+        assert last[header.index("n_mean")] == printed["final_n"]
+        assert last[header.index("mandel_q")] == printed["final_q"]
+
+    def test_sweep_columns(self):
+        assert SWEEP_COLUMNS == ("parameter", "value", *_REDUCED)
 
     def test_summary_and_csv_lift_no_states_and_no_populations(self, tmp_path):
         sim = replace(resolve_preset("fig2f_dissipative_tqd"), stride=1)
