@@ -71,10 +71,10 @@ def _resolve_config(args) -> SimulationConfig:
         raise ConfigError("sweep writes its table to --out and takes no output_path")
 
     scenario = overrides.pop("scenario", None)
-    if args.preset and scenario not in (None, args.preset):
+    if args.preset is not None and scenario not in (None, args.preset):
         raise ConfigError(f"scenario={scenario} disagrees with --preset {args.preset}")
-    scenario = args.preset or scenario
-    config = resolve_preset(scenario) if scenario else SimulationConfig()
+    scenario = scenario if args.preset is None else args.preset
+    config = SimulationConfig() if scenario is None else resolve_preset(scenario)
 
     for key, raw in overrides.items():
         if key not in FIELD_KINDS:

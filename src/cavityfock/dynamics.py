@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable
 
@@ -162,16 +162,6 @@ class Trajectory:
         """P(level, n) at every sample, zero if |level, n> was not kept."""
         column = np.flatnonzero(self.kept == self.basis.index(level, n))
         return self.kept_populations[:, column[0]] if len(column) else np.zeros(len(self.times))
-
-    def max_population(self, level: str, n: int | None = None) -> float:
-        """Largest recorded population of |level, n>, or of the whole level
-        (summed over n) when n is None."""
-        if n is None:
-            first = self.basis.index(level, 0)
-            series = self.populations[:, first : first + self.basis.n_fock].sum(axis=1)
-        else:
-            series = self.population_series(level, n)
-        return float(np.max(series))
 
 
 def _integrate(
@@ -474,22 +464,9 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
     # rho stays on them too, so both equations step only those
     operators = np.array([model.static, *model.terms.values(), *(op for _, op in model.jumps)])
     kept = _reachable(operators, psi)
-    blocks, x0 = _linear_form(_restricted(model, kept), psi[kept])
+    blocks, x0 = _linear_form(model, psi, kept)
     coordinates, columns = _integrate(model, grid, blocks, x0)
     return _record(model, grid, coordinates, columns, kept)
-
-
-def _restricted(model: LinearHamiltonian, kept: np.ndarray) -> LinearHamiltonian:
-    """The model's matrices restricted to the basis states ``kept``, a set
-    that H', every X_k and every jump map into itself; the basis stays the
-    model's."""
-    block = np.ix_(kept, kept)
-    return replace(
-        model,
-        static=model.static[block],
-        terms={name: term[block] for name, term in model.terms.items()},
-        jumps=tuple((rate, op[block]) for rate, op in model.jumps),
-    )
 
 
 def _kept_states(coordinates: np.ndarray, size: int, is_density: bool) -> np.ndarray:
@@ -503,18 +480,21 @@ def _kept_states(coordinates: np.ndarray, size: int, is_density: bool) -> np.nda
     return coordinates[:, :size] + 1j * coordinates[:, size:]
 
 
-def _linear_form(model: LinearHamiltonian, psi: np.ndarray) -> tuple:
-    """The model as the real dx/dt = (A_static + sum_k c_k(t) A_k) x: the
-    blocks (A_static, A_1, ..., A_K) and the initial coordinates x0.  A
-    pure state steps in (Re psi, Im psi), with -iH the block
-    [[Im H, Re H], [-Re H, Im H]]; a density matrix |psi><psi| in its d^2
-    real coordinates, with _real_liouvillian."""
+def _linear_form(model: LinearHamiltonian, psi: np.ndarray, kept: np.ndarray) -> tuple:
+    """The model and psi on the basis states ``kept``, a set that H', every
+    X_k and every jump map into itself, as the real dx/dt = (A_static +
+    sum_k c_k(t) A_k) x: the blocks (A_static, A_1, ..., A_K) and the
+    initial coordinates x0.  A pure state steps in (Re psi, Im psi), with
+    -iH the block [[Im H, Re H], [-Re H, Im H]]; a density matrix
+    |psi><psi| in its k^2 real coordinates, with _real_liouvillian."""
+    h = np.array([model.static, *model.terms.values()])[:, kept[:, None], kept]
+    psi = psi[kept]
     if not model.jumps:
-        h = np.array([model.static, *model.terms.values()])
         blocks = np.block([[h.imag, h.real], [-h.real, h.imag]])
         return blocks, np.concatenate((psi.real, psi.imag))
-    size = len(psi) ** 2
-    blocks = _real_liouvillian(model).reshape(-1, size, size)
+    jumps = [(rate, op[kept[:, None], kept]) for rate, op in model.jumps]
+    size = len(kept) ** 2
+    blocks = _real_liouvillian(h, jumps).reshape(-1, size, size)
     return blocks, _coordinates(np.outer(psi, psi.conj()))
 
 
@@ -553,8 +533,9 @@ def _coordinates(rho: np.ndarray) -> np.ndarray:
     )
 
 
-def _real_liouvillian(model: LinearHamiltonian) -> np.ndarray:
-    """The master equation in real coordinates, linear in the controls:
+def _real_liouvillian(h: np.ndarray, jumps) -> np.ndarray:
+    """The master equation of the stack h = (H', X_1, ..., X_K) and the
+    jumps (rate_j, L_j) in real coordinates, linear in the controls:
     dx/dt = (L_static + sum_k c_k(t) L_k) x, as the real stack
     (L_static; L_1; ...; L_K) of shape ((K+1) d^2, d^2).
 
@@ -564,14 +545,13 @@ def _real_liouvillian(model: LinearHamiltonian) -> np.ndarray:
     L_static E = G E + (G E)^dag + sum_j rate_j L_j E L_j^dag, and with
     G_k = -iX_k, L_k E = G_k E + (G_k E)^dag = -i [X_k, E].
     """
-    dim = len(model.static)
+    dim = h.shape[-1]
     units = _unit_matrices(dim)
-    generators = [-1j * h for h in (model.static, *model.terms.values())]
-    blocks = np.empty((len(generators), dim * dim, dim * dim))  # (block, coordinate, unit)
-    for block, generator in zip(blocks, generators):
+    blocks = np.empty((len(h), dim * dim, dim * dim))  # (block, coordinate, unit)
+    for block, generator in zip(blocks, -1j * h):
         images = generator @ units
         images += images.conj().swapaxes(-1, -2)
         block[...] = _coordinates(images).T
-    for rate, op in model.jumps:
+    for rate, op in jumps:
         blocks[0] += rate * _coordinates(op @ units @ op.conj().T).T
     return blocks.reshape(-1, dim * dim)

@@ -49,14 +49,18 @@ class Dissipation:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Which model and drive to simulate, with its pulse parameters."""
+    """Which model and drive to simulate, with its pulse parameters and decay rates."""
 
     model: str
     drive: str
     pulses: PulseParameters
-    dissipation: Dissipation | None = None
+    dissipation: Dissipation = Dissipation()
 
     def __post_init__(self):
+        if not isinstance(self.dissipation, Dissipation):
+            raise ParameterDomainError(
+                f"dissipation must be a Dissipation, got {self.dissipation!r}"
+            )
         self.schedule()  # validates model, drive and, for the auxiliary pulses, delta_m
 
     def schedule(self) -> ControlSchedule:
@@ -96,8 +100,6 @@ def jump_operators(config: ModelConfig, basis: ProductBasis) -> Jumps:
     and (gamma/2, |g2><e|), so that its total rate is gamma.  A zero rate
     adds no jump, and |em> does not decay.
     """
-    if config.dissipation is None:
-        return ()
     a, _ = ladder_operators(basis)
     gamma, kappa = config.dissipation.gamma, config.dissipation.kappa
     jumps = (
@@ -170,7 +172,7 @@ def bound_hamiltonian(
     """t -> H(t), one time at a time, of linear_hamiltonian(config, basis):
     with include_decay H' with its decay terms, else the model without them."""
     if not include_decay:
-        config = replace(config, dissipation=None)
+        config = replace(config, dissipation=Dissipation())
     model = linear_hamiltonian(config, basis)
     d = basis.dimension
     matrices = np.reshape(list(model.terms.values()), (len(model.terms), d * d))

@@ -15,7 +15,7 @@ import numpy as np
 from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import ConfigError
 from .hamiltonians import Dissipation, LinearHamiltonian, ModelConfig, linear_hamiltonian
-from .hilbert import ProductBasis, _read_only, build_basis
+from .hilbert import _read_only, build_basis
 from .pulses import CHANNELS, ControlValues, PulseParameters
 
 CSV_COLUMNS = (
@@ -154,8 +154,8 @@ class RunSummary:
         return [f"{name}={value}" for name, value in self.figures().items()]
 
 
-def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, ProductBasis, TimeGrid]:
-    """The model, basis and grid of a configuration: the one place where a
+def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, TimeGrid]:
+    """The model and grid of a configuration: the one place where a
     configuration is checked, raising on any value outside its domain.  Each
     field must first hold a value of its type; nothing is coerced."""
     for name, (kind, expected) in FIELD_KINDS.items():
@@ -166,8 +166,7 @@ def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, ProductBasis, Time
             raise ConfigError(f"{name} expects {expected}, got {value!r}")
     config = model_config(sim)
     basis = build_basis(sim.model, sim.n_max)
-    grid = time_grid(sim)
-    return linear_hamiltonian(config, basis), basis, grid
+    return linear_hamiltonian(config, basis), time_grid(sim)
 
 
 def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
@@ -176,11 +175,11 @@ def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
 
 
 def _simulate(
-    sim: SimulationConfig, model: LinearHamiltonian, basis: ProductBasis, grid: TimeGrid
+    sim: SimulationConfig, model: LinearHamiltonian, grid: TimeGrid
 ) -> tuple[Trajectory, RunSummary]:
-    """simulate, with the model, basis and grid of ``sim`` built by _setup."""
+    """simulate, with the model and grid of ``sim`` built by _setup."""
     started = time.perf_counter()
-    trajectory = propagate(model, basis.state("g1", 0), grid)
+    trajectory = propagate(model, model.basis.state("g1", 0), grid)
     wall = time.perf_counter() - started
     table = _table(trajectory)
     figures = {name: float(reduce(table[column])) for name, (column, reduce) in _FIGURES.items()}
@@ -491,8 +490,8 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
     """Re-run the base configuration once per parameter value.
 
     One summary row is written per value, in input order.  Only numeric
-    fields can be swept, with a number for each value.  Every value's model,
-    basis and grid are built, which checks it, before the first run.
+    fields can be swept, with a number for each value.  Every value's model
+    and grid are built, which checks it, before the first run.
     """
     if parameter not in NUMERIC_FIELDS:
         raise ConfigError(

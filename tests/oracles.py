@@ -6,7 +6,9 @@
   single-excitation subspace, the oracle for the analytic eigensystem;
 * ``dark_state_overlaps``: the dark-state population of a stack of full
   states, the bit-for-bit reference of ``dynamics._dark_overlaps``, which
-  computes it from the recorded coordinates.
+  computes it from the recorded coordinates;
+* ``em_residual``: the largest population of the level em, summed over n,
+  of a full-model trajectory.
 """
 
 from __future__ import annotations
@@ -105,3 +107,13 @@ def dark_state_overlaps(
     dark[:, basis.index("g2", 1)] = -np.sin(theta)
     driven = (omega_r != 0.0) | (g != 0.0)
     return np.where(driven, _overlaps(states, dark, density), np.nan)
+
+
+def em_residual(trajectory) -> float:
+    """The largest recorded population of the level em, summed over n: that
+    of |em,0>, once it is checked that no |em, n >= 1> was kept, so that
+    their populations are exactly zero."""
+    basis = trajectory.basis
+    em = [basis.index("em", n) for n in range(1, basis.n_fock)]
+    assert not np.isin(trajectory.kept, em).any()
+    return float(trajectory.population_series("em", 0).max())

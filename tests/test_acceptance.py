@@ -30,7 +30,7 @@ from cavityfock import (
     stirap_pair,
 )
 
-from oracles import generic_counterdiabatic, single_excitation_matrix
+from oracles import em_residual, generic_counterdiabatic, single_excitation_matrix
 
 PULSES = PulseParameters(omega0=2.0)
 
@@ -72,7 +72,7 @@ def test_criterion_02_corrected_transfer_is_complete():
     trajectory, summary = simulate(resolve_preset("fig2_tqd"))
     wall = time.perf_counter() - started
     final = summary.final_populations[("g2", 1)]
-    max_excited = trajectory.max_population("e", 0)
+    max_excited = trajectory.population_series("e", 0).max()
     ok = final >= 0.999 and max_excited <= 1e-3 and wall < 1.0
     _report(
         "criterion 2 (corrected-transfer completeness)",
@@ -251,12 +251,12 @@ def test_criterion_07_dissipative_robustness(fig2f_results):
 
 def test_criterion_08_full_model_validation(fig3_result):
     trajectory, summary = fig3_result
-    residual_18 = trajectory.max_population("em")
+    residual_18 = em_residual(trajectory)
     final = summary.final_populations[("g2", 1)]
 
     far_detuned = replace(resolve_preset("fig3_full"), delta_m_T=50.0)
     trajectory_50, _ = simulate(far_detuned)
-    residual_50 = trajectory_50.max_population("em")
+    residual_50 = em_residual(trajectory_50)
 
     ok = residual_18 <= 0.05 and final >= 0.95 and residual_50 < residual_18
     _report(

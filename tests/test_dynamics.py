@@ -41,7 +41,7 @@ from cavityfock.dynamics import (
 from cavityfock.observables import diagonal_weights
 from cavityfock.scenarios import model_config, time_grid
 
-from oracles import dark_state_overlaps
+from oracles import dark_state_overlaps, em_residual
 
 PULSES = PulseParameters(omega0=2.0)
 BASIS = build_basis("effective", 1)
@@ -101,7 +101,7 @@ class TestTimeGrid:
 def closed_and_open_models():
     config = ModelConfig("effective", "stirap", PULSES, Dissipation(1.0, 0.1))
     return [
-        linear_hamiltonian(replace(config, dissipation=None), BASIS),
+        linear_hamiltonian(replace(config, dissipation=Dissipation()), BASIS),
         linear_hamiltonian(config, BASIS),
     ]
 
@@ -193,7 +193,7 @@ def lossless_tqd_trajectory():
 
 class TestTransitionlessTracking:
     def test_excited_level_stays_dark(self, lossless_tqd_trajectory):
-        assert lossless_tqd_trajectory.max_population("e", 0) <= 1e-4
+        assert lossless_tqd_trajectory.population_series("e", 0).max() <= 1e-4
 
     def test_dark_state_overlap_stays_high(self, lossless_tqd_trajectory):
         # NaN marks an undefined overlap and fails the comparison
@@ -244,17 +244,18 @@ class TestLindblad:
 
     @pytest.mark.parametrize("model", ["effective", "full"])
     def test_zero_rates_run_the_pure_states_of_no_dissipation(self, model):
+        """The default rates and explicit zero rates run the same pure states."""
         basis = build_basis(model, 1)
         grid = TimeGrid(-4.0, 4.0, 1e-3, stride=100)
+        configs = (
+            ModelConfig(model, "tqd", PULSES),
+            ModelConfig(model, "tqd", PULSES, Dissipation(0.0, 0.0)),
+        )
         runs = [
-            propagate(
-                linear_hamiltonian(ModelConfig(model, "tqd", PULSES, dissipation), basis),
-                basis.state("g1", 0),
-                grid,
-            )
-            for dissipation in (None, Dissipation(0.0, 0.0))
+            propagate(linear_hamiltonian(config, basis), basis.state("g1", 0), grid)
+            for config in configs
         ]
-        assert not runs[1].is_density
+        assert not runs[0].is_density and not runs[1].is_density
         assert runs[1].coordinates.tobytes() == runs[0].coordinates.tobytes()
 
     def test_trace_preserved_with_dissipation(self):
@@ -283,7 +284,7 @@ class TestEliminationResidual:
 
     def test_requires_full_model(self, lossless_tqd_trajectory):
         with pytest.raises(ModelMismatchError):
-            lossless_tqd_trajectory.max_population("em")
+            lossless_tqd_trajectory.population_series("em", 0)
 
     def test_zero_when_auxiliary_drives_are_off(self):
         basis = build_basis("full", 1)
@@ -292,7 +293,7 @@ class TestEliminationResidual:
         trajectory = propagate(
             linear_hamiltonian(config, basis), basis.state("g1", 0), grid
         )
-        assert trajectory.max_population("em") == 0.0
+        assert em_residual(trajectory) == 0.0
 
     def test_positive_when_auxiliary_drives_are_on(self):
         basis = build_basis("full", 1)
@@ -301,7 +302,7 @@ class TestEliminationResidual:
         trajectory = propagate(
             linear_hamiltonian(config, basis), basis.state("g1", 0), grid
         )
-        assert 0.0 < trajectory.max_population("em") < 0.1
+        assert 0.0 < em_residual(trajectory) < 0.1
 
     def test_lossy_full_model_approaches_the_effective_model(self):
         """With the same losses, the full model comes closer to the
@@ -401,6 +402,21 @@ def reference_lindblad(config, rho, grid, basis):
     return np.array(states)
 
 
+def reference_states(config, basis, psi0, grid):
+    """The states of the per-step loop of the equation that the model of
+    ``config`` follows: Schroedinger's if it has no jumps, else the master
+    equation from |psi0><psi0|."""
+    if not linear_hamiltonian(config, basis).jumps:
+        return reference_schrodinger(bound_hamiltonian(config, basis), psi0, grid)
+    return reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, basis)
+
+
+# A model without and with loss
+LOSSES = pytest.mark.parametrize(
+    "dissipation", [Dissipation(), Dissipation(1.0, 0.1)], ids=["lossless", "lossy"]
+)
+
+
 class TestAgainstReferenceLoops:
     """The chunked propagator only reorders floating-point sums, so every
     recorded state matches the per-step loops to rounding."""
@@ -424,14 +440,8 @@ class TestAgainstReferenceLoops:
     @staticmethod
     def check(sim):
         trajectory, _summary = simulate(sim)
-        config = model_config(sim)
         basis = build_basis(sim.model, sim.n_max)
-        psi0 = basis.state("g1", 0)
-        if not linear_hamiltonian(config, basis).jumps:
-            expected = reference_schrodinger(bound_hamiltonian(config, basis), psi0, time_grid(sim))
-        else:
-            rho0 = np.outer(psi0, psi0.conj())
-            expected = reference_lindblad(config, rho0, time_grid(sim), basis)
+        expected = reference_states(model_config(sim), basis, basis.state("g1", 0), time_grid(sim))
         assert trajectory.states.shape == expected.shape
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
         return trajectory
@@ -442,7 +452,7 @@ class TestScanLengths:
     chunk: the prefix scan gives the states of the per-step loops."""
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 255, 256, 257])
-    @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
+    @LOSSES
     def test_every_recorded_state_matches(self, dissipation, n_steps):
         config = ModelConfig("effective", "tqd", PULSES, dissipation)
         psi0 = BASIS.state("g1", 0)
@@ -450,10 +460,7 @@ class TestScanLengths:
         grid = TimeGrid(-1.0, -1.0 + n_steps * dt, dt, stride=7)
         assert grid.n_steps == n_steps
         trajectory = propagate(linear_hamiltonian(config, BASIS), psi0, grid)
-        if dissipation is None:
-            expected = reference_schrodinger(bound_hamiltonian(config, BASIS), psi0, grid)
-        else:
-            expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, BASIS)
+        expected = reference_states(config, BASIS, psi0, grid)
         assert trajectory.states.shape == expected.shape
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
 
@@ -467,17 +474,14 @@ class TestBlockScan:
     end."""
 
     @pytest.mark.parametrize("stride", [1, 7, 750, 1600, 2000])
-    @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
+    @LOSSES
     def test_every_recorded_state_matches(self, dissipation, stride):
         config = ModelConfig("effective", "tqd", PULSES, dissipation)
         psi0 = BASIS.state("g1", 0)
         grid = TimeGrid(-4.0, 4.0, 5e-3, stride=stride)
         assert grid.n_steps == 1600
         trajectory = propagate(linear_hamiltonian(config, BASIS), psi0, grid)
-        if dissipation is None:
-            expected = reference_schrodinger(bound_hamiltonian(config, BASIS), psi0, grid)
-        else:
-            expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, BASIS)
+        expected = reference_states(config, BASIS, psi0, grid)
         assert trajectory.states.shape == expected.shape
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
 
@@ -557,7 +561,7 @@ class TestRealLiouvillian:
         d = basis.dimension
         config = ModelConfig("effective", "tqd", PULSES, Dissipation(5.0, 0.05))
         model = linear_hamiltonian(config, basis)
-        stack = _real_liouvillian(model)
+        stack = _real_liouvillian(np.array([model.static, *model.terms.values()]), model.jumps)
         assert stack.shape == ((len(model.terms) + 1) * d * d, d * d)
         assert stack.dtype == np.float64
         rng = np.random.default_rng(n_max)
@@ -586,7 +590,7 @@ class TestReachableSubspace:
         sim = replace(resolve_preset(name), n_max=n_max)
         basis = build_basis(sim.model, n_max)
         model = linear_hamiltonian(model_config(sim), basis)
-        blocks, x0 = _linear_form(model, basis.state("g1", 0))
+        blocks, x0 = _linear_form(model, basis.state("g1", 0), np.arange(basis.dimension))
         # upper entries 1+1j mark both the real and the imaginary coordinate
         mask = np.zeros((basis.dimension, basis.dimension), dtype=complex)
         block = [basis.index(*label) for label in (("g1", 0), ("e", 0), ("g2", 1))]
@@ -605,7 +609,7 @@ class TestReachableSubspace:
         sim = replace(resolve_preset(name), n_max=n_max)
         basis = build_basis(sim.model, n_max)
         model = linear_hamiltonian(model_config(sim), basis)
-        blocks, x0 = _linear_form(model, basis.state("g1", 0))
+        blocks, x0 = _linear_form(model, basis.state("g1", 0), np.arange(basis.dimension))
         labels = [("g1", 0), ("e", 0), ("g2", 1)]
         if sim.model == "full":
             labels.append(("em", 0))
@@ -615,7 +619,7 @@ class TestReachableSubspace:
         assert len(expected) == 2 * len(labels)
         assert np.array_equal(_reachable(blocks, x0), expected)
 
-    @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
+    @LOSSES
     def test_full_support_state_steps_every_coordinate(self, dissipation):
         basis = build_basis("effective", 3)
         d = basis.dimension
@@ -624,15 +628,12 @@ class TestReachableSubspace:
         rng = np.random.default_rng(7)
         psi0 = rng.normal(size=d) + 1j * rng.normal(size=d)
         psi0 /= np.linalg.norm(psi0)
-        blocks, x0 = _linear_form(model, psi0)
+        blocks, x0 = _linear_form(model, psi0, np.arange(d))
         assert np.all(x0 != 0)
         assert np.array_equal(_reachable(blocks, x0), np.arange(len(x0)))
         grid = TimeGrid(-4.0, 4.0, 1e-2, stride=40)
         trajectory = propagate(model, psi0, grid)
-        if dissipation is None:
-            expected = reference_schrodinger(bound_hamiltonian(config, basis), psi0, grid)
-        else:
-            expected = reference_lindblad(config, np.outer(psi0, psi0.conj()), grid, basis)
+        expected = reference_states(config, basis, psi0, grid)
         assert trajectory.states.shape == expected.shape
         assert np.max(np.abs(trajectory.states - expected)) <= 1e-12
 
@@ -661,7 +662,7 @@ class TestRecordedCoordinates:
             dark = dark_state_overlaps(states, density, controls.omega_r, controls.g, basis)
             assert np.array_equal(trajectory.dark_overlap, dark, equal_nan=True)
 
-    @pytest.mark.parametrize("dissipation", [None, Dissipation(1.0, 0.1)])
+    @LOSSES
     @pytest.mark.parametrize("start", [("g2", 0), ("g1", 3), ("e", 0), None])
     def test_any_initial_state_matches_the_lifted_states(self, start, dissipation):
         """|g2,0> keeps only itself, and closed |g1,3> neither |g1,0> nor
@@ -875,7 +876,7 @@ class TestMemory:
         def run(n_steps):
             # the same 11 recorded samples whatever the step count
             grid = TimeGrid(-4.0, 4.0, 8.0 / n_steps, stride=n_steps // 10)
-            chosen = config if dissipative else replace(config, dissipation=None)
+            chosen = config if dissipative else replace(config, dissipation=Dissipation())
             propagate(linear_hamiltonian(chosen, basis), psi0, grid)
 
         run(1000)  # fill the operator caches
@@ -894,7 +895,7 @@ class TestMemory:
         """8 000 steps at the presets' stride of 10, in chunks of 71
         strides, and at a stride of 4 000 that spans several chunks."""
         config = ModelConfig("effective", "tqd", PULSES, Dissipation(1.0, 0.1))
-        chosen = config if dissipative else replace(config, dissipation=None)
+        chosen = config if dissipative else replace(config, dissipation=Dissipation())
         model = linear_hamiltonian(chosen, BASIS)
         psi0 = BASIS.state("g1", 0)
         propagate(model, psi0, TimeGrid(-4.0, 4.0, 1e-3, stride=10))  # fill the caches

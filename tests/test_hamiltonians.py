@@ -5,6 +5,7 @@ from cavityfock import (
     Dissipation,
     ModelConfig,
     ModelMismatchError,
+    ParameterDomainError,
     PulseParameters,
     analytic_eigensystem,
     build_basis,
@@ -137,6 +138,11 @@ class TestEffectiveRamanCoupling:
 
 
 class TestDissipativeHamiltonian:
+    @pytest.mark.parametrize("dissipation", [None, (5.0, 0.05)], ids=["None", "tuple"])
+    def test_rates_must_be_a_dissipation(self, dissipation):
+        with pytest.raises(ParameterDomainError, match="dissipation must be a Dissipation"):
+            ModelConfig("effective", "tqd", PULSES, dissipation)
+
     def test_zero_rates_reduce_to_effective(self):
         config = ModelConfig("effective", "tqd", PULSES, Dissipation(0.0, 0.0))
         h = hamiltonian_at(config, EFFECTIVE_BASIS, 0.4, include_decay=True)
@@ -153,8 +159,11 @@ class TestDissipativeHamiltonian:
 
 class TestJumpOperators:
     def test_none_without_dissipation(self):
-        assert jump_operators(EFFECTIVE_TQD, EFFECTIVE_BASIS) == ()
-        assert linear_hamiltonian(EFFECTIVE_TQD, EFFECTIVE_BASIS).jumps == ()
+        """ModelConfig's default rates are zero, and give no jumps."""
+        for config, basis in ((EFFECTIVE_TQD, EFFECTIVE_BASIS), (FULL_TQD, FULL_BASIS)):
+            assert config.dissipation == Dissipation(0.0, 0.0)
+            assert jump_operators(config, basis) == ()
+            assert linear_hamiltonian(config, basis).jumps == ()
 
     @pytest.mark.parametrize(
         "dissipation, expected",

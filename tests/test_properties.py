@@ -50,7 +50,7 @@ NON_FINITE = st.none() | st.tuples(
 def _assert_finite_controls(preset, overrides):
     """The stepper's control columns of the run, at all half steps of its
     grid, are finite: an exit 3 came from the step, not from NaN inputs."""
-    model, _basis, grid = _setup(replace(resolve_preset(preset), dt_over_T=0.01, **overrides))
+    model, grid = _setup(replace(resolve_preset(preset), dt_over_T=0.01, **overrides))
     half_steps = grid.t_start + (0.5 * grid.dt) * np.arange(2 * grid.n_steps + 1)
     with np.errstate(all="ignore"):
         columns = model.evaluate(half_steps)

@@ -23,6 +23,7 @@ TEST_ORACLES = (
     "single_excitation_matrix",
     "dark_state_overlap",
     "dark_state_overlaps",
+    "em_residual",
 )
 
 
@@ -91,3 +92,13 @@ def test_eigensystem_is_not_placed_in_a_basis_by_the_package():
 @pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
 def test_one_csv_row_layout_and_no_raising_wrapper(module):
     assert [name for name in REMOVED if hasattr(module, name)] == []
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda module: module.__name__)
+def test_no_restricted_copy_of_the_model(module):
+    """propagate restricts the matrix stack itself, in _linear_form."""
+    assert not hasattr(module, "_restricted")
+
+
+def test_trajectory_has_one_population_series_and_no_maximum():
+    assert not hasattr(cavityfock.Trajectory, "max_population")

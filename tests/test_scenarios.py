@@ -383,6 +383,22 @@ class TestCli:
         assert main(["run", "--preset", "nope"]) == 2
         assert "unknown preset" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("source", ["preset", "set", "config"])
+    def test_empty_preset_is_usage_error(self, source, command, tmp_path, capsys, monkeypatch):
+        # an empty name is a name given, not the custom defaults
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "job.cfg").write_text("scenario=\n", encoding="utf-8")
+        given = {
+            "preset": ["--preset", ""],
+            "set": ["--set", "scenario="],
+            "config": ["--config", "job.cfg"],
+        }[source]
+        sweeps = ["--param", "omega0_T", "--values", "2"] if command == "sweep" else []
+        assert main([command, *given, *sweeps, "--out", "x.csv"]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown preset ''; ")
+        assert sorted(os.listdir(tmp_path)) == ["job.cfg"]
+
     def test_unknown_key_is_usage_error(self, capsys):
         assert main(["run", "--set", "bogus_key=1"]) == 2
         assert "bogus_key" in capsys.readouterr().err
