@@ -110,8 +110,8 @@ class Trajectory:
     matrix (_coordinates), (S, k^2); each is exactly zero where it was not
     stepped.  ``states`` lifts them to pure states (S, d) or density
     matrices (S, d, d) on first access, and ``final_state`` lifts the last
-    sample alone.  ``populations`` (S, d), in the order of
-    ``basis.labels()``, lift ``kept_populations`` (S, k) likewise.
+    sample alone.  ``populations`` (S, d) are in the order of
+    ``basis.labels()``, zero on every basis state not kept.
     ``model`` is the schedule's model, "effective" or "full", and
     ``controls`` holds each of its channels as an (S,) array.
     ``dark_overlap`` and ``mandel_q`` are NaN where undefined: no drive
@@ -125,7 +125,7 @@ class Trajectory:
     coordinates: np.ndarray
     kept: np.ndarray
     controls: ControlValues
-    kept_populations: np.ndarray
+    populations: np.ndarray
     norm_or_trace: np.ndarray
     dark_overlap: np.ndarray
     mean_photon_n: np.ndarray
@@ -134,12 +134,6 @@ class Trajectory:
     @cached_property
     def states(self) -> np.ndarray:
         return self._lifted(self.coordinates)
-
-    @cached_property
-    def populations(self) -> np.ndarray:
-        full = np.zeros((len(self.times), self.basis.dimension))
-        full[:, self.kept] = self.kept_populations
-        return full
 
     @property
     def final_state(self) -> np.ndarray:
@@ -160,8 +154,7 @@ class Trajectory:
 
     def population_series(self, level: str, n: int) -> np.ndarray:
         """P(level, n) at every sample, zero if |level, n> was not kept."""
-        column = np.flatnonzero(self.kept == self.basis.index(level, n))
-        return self.kept_populations[:, column[0]] if len(column) else np.zeros(len(self.times))
+        return self.populations[:, self.basis.index(level, n)]
 
 
 def _integrate(
@@ -317,10 +310,10 @@ def _record(
     in Trajectory; a model with jumps records density matrices.  The
     columns (S, K) are the stepper's (_integrate), in the order of the
     model's terms; a channel without a term is off and recorded as zeros,
-    so the schedule is not evaluated again.  The
-    populations are the diagonal coordinates, or |psi_k|^2 on the kept
-    basis states, and the norm or trace is their sum; only that sum and the
-    photon statistics see them on all d basis states.  Density matrices are
+    so the schedule is not evaluated again.  The populations (S, d) are the
+    diagonal coordinates, or |psi_k|^2, on the kept basis states and zero
+    on the others; the norm or trace and the photon statistics are taken
+    from them.  Density matrices are
     rebuilt on the kept basis states, 512 samples at a time by one product
     each (_kept_states), for _check_positive, and the dark overlap is a
     form on a few coordinates (_dark_overlaps).  Every check is written so
@@ -343,7 +336,6 @@ def _record(
             f"{kind} drifted to {weight[i]:.6e} at step {steps[i]}, t={times[i]:g}; reduce dt"
         )
     n_mean, q = photon_statistics(weights, basis)
-    weights = weights[:, kept]  # lifted again only when read
     if is_density:
         for start in range(0, len(times), 512):
             part = slice(start, start + 512)

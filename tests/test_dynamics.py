@@ -650,7 +650,6 @@ class TestRecordedCoordinates:
         model = linear_hamiltonian(model_config(sim), basis)
         trajectory = propagate(model, basis.state("g1", 0), time_grid(sim))
         assert "states" not in vars(trajectory)  # lifted on first access only
-        assert "populations" not in vars(trajectory)
         states, density = trajectory.states, trajectory.is_density
         assert trajectory.states is states
         assert np.array_equal(trajectory.final_state, states[-1])

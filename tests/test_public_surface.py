@@ -102,3 +102,10 @@ def test_no_restricted_copy_of_the_model(module):
 
 def test_trajectory_has_one_population_series_and_no_maximum():
     assert not hasattr(cavityfock.Trajectory, "max_population")
+
+
+def test_trajectory_keeps_one_population_record():
+    """The (S, d) populations are a field; no (S, k) copy of them is kept."""
+    names = {field.name for field in dataclasses.fields(cavityfock.Trajectory)}
+    assert "populations" in names
+    assert "kept_populations" not in names

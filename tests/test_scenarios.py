@@ -120,11 +120,10 @@ class TestRun:
     def test_sweep_columns(self):
         assert SWEEP_COLUMNS == ("parameter", "value", *_REDUCED)
 
-    def test_summary_and_csv_lift_no_states_and_no_populations(self, tmp_path):
+    def test_summary_and_csv_lift_no_states(self, tmp_path):
         sim = replace(resolve_preset("fig2f_dissipative_tqd"), stride=1)
         trajectory, _summary = simulate(sim)
         scenarios.write_trajectory_csv(trajectory, str(tmp_path / "d.csv"))
-        assert "populations" not in vars(trajectory)
         assert "states" not in vars(trajectory)
 
     def test_effective_model_leaves_full_columns_empty(self, tmp_path):
