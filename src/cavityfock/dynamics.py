@@ -21,8 +21,8 @@ basis states and steps 6, 8 or 10 coordinates whatever n_max is.
 Time is taken in chunks of whole strides, and the controls at all half steps
 of a chunk come from one call.  The RK4 one-step matrices of a chunk come
 from batched products, each stride of them is folded into one block, and
-the recorded states from prefix products within groups of blocks and a
-doubling scan over the group totals, about one product per block.
+the recorded states from prefix products within groups of blocks, applied
+to each group's start state in turn, about one product per block.
 
 The recorded states are the real coordinates of the state on the basis
 states the model was built on, zero where a coordinate was not stepped.
@@ -239,11 +239,11 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
     passes.  Each run of ``block`` of them, the last padded with
     identities, is folded by a pairwise tree.  In groups of g = isqrt(m)
     block products, g - 1 batched products give the prefixes within each
-    group, a doubling scan (Hillis & Steele, CACM 29, 1170 (1986)) those of
-    the group totals, and one batched product the states: about
-    m + (m/g) log2(m/g) products, not m log2 m (Blelloch, CMU-CS-90-190
-    (1990)).  An operand that overlaps its product's output is read from a
-    copy, as numpy does.  The buffers are allocated once per run: large
+    group; then, group by group, one batched product of its prefixes with
+    its start state gives its states, and its last state starts the next
+    group: about m matrix products and m matrix-vector products in about
+    2 sqrt(m) calls.  An operand that overlaps its product's output is read
+    from a copy, as numpy does.  The buffers are allocated once per run: large
     arrays allocated anew per chunk could be faulted back in every chunk.
     """
     size = blocks.shape[-1]
@@ -283,15 +283,9 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
         group = math.isqrt(m)
         for k in range(1, group):  # each block becomes its prefix within its group
             np.matmul(product[k:m:group], product[k - 1 : m - 1 : group], out=product[k:m:group])
-        totals = spare[: (m - 1) // group]  # of every group but the last
-        totals[...] = product[group - 1 : m - 1 : group]
-        shift = 1
-        while shift < len(totals):
-            np.matmul(totals[shift:], totals[:-shift], out=totals[shift:])
-            shift *= 2
-        starts = np.concatenate((x[None], totals @ x))  # x may be a row of out
-        starts = np.repeat(starts, group, axis=0)[:m, :, None]
-        return np.matmul(product[:m], starts, out=out[:, :, None])[-1, :, 0]
+        for lo in range(0, m, group):  # x may be a row of out
+            x = np.matmul(product[lo : min(lo + group, m)], x, out=out[lo : lo + group])[-1]
+        return x
 
     return advance
 

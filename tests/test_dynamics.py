@@ -515,9 +515,22 @@ class TestLinearAdvance:
     @pytest.mark.parametrize("stride", [1, 2, 3, 7])
     @pytest.mark.parametrize("r", [3, 6, 10])
     def test_every_recorded_state_matches(self, r, stride, m):
+        self.check(r, stride, m, 1e-2)
+
+    @pytest.mark.parametrize("m, stride", [(71, 10), (711, 1)])
+    @pytest.mark.parametrize("r", [6, 10])
+    def test_production_chunks_match(self, r, stride, m):
+        """The chunks of a preset run at stride 10, 8 groups of 8 block
+        products and one of 7, and at stride 1, 27 groups of 26 and one of
+        9, with the 6 coordinates of an effective-model preset and the 10
+        of the master equation, at the presets' step."""
+        self.check(r, stride, m, 1e-3)
+
+    @staticmethod
+    def check(r, stride, m, dt):
         rng = np.random.default_rng(100 * r + 10 * stride + m)
         blocks = rng.normal(size=(3, r, r)) / math.sqrt(r)
-        n, dt = m * stride - stride // 2, 1e-2
+        n = m * stride - stride // 2
         advance = _linear_advance(blocks, dt, m * stride)
         out = np.empty((m, blocks.shape[-1]))
         x = rng.normal(size=r)
@@ -532,8 +545,8 @@ class TestLinearAdvance:
 
 class TestStrideIndependence:
     """The stride changes how the step matrices are grouped, so the final
-    state depends on it only at rounding level; at stride 1 nothing is
-    grouped and reruns repeat byte for byte."""
+    state depends on it only at rounding level; at any one stride, with a
+    partial last block at 7, reruns repeat byte for byte."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_final_populations_agree_across_strides(self, name):
@@ -543,9 +556,10 @@ class TestStrideIndependence:
             finals.append(trajectory.populations[-1])
         assert np.max(np.abs(np.array(finals) - finals[0])) <= 1e-13
 
+    @pytest.mark.parametrize("stride", [1, 7])
     @pytest.mark.parametrize("name", sorted(PRESETS))
-    def test_stride_one_reruns_are_byte_identical(self, name):
-        sim = replace(resolve_preset(name), stride=1)
+    def test_reruns_are_byte_identical(self, name, stride):
+        sim = replace(resolve_preset(name), stride=stride)
         first, _summary = simulate(sim)
         second, _summary = simulate(sim)
         assert first.states.tobytes() == second.states.tobytes()
