@@ -243,8 +243,9 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
     its start state gives its states, and its last state starts the next
     group: about m matrix products and m matrix-vector products in about
     2 sqrt(m) calls.  An operand that overlaps its product's output is read
-    from a copy, as numpy does.  The buffers are allocated once per run: large
-    arrays allocated anew per chunk could be faulted back in every chunk.
+    from a copy, as numpy does.  The buffers are allocated once per run:
+    large arrays allocated anew per chunk could be faulted back in every
+    chunk.
     """
     size = blocks.shape[-1]
     scaled = np.concatenate((0.5 * dt * blocks, np.eye(size)[None])).reshape(len(blocks) + 1, -1)
@@ -307,11 +308,10 @@ def _record(
     so the schedule is not evaluated again.  The populations (S, d) are the
     diagonal coordinates, or |psi_k|^2, on the kept basis states and zero
     on the others; the norm or trace and the photon statistics are taken
-    from them.  Density matrices are
-    rebuilt on the kept basis states, 512 samples at a time by one product
-    each (_kept_states), for _check_positive, and the dark overlap is a
-    form on a few coordinates (_dark_overlaps).  Every check is written so
-    that NaN fails it.
+    from them.  Density matrices are rebuilt on the kept basis states, 512
+    samples at a time by one product each (_kept_states), for
+    _check_positive, and the dark overlap is a form on a few coordinates
+    (_dark_overlaps).  Every check is written so that NaN fails it.
     """
     basis, is_density, size = hamiltonian.basis, bool(hamiltonian.jumps), len(kept)
     steps = grid.sample_steps

@@ -336,7 +336,7 @@ class TestTruncationIndependence:
 
 
 def reference_schrodinger(hamiltonian, psi, grid):
-    """Per-step RK4 loop, the reference for the chunked step-matrix scan:
+    """Per-step RK4 loop, the reference for the chunked step matrices:
     H(t) rebuilt at every half step, states at the grid's recorded steps."""
     states = [psi]
     dt = grid.dt
@@ -449,7 +449,7 @@ class TestAgainstReferenceLoops:
 
 class TestScanLengths:
     """Chunks of every length, not only powers of two, and a partial last
-    chunk: the prefix scan gives the states of the per-step loops."""
+    chunk: the grouped recurrence gives the states of the per-step loops."""
 
     @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 255, 256, 257])
     @LOSSES
@@ -467,8 +467,8 @@ class TestScanLengths:
 
 class TestBlockScan:
     """Each stride of step matrices is folded into one block before the
-    scan.  On 1 600 steps, with room for 711 steps a chunk (r = 6) or 256
-    (r = 10): 1 records every step through several chunks, 7 leaves a
+    recurrence.  On 1 600 steps, with room for 711 steps a chunk at r = 6
+    and 10: 1 records every step through several chunks, 7 leaves a
     partial block at the grid end, 750 spans several chunks and does not
     divide the grid, 1 600 is the whole grid and 2 000 records only its
     end."""
