@@ -47,7 +47,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "CavityFockError",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 usage/configuration error, 3 integration failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import numbers
 import sys
 
@@ -114,6 +115,7 @@ def _cmd_presets(_args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cavityfock",
@@ -153,8 +155,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # one parser per process: build_parser is cached, and parsing leaves it as it was
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except IntegrationError as exc:

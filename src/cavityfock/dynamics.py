@@ -96,7 +96,7 @@ class TimeGrid:
     @property
     def sample_steps(self) -> np.ndarray:
         """Steps after which the state is recorded: every stride-th and the last."""
-        steps = np.arange(0, self.n_steps + 1, self.stride)
+        steps = np.arange(0, self.n_steps + 1, min(self.stride, self.n_steps))
         return steps if steps[-1] == self.n_steps else np.append(steps, self.n_steps)
 
 
@@ -164,16 +164,16 @@ def _integrate(
     grid one chunk at a time; return the recorded coordinates (S, len(x0))
     and the control columns c_k at the recorded steps (S, K).
 
-    ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the
-    coordinates that x0 reaches (_reachable) are stepped; every other one
-    stays exactly zero.  The controls of a chunk are evaluated at all its
-    half steps in one call, and each half step once: a chunk starts from
-    the end point of the one before.  A recorded step k is half step 2k,
-    at t_start + (dt/2)(2k), the same double as t_start + k dt, so the
-    recorded controls are those columns.  A chunk is a whole number of
-    strides, so its blocks of ``stride`` steps end at recorded steps; a
-    longer stride is cut into chunks of one block that end at its recorded
-    step.
+    ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the coordinates
+    that x0 reaches (_reachable) are stepped; every other one stays exactly
+    zero.  The controls of a chunk are evaluated at all its half steps in
+    one call, and each half step once: a chunk starts from the end point of
+    the one before.  A recorded step k is half step 2k, at t_start +
+    (dt/2)(2k), the same double as t_start + k dt, so the recorded controls
+    are those columns: every (2 stride)-th of a chunk, and its last.  A
+    chunk is a whole number of strides, so its blocks end at the next
+    recorded steps; a longer stride is cut into chunks of one block, which
+    write its recorded step's row until the last, which ends there.
     """
     samples, stride = grid.sample_steps, grid.stride
     reached = _reachable(blocks, x0)
@@ -187,7 +187,8 @@ def _integrate(
     length = stride * (capacity // stride) or capacity
     period = max(length, stride)  # no chunk crosses a multiple of it
     states = np.zeros((len(samples), len(x0)))
-    states[0, reached] = state = x0[reached]
+    stepped = slice(None) if r == len(x0) else reached  # a slice on every pure-state preset
+    states[0, stepped] = state = x0[reached]
     columns = hamiltonian.evaluate(np.array([grid.t_start]))
     controls = np.empty((len(samples), columns.shape[1]))
     controls[0] = columns[0]
@@ -198,13 +199,15 @@ def _integrate(
             last = min(first + length, (first // period + 1) * period, grid.n_steps)
             n = last - first
             block = min(stride, n)
+            m = -(-n // block)
             half_steps = np.arange(2 * first + 1, 2 * last + 1)
             chunk_columns = hamiltonian.evaluate(grid.t_start + (0.5 * grid.dt) * half_steps)
             columns = np.concatenate((columns[-1:], chunk_columns))
-            state = advance(state, columns, block, chunk[: -(-n // block)])
-            lo, hi = np.searchsorted(samples, (first + 1, last + 1))
-            states[lo:hi, reached] = chunk[: hi - lo]  # the ends of its blocks, in order
-            controls[lo:hi] = columns[2 * (samples[lo:hi] - first)]
+            state = advance(state, columns, block, chunk[:m])
+            lo = np.searchsorted(samples, first + 1)
+            states[lo : lo + m, stepped] = chunk[:m]
+            controls[lo : lo + n // block] = columns[2 * block :: 2 * block]
+            controls[lo + m - 1] = columns[-1]  # the last block may be partial
             first = last
     return states, controls
 
@@ -232,44 +235,46 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
     It takes n steps through the control columns (2n + 1, K) at their half
     steps, writes the state after each run of ``block`` steps to the
     m = ceil(n / block) rows of ``out`` and returns the last one.  One
-    product of the columns, with ones for A_static and, at whole steps,
-    for I, gives I + X_s, X_m and I + X_e, X = (dt/2) A; the RK4 one-step
-    matrix S = I + (X_s + X_e)/3 + 2/3 (Y2 + Y3 + X_e Y3), with Y2 = X_m +
-    X_m X_s and Y3 = X_m + X_m Y2, takes three batched products and four
-    passes.  Each run of ``block`` of them, the last padded with
-    identities, is folded by a pairwise tree.  In groups of g = isqrt(m)
-    block products, g - 1 batched products give the prefixes within each
-    group; then, group by group, one batched product of its prefixes with
-    its start state gives its states, and its last state starts the next
-    group: about m matrix products and m matrix-vector products in about
-    2 sqrt(m) calls.  An operand that overlaps its product's output is read
-    from a copy, as numpy does.  The buffers are allocated once per run:
-    large arrays allocated anew per chunk could be faulted back in every
-    chunk.
+    product of the columns, with ones for A_static and, at whole steps, for
+    I, gives I + X at the n + 1 whole steps, then X_m, X = (dt/2) A.  The
+    RK4 one-step matrix S = I + (X_s + X_e)/3 + 2/3 (Y2 + Y3 + X_e Y3), with
+    Y2 = X_m + X_m X_s and Y3 = X_m + X_m Y2, takes three batched products
+    of these contiguous runs, four passes, and a product of the summed
+    whole-step weights for I + (X_s + X_e)/3.  Each run of ``block`` of
+    them, the last padded with identities, is folded by a pairwise tree.  In
+    groups of g = isqrt(m) block products, g - 1 batched products give the
+    prefixes within each group; then, group by group, one batched product of
+    its prefixes with its start state gives its states, and its last state
+    starts the next group: about m matrix products and m matrix-vector
+    products in about 2 sqrt(m) calls.  An operand that overlaps its
+    product's output is read from a copy, as numpy does.  The buffers are
+    allocated once per run: large arrays allocated anew per chunk could be
+    faulted back in every chunk.
     """
     size = blocks.shape[-1]
     scaled = np.concatenate((0.5 * dt * blocks, np.eye(size)[None])).reshape(len(blocks) + 1, -1)
-    mix = np.zeros((2 * length + 1, len(scaled)))  # weights of the rows of scaled
-    mix[:, 0] = mix[::2, -1] = 1.0
+    mix = np.ones((2 * length + 1, len(scaled)))  # weights of the rows of scaled, A_static's 1
     halves = np.empty((2 * length + 1, size * size))  # I + X or X at each half step
     buffers = np.empty((3, length, size, size))
 
     def advance(x, columns, block, out):
         n, m = len(columns) // 2, len(out)
-        mix[: 2 * n + 1, 1:-1] = columns
+        # n + 1 whole steps, then n midpoints; a longer chunk left other I weights here
+        mix[: n + 1, 1:-1], mix[: n + 1, -1] = columns[::2], 1.0
+        mix[n + 1 : 2 * n + 1, 1:-1], mix[n + 1 : 2 * n + 1, -1] = columns[1::2], 0.0
         a = np.matmul(mix[: 2 * n + 1], scaled, out=halves[: 2 * n + 1]).reshape(-1, size, size)
-        start, mid, end = a[:-1:2], a[1::2], a[2::2]  # I + X_s, X_m, I + X_e
+        ends, mid = a[: n + 1], a[n + 1 :]  # I + X at the whole steps, X_m
         y2, y3, steps = buffers[:, :n]
-        np.matmul(mid, start, out=y2)
+        np.matmul(mid, ends[:-1], out=y2)
         np.matmul(mid, y2, out=y3)
         y3 += mid
-        np.matmul(end, y3, out=steps)
+        np.matmul(ends[1:], y3, out=steps)
         steps += y2
         steps *= 2.0 / 3.0
-        ends = mix[: 2 * n + 1 : 2, :-1]
-        np.matmul((ends[:-1] + ends[1:]) / 3.0, scaled[:-1], out=y3.reshape(n, -1))
+        outer = (mix[:n] + mix[1 : n + 1]) / 3.0
+        outer[:, -1] = 1.0
+        np.matmul(outer, scaled, out=y3.reshape(n, -1))  # I + (X_s + X_e)/3
         steps += y3
-        steps.reshape(n, -1)[:, :: size + 1] += 1.0
         buffers[2, n : m * block] = np.eye(size)
         product, spare, width = buffers[2], buffers[0], block
         while width > 1:

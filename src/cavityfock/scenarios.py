@@ -500,11 +500,11 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
         )
     configs = [replace(base, **{parameter: value}) for value in values]
     built = [_setup(config) for config in configs]
+    text = str if FIELD_KINDS[parameter][0] is numbers.Integral else _fmt  # exact at any size
     rows = [",".join(SWEEP_COLUMNS)]
     for config, setup in zip(configs, built):
-        figures = _simulate(config, *setup)[1].figures_of_merit
-        value = float(getattr(config, parameter))
-        rows.append(",".join([parameter, *map(_fmt, (value, *figures.values()))]))
+        figures = _simulate(config, *setup)[1].figures_of_merit.values()
+        rows.append(",".join([parameter, text(getattr(config, parameter)), *map(_fmt, figures)]))
     with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write("\n".join(rows) + "\n")
     return out_path

@@ -75,6 +75,14 @@ class TestTimeGrid:
         with pytest.raises(ParameterDomainError):
             TimeGrid(0.0, 1.0, 0.1, stride=0)
 
+    @pytest.mark.parametrize("stride", [8000, 10**9, 2**63 - 1, 2**63, 10**30])
+    def test_a_stride_past_the_grid_records_its_two_ends(self, stride):
+        # past int64 too: the stride is kept as given, the sample steps stay integers
+        grid = TimeGrid(-4.0, 4.0, 1e-3, stride=stride)
+        assert grid.stride == stride
+        assert grid.sample_steps.dtype.kind == "i"
+        assert grid.sample_steps.tolist() == [0, 8000]
+
     @pytest.mark.parametrize("stride", [2.5, 10.0, True])
     def test_rejects_a_stride_that_is_not_an_integer(self, stride):
         with pytest.raises(ParameterDomainError, match=f"stride must be an integer, got {stride}"):
@@ -526,17 +534,28 @@ class TestLinearAdvance:
         of the master equation, at the presets' step."""
         self.check(r, stride, m, 1e-3)
 
+    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("r", [6, 10])
+    def test_chunks_of_unequal_length_match(self, r, stride):
+        """One advance over chunks of 23, 5 and 17 steps, as the last chunk
+        of a run is shorter than the ones before it: each chunk's weights
+        hold for its own length, not for the rows a longer chunk left."""
+        self.check(r, stride, -(-23 // stride), 1e-2, lengths=(23, 5, 17))
+
     @staticmethod
-    def check(r, stride, m, dt):
+    def check(r, stride, m, dt, lengths=None):
+        """Chunks of ``lengths`` steps, by default two of m * stride -
+        stride // 2, through one advance of m * stride steps."""
         rng = np.random.default_rng(100 * r + 10 * stride + m)
         blocks = rng.normal(size=(3, r, r)) / math.sqrt(r)
-        n = m * stride - stride // 2
+        whole = m * stride - stride // 2
         advance = _linear_advance(blocks, dt, m * stride)
-        out = np.empty((m, blocks.shape[-1]))
+        rows = np.empty((m, blocks.shape[-1]))
         x = rng.normal(size=r)
-        for _ in range(2):  # the second chunk starts from a row of out
+        for n in lengths or (whole, whole):  # each chunk after the first starts from a row of out
             columns = rng.normal(size=(2 * n + 1, 2))
             expected = reference_advance(blocks, dt, x, columns, stride)
+            out = rows[: -(-n // stride)]
             last = advance(x, columns, stride, out)
             assert np.max(np.abs(out - expected)) <= 1e-12
             assert np.shares_memory(last, out) and np.array_equal(last, out[-1])

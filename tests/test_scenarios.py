@@ -1,10 +1,13 @@
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 
 import pytest
 
+import cavityfock
 from cavityfock import (
     PRESETS,
     ConfigError,
@@ -657,6 +660,70 @@ class TestCli:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
         assert runs == []
         assert not os.path.exists(out)
+
+    def test_a_stride_past_int64_records_the_two_ends(self, tmp_path, capsys):
+        # as any stride past the grid does, and with the same bytes
+        outputs = []
+        for stride in ("1000000000", "9223372036854775808"):
+            out = tmp_path / f"{stride}.csv"
+            argv = ["run", "--preset", "fig2_tqd", "--set", f"stride={stride}"]
+            assert main(argv + ["--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 3
+
+    def test_sweep_of_a_stride_past_int64(self, tmp_path, capsys):
+        # an integer field's value is written as its digits, past the float range too
+        out = tmp_path / "stride.csv"
+        values = ["1000000000", "9223372036854775808", "9223372036854775809", "1" + "0" * 400]
+        argv = ["sweep", "--preset", "fig2_stirap", "--param", "stride"]
+        assert main(argv + ["--values", ",".join(values), "--out", str(out)]) == 0
+        header, rows = _read_csv(out)
+        assert _column(header, rows, "value") == values
+        assert all(row[2:] == rows[0][2:] for row in rows)
+
+    def test_repeated_calls_give_what_fresh_processes_give(self, tmp_path, capsys, monkeypatch):
+        # one process may call main many times: no call's arguments reach the next
+        calls = [
+            ["run", "--preset", "fig2_tqd", "--set", "dt_over_T=0.01", "--out", "a.csv"],
+            ["run", "--preset", "fig2_tqd", "--set", "dt_over_T=0.3", "--out", "b.csv"],
+            ["sweep", "--preset", "fig2_stirap", "--param", "omega0_T", "--values", "1,2"]
+            + ["--set", "dt_over_T=0.01", "--out", "c.csv"],
+            ["run", "--preset", "fig2_tqd", "--set", "stride=7", "--out", "d.csv"],
+        ]
+
+        def outputs(directory, codes, printed):
+            files = {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+            timeless = [
+                [line for line in out.splitlines() if not line.startswith("wall_time_s=")]
+                for out in printed
+            ]
+            return codes, timeless, files
+
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        source = os.path.dirname(os.path.dirname(cavityfock.__file__))
+        env = {**os.environ, "PYTHONPATH": source}
+        finished = [
+            subprocess.run(
+                [sys.executable, "-m", "cavityfock.cli", *argv],
+                cwd=fresh, env=env, capture_output=True, text=True, timeout=120,
+            )
+            for argv in calls
+        ]
+        expected = outputs(
+            fresh, [p.returncode for p in finished], [p.stdout + p.stderr for p in finished]
+        )
+        assert expected[0] == [0, 2, 0, 0]
+        same = tmp_path / "same"
+        same.mkdir()
+        monkeypatch.chdir(same)
+        codes, printed = [], []
+        for argv in calls:
+            codes.append(main(argv))
+            captured = capsys.readouterr()
+            printed.append(captured.out + captured.err)
+        assert outputs(same, codes, printed) == expected
 
     def test_unwritable_output_exit_code(self, tmp_path, capsys):
         code = main(
