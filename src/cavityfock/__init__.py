@@ -29,7 +29,6 @@ from .hilbert import (
 from .observables import populations
 from .pulses import (
     ControlSchedule,
-    ControlValues,
     PulseParameters,
     counterdiabatic_amplitude,
     gaussian_pulse,
@@ -47,13 +46,12 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.18.0"
+__version__ = "0.19.0"
 
 __all__ = [
     "CavityFockError",
     "ConfigError",
     "ControlSchedule",
-    "ControlValues",
     "Dissipation",
     "EigenSystem",
     "IntegrationError",

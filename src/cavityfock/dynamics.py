@@ -46,7 +46,7 @@ from .errors import IntegrationError, ParameterDomainError
 from .hamiltonians import LinearHamiltonian
 from .hilbert import ProductBasis, _read_only
 from .observables import diagonal_weights, photon_statistics, populations
-from .pulses import ControlValues
+from .pulses import ControlSchedule
 
 # Hard failure thresholds for conservation checks at recorded samples.
 NORM_DRIFT_LIMIT = 1e-6
@@ -113,7 +113,7 @@ class Trajectory:
     sample alone.  ``populations`` (S, d) are in the order of
     ``basis.labels()``, zero on every basis state not kept.
     ``model`` is the schedule's model, "effective" or "full", and
-    ``controls`` holds each of its channels as an (S,) array.
+    ``controls`` maps each of the schedule's channels to its (S,) column.
     ``dark_overlap`` and ``mandel_q`` are NaN where undefined: no drive
     field on, a full-model run, or an empty cavity.
     """
@@ -124,7 +124,7 @@ class Trajectory:
     times: np.ndarray
     coordinates: np.ndarray
     kept: np.ndarray
-    controls: ControlValues
+    controls: dict[str, np.ndarray]
     populations: np.ndarray
     norm_or_trace: np.ndarray
     dark_overlap: np.ndarray
@@ -158,7 +158,7 @@ class Trajectory:
 
 
 def _integrate(
-    hamiltonian: LinearHamiltonian, grid: TimeGrid, blocks: np.ndarray, x0: np.ndarray
+    schedule: ControlSchedule, grid: TimeGrid, blocks: np.ndarray, x0: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Integrate dx/dt = (A_static + sum_k c_k(t) A_k) x from x0 over the
     grid one chunk at a time; return the recorded coordinates (S, len(x0))
@@ -166,9 +166,9 @@ def _integrate(
 
     ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the coordinates
     that x0 reaches (_reachable) are stepped; every other one stays exactly
-    zero.  The controls of a chunk are evaluated at all its half steps in
-    one call, and each half step once: a chunk starts from the end point of
-    the one before.  A recorded step k is half step 2k, at t_start +
+    zero.  One call of ``schedule.values`` gives the controls at all half
+    steps of a chunk, and each half step once: a chunk starts from the end
+    point of the one before.  A recorded step k is half step 2k, at t_start +
     (dt/2)(2k), the same double as t_start + k dt, so the recorded controls
     are those columns: every (2 stride)-th of a chunk, and its last.  A
     chunk is a whole number of strides, so its blocks end at the next
@@ -189,7 +189,7 @@ def _integrate(
     states = np.zeros((len(samples), len(x0)))
     stepped = slice(None) if r == len(x0) else reached  # a slice on every pure-state preset
     states[0, stepped] = state = x0[reached]
-    columns = hamiltonian.evaluate(np.array([grid.t_start]))
+    columns = schedule.values(np.array([grid.t_start]))
     controls = np.empty((len(samples), columns.shape[1]))
     controls[0] = columns[0]
     first = 0
@@ -201,7 +201,7 @@ def _integrate(
             block = min(stride, n)
             m = -(-n // block)
             half_steps = np.arange(2 * first + 1, 2 * last + 1)
-            chunk_columns = hamiltonian.evaluate(grid.t_start + (0.5 * grid.dt) * half_steps)
+            chunk_columns = schedule.values(grid.t_start + (0.5 * grid.dt) * half_steps)
             columns = np.concatenate((columns[-1:], chunk_columns))
             state = advance(state, columns, block, chunk[:m])
             lo = np.searchsorted(samples, first + 1)
@@ -308,9 +308,9 @@ def _record(
 
     The coordinates are those of the state on the basis states ``kept``, as
     in Trajectory; a model with jumps records density matrices.  The
-    columns (S, K) are the stepper's (_integrate), in the order of the
-    model's terms; a channel without a term is off and recorded as zeros,
-    so the schedule is not evaluated again.  The populations (S, d) are the
+    columns (S, K) are the stepper's (_integrate), one per channel that is
+    on in the schedule's order, and are recorded as they are: the
+    schedule is not evaluated again.  The populations (S, d) are the
     diagonal coordinates, or |psi_k|^2, on the kept basis states and zero
     on the others; the norm or trace and the photon statistics are taken
     from them.  Density matrices are rebuilt on the kept basis states, 512
@@ -340,9 +340,7 @@ def _record(
             part = slice(start, start + 512)
             _check_positive(_kept_states(coordinates[part], size, True), steps[part], grid)
     model = hamiltonian.schedule.model
-    recorded = dict(zip(hamiltonian.terms, columns.T.copy()))
-    off = np.zeros(len(times))
-    controls = ControlValues(*(recorded.get(name, off) for name in ControlValues._fields))
+    controls = dict(zip(hamiltonian.schedule.channels, columns.T.copy()))
     if model == "effective":
         dark = _dark_overlaps(coordinates, kept, is_density, controls, basis)
     else:
@@ -357,7 +355,7 @@ def _dark_overlaps(
     coordinates: np.ndarray,
     kept: np.ndarray,
     is_density: bool,
-    controls: ControlValues,
+    controls: dict[str, np.ndarray],
     basis: ProductBasis,
 ) -> np.ndarray:
     """The dark-state population of each recorded state, from the
@@ -375,7 +373,7 @@ def _dark_overlaps(
 
     where = {index: p for p, index in enumerate(kept.tolist())}
     a, b = where.get(basis.index("g1", 0)), where.get(basis.index("g2", 1))
-    theta = np.arctan2(controls.omega_r, controls.g)
+    theta = np.arctan2(controls["omega_r"], controls["g"])
     c, s = np.cos(theta), -np.sin(theta)
     if is_density:
         # kept is sorted, so a < b and Re rho_ab is an upper-triangle coordinate
@@ -385,7 +383,7 @@ def _dark_overlaps(
     else:
         re_a, im_a, re_b, im_b = column(a), column(a, size), column(b), column(b, size)
         dark = np.abs((c * re_a + s * re_b) + 1j * (c * im_a + s * im_b)) ** 2
-    driven = (controls.omega_r != 0.0) | (controls.g != 0.0)
+    driven = (controls["omega_r"] != 0.0) | (controls["g"] != 0.0)
     return np.where(driven, dark, np.nan)
 
 
@@ -456,7 +454,7 @@ def propagate(model: LinearHamiltonian, psi0: np.ndarray, grid: TimeGrid) -> Tra
     operators = np.array([model.static, *model.terms.values(), *(op for _, op in model.jumps)])
     kept = _reachable(operators, psi)
     blocks, x0 = _linear_form(model, psi, kept)
-    coordinates, columns = _integrate(model, grid, blocks, x0)
+    coordinates, columns = _integrate(model.schedule, grid, blocks, x0)
     return _record(model, grid, coordinates, columns, kept)
 
 
@@ -478,7 +476,8 @@ def _linear_form(model: LinearHamiltonian, psi: np.ndarray, kept: np.ndarray) ->
     initial coordinates x0.  A pure state steps in (Re psi, Im psi), with
     -iH the block [[Im H, Re H], [-Re H, Im H]]; a density matrix
     |psi><psi| in its k^2 real coordinates, with _real_liouvillian."""
-    h = np.array([model.static, *model.terms.values()])[:, kept[:, None], kept]
+    terms = [model.terms[channel] for channel in model.schedule.channels]  # in column order
+    h = np.array([model.static, *terms])[:, kept[:, None], kept]
     psi = psi[kept]
     if not model.jumps:
         blocks = np.block([[h.imag, h.real], [-h.real, h.imag]])

@@ -7,8 +7,9 @@ detuning projectors and the drive couplings.  Both are linear in their
 controls, H(t) = H_static + sum_k c_k(t) X_k (LinearHamiltonian).  The
 table _COUPLINGS gives the X_k of every control channel; a model takes
 those of the channels its schedule switches on (pulses.CHANNELS) on the
-levels of its basis (hilbert.LEVELS).  All matrices are dense; the
-default dimensions are 6 (effective) and 8 (full).
+levels of its basis (hilbert.LEVELS), and its schedule's values(t) are
+the c_k, one column per term.  All matrices are dense; the default
+dimensions are 6 (effective) and 8 (full).
 """
 
 from __future__ import annotations
@@ -115,9 +116,10 @@ class LinearHamiltonian:
     """H(t) = static + sum_k c_k(t) X_k with fixed matrices X_k: the list
     form [H0, [X1, c1(t)], [X2, c2(t)], ...] of QuTiP.
 
-    ``terms`` maps each control channel (a ControlValues field) to its X_k,
-    and ``schedule`` evaluates the channels.  An open system has ``jumps``,
-    and ``static`` carries their decay terms -i/2 sum_j r_j L_j^dag L_j.
+    ``terms`` maps each channel that is on to its X_k, and
+    ``schedule.values`` gives the columns c_k in ``schedule.channels``
+    order.  An open system has ``jumps``, and ``static`` carries their
+    decay terms -i/2 sum_j r_j L_j^dag L_j.
     """
 
     basis: ProductBasis
@@ -125,12 +127,6 @@ class LinearHamiltonian:
     terms: dict[str, np.ndarray]
     schedule: ControlSchedule
     jumps: Jumps = ()
-
-    def evaluate(self, times: np.ndarray) -> np.ndarray:
-        """The control columns c_k at ``times``, all channels from one
-        schedule call: a (len(times), K) array in the order of ``terms``."""
-        controls = self.schedule.values(times)
-        return np.stack([getattr(controls, name) for name in self.terms], axis=-1)
 
 
 def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamiltonian:
@@ -174,6 +170,5 @@ def bound_hamiltonian(
     if not include_decay:
         config = replace(config, dissipation=Dissipation())
     model = linear_hamiltonian(config, basis)
-    d = basis.dimension
-    matrices = np.reshape(list(model.terms.values()), (len(model.terms), d * d))
-    return lambda t: model.static + (model.evaluate(np.array([t])) @ matrices).reshape(d, d)
+    matrices = np.array(list(model.terms.values()))
+    return lambda t: model.static + np.tensordot(model.schedule.values(t), matrices, axes=1)

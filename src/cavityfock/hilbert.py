@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,6 +59,8 @@ class ProductBasis:
 
 
 def build_basis(model: str, n_max: int) -> ProductBasis:
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
+        raise ParameterDomainError(f"n_max must be an integer, got {n_max!r}")
     if not 1 <= n_max <= N_MAX_LIMIT:
         raise ParameterDomainError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
     if model not in LEVELS:

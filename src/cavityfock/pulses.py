@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,8 +37,8 @@ _LOG_TAIL_CLAMP = math.log(TAIL_CLAMP)
 # amplitude, at most this many 1/T, finite.
 _FAR_APART = 40.0
 
-# The control channels of each model, in ControlValues order: the full model
-# synthesizes the correction omega1 through the auxiliary level em.
+# The control channels of each model, in the column order of ControlSchedule.values:
+# the full model synthesizes the correction omega1 through the auxiliary level em.
 CHANNELS = {"effective": ("omega_r", "g", "omega1"), "full": ("omega_r", "g", "g_m", "omega_m")}
 
 
@@ -142,24 +141,13 @@ def physical_pulse_pair(params: PulseParameters, t):
     return np.copysign(omega_m, omega1), omega_m
 
 
-class ControlValues(NamedTuple):
-    """All control channels in units of 1/T, at one time or, as arrays of
-    its shape, at each time of an array."""
-
-    omega_r: float
-    g: float
-    omega1: float
-    g_m: float
-    omega_m: float
-
-
 @dataclass(frozen=True)
 class ControlSchedule:
     """Evaluable record of every control channel for one model/drive choice.
 
     ``channels`` are the ones that are on: all of the model's CHANNELS with
-    drive="tqd", the pump/Stokes pair alone with drive="stirap".  The
-    others evaluate to exactly zero.
+    drive="tqd", the pump/Stokes pair alone with drive="stirap".  Only
+    they are evaluated; a channel that is off has no value at all.
     """
 
     params: PulseParameters
@@ -167,6 +155,8 @@ class ControlSchedule:
     drive: str = "stirap"
 
     def __post_init__(self):
+        if not isinstance(self.params, PulseParameters):
+            raise ParameterDomainError(f"pulses must be a PulseParameters, got {self.params!r}")
         if self.model not in CHANNELS:
             raise ParameterDomainError(f"unknown model {self.model!r}")
         if self.drive not in ("stirap", "tqd"):
@@ -179,10 +169,11 @@ class ControlSchedule:
         channels = CHANNELS[self.model]
         return channels if self.drive == "tqd" else channels[:2]
 
-    def values(self, t) -> ControlValues:
-        """Every channel at ``t``, a time or an array of times."""
-        omega_r, g = stirap_pair(self.params, t)
-        off = np.zeros(np.shape(t))
-        omega1 = counterdiabatic_amplitude(self.params, t) if "omega1" in self.channels else off
-        auxiliary = physical_pulse_pair(self.params, t) if "g_m" in self.channels else (off, off)
-        return ControlValues(omega_r, g, omega1, *auxiliary)
+    def values(self, t) -> np.ndarray:
+        """The ``channels`` at ``t``, a time or an array of times, as a new last axis."""
+        columns = [*stirap_pair(self.params, t)]
+        if "omega1" in self.channels:
+            columns.append(counterdiabatic_amplitude(self.params, t))
+        if "g_m" in self.channels:
+            columns.extend(physical_pulse_pair(self.params, t))
+        return np.stack(columns, axis=-1)

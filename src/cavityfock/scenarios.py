@@ -16,7 +16,7 @@ from .dynamics import TimeGrid, Trajectory, propagate
 from .errors import ConfigError
 from .hamiltonians import Dissipation, LinearHamiltonian, ModelConfig, linear_hamiltonian
 from .hilbert import _read_only, build_basis
-from .pulses import CHANNELS, ControlValues, PulseParameters
+from .pulses import CHANNELS, PulseParameters
 
 CSV_COLUMNS = (
     "t_over_T",
@@ -37,6 +37,8 @@ CSV_COLUMNS = (
 )
 # The basis states whose populations the CSV and the run summary report
 _REPORTED_STATES = (("g1", 0), ("e", 0), ("g2", 1), ("g2", 0), ("em", 0))
+# The control channels whose columns end the CSV, in its order
+_REPORTED_CHANNELS = ("omega_r", "g", "omega1", "g_m", "omega_m")
 
 
 @dataclass
@@ -207,10 +209,12 @@ def _fmt(value: float) -> str:
 
 def _table(trajectory: Trajectory) -> dict[str, np.ndarray]:
     """Each CSV column of the trajectory by name, in CSV order: its own
-    arrays, not copies, and a broadcast NaN for a level or channel that the
-    model lacks.  Every column is NaN wherever its value is undefined."""
+    arrays, not copies, a broadcast zero for a channel of the model that is
+    off, and a broadcast NaN for a level or channel that the model lacks.
+    Every column is NaN wherever its value is undefined."""
     levels, channels = trajectory.basis.levels, CHANNELS[trajectory.model]
     undefined = np.broadcast_to(np.nan, trajectory.times.shape)
+    off = np.broadcast_to(0.0, trajectory.times.shape)
     controls = trajectory.controls
     columns = [
         trajectory.times,
@@ -222,7 +226,7 @@ def _table(trajectory: Trajectory) -> dict[str, np.ndarray]:
         trajectory.mean_photon_n,
         trajectory.mandel_q,
         trajectory.norm_or_trace,
-        *(getattr(controls, c) if c in channels else undefined for c in ControlValues._fields),
+        *(controls.get(c, off) if c in channels else undefined for c in _REPORTED_CHANNELS),
     ]
     return dict(zip(CSV_COLUMNS, columns))
 

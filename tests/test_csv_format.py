@@ -22,9 +22,12 @@ from cavityfock.scenarios import CSV_COLUMNS, _csv_blocks, write_trajectory_csv
 
 def reference_write_trajectory_csv(trajectory, path):
     """The row-by-row writer: one "%.16e" template per row, then every
-    "nan" removed."""
+    "nan" removed.  A channel of the model that is off, which the
+    trajectory does not record, is written as zeros; one that the model
+    lacks, as empty cells."""
     full = trajectory.model == "full"
     undefined = np.full(len(trajectory.times), np.nan)
+    zeros = np.zeros(len(trajectory.times))
     controls = trajectory.controls
 
     def population(level, n):
@@ -44,11 +47,11 @@ def reference_write_trajectory_csv(trajectory, path):
             trajectory.mean_photon_n,
             trajectory.mandel_q,
             trajectory.norm_or_trace,
-            controls.omega_r,
-            controls.g,
-            undefined if full else controls.omega1,
-            controls.g_m if full else undefined,
-            controls.omega_m if full else undefined,
+            controls["omega_r"],
+            controls["g"],
+            undefined if full else controls.get("omega1", zeros),
+            controls.get("g_m", zeros) if full else undefined,
+            controls.get("omega_m", zeros) if full else undefined,
         ]
     )
     row = ",".join(["%.16e"] * len(CSV_COLUMNS)) + "\n"

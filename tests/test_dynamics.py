@@ -691,7 +691,7 @@ class TestRecordedCoordinates:
         assert np.array_equal(trajectory.norm_or_trace, weights.sum(axis=-1))
         if sim.model == "effective":
             controls = trajectory.controls
-            dark = dark_state_overlaps(states, density, controls.omega_r, controls.g, basis)
+            dark = dark_state_overlaps(states, density, controls["omega_r"], controls["g"], basis)
             assert np.array_equal(trajectory.dark_overlap, dark, equal_nan=True)
 
     @LOSSES
@@ -711,7 +711,7 @@ class TestRecordedCoordinates:
         trajectory = propagate(linear_hamiltonian(config, basis), psi0, grid)
         states, density, controls = trajectory.states, trajectory.is_density, trajectory.controls
         assert np.array_equal(trajectory.populations, diagonal_weights(states, density))
-        dark = dark_state_overlaps(states, density, controls.omega_r, controls.g, basis)
+        dark = dark_state_overlaps(states, density, controls["omega_r"], controls["g"], basis)
         assert np.array_equal(trajectory.dark_overlap, dark, equal_nan=True)
 
 
@@ -745,9 +745,10 @@ class TestRecordContract:
 
 class TestRecordedControls:
     """The recorded controls are the stepper's control columns at the
-    recorded steps: half step 2k is at t_start + (dt/2)(2k), the same
-    double as t_start + k dt, so they equal a schedule call at the recorded
-    times bit for bit, and the schedule is evaluated once per half step."""
+    recorded steps, one for each channel that is on: half step 2k is at
+    t_start + (dt/2)(2k), the same double as t_start + k dt, so they equal
+    a schedule call at the recorded times bit for bit, and the schedule is
+    evaluated once per half step."""
 
     @pytest.mark.parametrize("stride", [1, 3, 7, 10, 9000])
     @pytest.mark.parametrize("name", sorted(PRESETS))
@@ -760,8 +761,21 @@ class TestRecordedControls:
         trajectory = propagate(model, basis.state("g1", 0), grid)
         expected = model.schedule.values(grid.time(grid.sample_steps))
         assert len(trajectory.times) == len(grid.sample_steps)
-        for channel, recorded, value in zip(expected._fields, trajectory.controls, expected):
-            assert np.array_equal(recorded, value), channel
+        assert tuple(trajectory.controls) == model.schedule.channels
+        for channel, value in zip(model.schedule.channels, expected.T):
+            assert np.array_equal(trajectory.controls[channel], value), channel
+
+    @pytest.mark.parametrize("name", ["fig2_tqd", "fig2f_dissipative_tqd", "fig3_full"])
+    def test_terms_are_paired_with_the_columns_by_channel(self, name):
+        """A model whose terms are listed in another order runs the same."""
+        sim = replace(resolve_preset(name), stride=100)
+        basis = build_basis(sim.model, sim.n_max)
+        model = linear_hamiltonian(model_config(sim), basis)
+        reordered = replace(model, terms=dict(reversed(list(model.terms.items()))))
+        grid, psi0 = time_grid(sim), basis.state("g1", 0)
+        trajectory, expected = propagate(reordered, psi0, grid), propagate(model, psi0, grid)
+        assert np.array_equal(trajectory.coordinates, expected.coordinates)
+        assert tuple(trajectory.controls) == model.schedule.channels
 
     @pytest.mark.parametrize("stride", [1, 7, 9000])
     @pytest.mark.parametrize("name", ["fig2_stirap", "fig2f_dissipative_tqd", "fig3_full"])
@@ -804,7 +818,7 @@ def record_stack(model, grid, stack):
     """_record of density matrices (S, d, d) given in full at the grid's
     sample steps: their d^2 real coordinates, all kept, with the model's
     controls at those steps."""
-    columns = model.evaluate(grid.time(grid.sample_steps))
+    columns = model.schedule.values(grid.time(grid.sample_steps))
     return _record(model, grid, _coordinates(stack), columns, np.arange(stack.shape[-1]))
 
 

@@ -137,6 +137,14 @@ class TestEffectiveRamanCoupling:
         assert value == pytest.approx(counterdiabatic_amplitude(PULSES, 0.0), rel=1e-13)
 
 
+class TestModelConfig:
+    @pytest.mark.parametrize("pulses", [None, (2.0, 0.5, 0.5)], ids=["None", "tuple"])
+    def test_pulses_must_be_pulse_parameters(self, pulses):
+        """Rejected when the configuration is built, not at first use."""
+        with pytest.raises(ParameterDomainError, match="pulses must be a PulseParameters"):
+            ModelConfig("effective", "tqd", pulses)
+
+
 class TestDissipativeHamiltonian:
     @pytest.mark.parametrize("dissipation", [None, (5.0, 0.05)], ids=["None", "tuple"])
     def test_rates_must_be_a_dissipation(self, dissipation):

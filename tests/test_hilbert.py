@@ -29,6 +29,12 @@ class TestBuildBasis:
         with pytest.raises(ParameterDomainError, match="n_max must be in 1..10"):
             build_basis("effective", n_max)
 
+    @pytest.mark.parametrize("n_max", [1.5, 2.0, True], ids=["1.5", "2.0", "True"])
+    def test_rejects_n_max_that_is_not_an_integer(self, n_max):
+        """A float, even a whole one, and a bool are no integer cutoff."""
+        with pytest.raises(ParameterDomainError, match="n_max must be an integer"):
+            build_basis("effective", n_max)
+
     def test_rejects_unknown_model(self):
         with pytest.raises(ParameterDomainError):
             build_basis("bogus", 1)

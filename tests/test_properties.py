@@ -53,7 +53,7 @@ def _assert_finite_controls(preset, overrides):
     model, grid = _setup(replace(resolve_preset(preset), dt_over_T=0.01, **overrides))
     half_steps = grid.t_start + (0.5 * grid.dt) * np.arange(2 * grid.n_steps + 1)
     with np.errstate(all="ignore"):
-        columns = model.evaluate(half_steps)
+        columns = model.schedule.values(half_steps)
     assert np.isfinite(columns).all(), (preset, overrides)
 
 

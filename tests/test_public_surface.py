@@ -31,8 +31,9 @@ TEST_ORACLES = (
 # the channel couplings of hamiltonians
 REPLACED_BY_TABLES = ("EFFECTIVE_LEVELS", "FULL_LEVELS", "_coupling_terms", "_sweep_value")
 # The second CSV row layout, its cell kind for "%.16e" text, the raising
-# operators and level projectors that transition_operator gives, and the
-# field-kind sets and field names that scenarios.FIELD_KINDS gives
+# operators and level projectors that transition_operator gives, the
+# field-kind sets and field names that scenarios.FIELD_KINDS gives, and the
+# padded record of every channel, which the schedule's columns replaced
 REMOVED = (
     "_sliced_rows",
     "_masked_rows",
@@ -44,6 +45,7 @@ REMOVED = (
     "INT_FIELDS",
     "_FIELD_TYPES",
     "config_field_names",
+    "ControlValues",
 )
 
 
@@ -83,6 +85,12 @@ def test_schedule_has_channels_and_no_per_model_flags():
     assert isinstance(cavityfock.ControlSchedule.channels, property)
     for flag in ("correction_active", "auxiliary_active"):
         assert not hasattr(cavityfock.ControlSchedule, flag)
+
+
+def test_schedule_values_are_the_only_control_columns():
+    """ControlSchedule.values gives the stepper's columns; the model does
+    not restack them."""
+    assert not hasattr(cavityfock.LinearHamiltonian, "evaluate")
 
 
 def test_eigensystem_is_not_placed_in_a_basis_by_the_package():

@@ -249,32 +249,35 @@ class TestGenericCounterdiabatic:
 
 class TestControlSchedule:
     def test_correction_silent_without_tqd(self):
-        schedule = ControlSchedule(STANDARD, model="effective", drive="stirap")
-        for t in np.linspace(-4.0, 4.0, 41):
-            values = schedule.values(t)
-            assert values.omega1 == 0.0
-            assert values.g_m == 0.0 and values.omega_m == 0.0
+        """A STIRAP schedule evaluates the pump/Stokes pair alone, on
+        either model: no correction channel is on."""
+        for model in ("effective", "full"):
+            schedule = ControlSchedule(STANDARD, model=model, drive="stirap")
+            for t in np.linspace(-4.0, 4.0, 41):
+                assert np.array_equal(schedule.values(t), stirap_pair(STANDARD, t))
 
     def test_effective_tqd_drives_correction_channel(self):
         schedule = ControlSchedule(STANDARD, model="effective", drive="tqd")
         for t in (-1.0, 0.0, 0.5, 2.0):
-            assert schedule.values(t).omega1 == counterdiabatic_amplitude(STANDARD, t)
+            omega_r, g, omega1 = schedule.values(t)
+            assert omega1 == counterdiabatic_amplitude(STANDARD, t)
+            assert (omega_r, g) == stirap_pair(STANDARD, t)
         assert schedule.channels == ("omega_r", "g", "omega1")
 
     def test_full_tqd_drives_auxiliary_channels(self):
         schedule = ControlSchedule(STANDARD, model="full", drive="tqd")
         for t in (-1.0, 0.0, 1.3):
-            values = schedule.values(t)
-            g_m, omega_m = physical_pulse_pair(STANDARD, t)
-            assert values.g_m == g_m and values.omega_m == omega_m
-            assert values.omega1 == 0.0
+            # four columns: the correction omega1 is not a channel of the full model
+            omega_r, g, g_m, omega_m = schedule.values(t)
+            assert (g_m, omega_m) == physical_pulse_pair(STANDARD, t)
+            assert (omega_r, g) == stirap_pair(STANDARD, t)
 
     def test_all_channels_finite_over_window(self):
         for model in ("effective", "full"):
             for drive in ("stirap", "tqd"):
                 schedule = ControlSchedule(STANDARD, model=model, drive=drive)
                 for t in np.linspace(-4.0, 4.0, 17):
-                    assert all(np.isfinite(v) for v in schedule.values(t))
+                    assert np.isfinite(schedule.values(t)).all()
 
     def test_array_of_times_matches_each_time(self):
         times = np.linspace(-4.0, 4.0, 33)
@@ -282,15 +285,21 @@ class TestControlSchedule:
             for drive in ("stirap", "tqd"):
                 schedule = ControlSchedule(STANDARD, model=model, drive=drive)
                 columns = schedule.values(times)
+                assert columns.shape == (len(times), len(schedule.channels))
                 for i, t in enumerate(times):
-                    one = schedule.values(float(t))
-                    assert all(c[i] == v for c, v in zip(columns, one))
+                    assert np.array_equal(columns[i], schedule.values(float(t)))
 
     def test_rejects_unknown_model_or_drive(self):
         with pytest.raises(ParameterDomainError):
             ControlSchedule(STANDARD, model="bogus", drive="stirap")
         with pytest.raises(ParameterDomainError):
             ControlSchedule(STANDARD, model="effective", drive="bogus")
+
+    @pytest.mark.parametrize("params", [None, (2.0, 0.5, 0.5)], ids=["None", "tuple"])
+    def test_rejects_params_that_are_not_pulse_parameters(self, params):
+        for model in ("effective", "full"):
+            with pytest.raises(ParameterDomainError, match="must be a PulseParameters"):
+                ControlSchedule(params, model=model, drive="tqd")
 
     def test_auxiliary_pulses_need_positive_detuning(self):
         params = PulseParameters(omega0=2.0, delta_m=-1.0)
@@ -301,9 +310,11 @@ class TestControlSchedule:
         params = PulseParameters(omega0=2.0, delta_m=0.0)
         with pytest.raises(ParameterDomainError, match="delta_m must be positive"):
             ControlSchedule(params, model="full", drive="tqd")
-        # delta_m drives nothing here
+        # delta_m drives nothing here: no auxiliary channel is on
         for model, drive in (("full", "stirap"), ("effective", "tqd")):
-            assert ControlSchedule(params, model=model, drive=drive).values(0.0).g_m == 0.0
+            schedule = ControlSchedule(params, model=model, drive=drive)
+            assert "g_m" not in schedule.channels
+            assert schedule.values(0.0).shape == (len(schedule.channels),)
 
     def test_channels_are_the_model_channels_switched_on_by_the_drive(self):
         full = ControlSchedule(STANDARD, model="full", drive="tqd")
@@ -332,7 +343,7 @@ class TestEveryFiniteParameter:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 values = ControlSchedule(params, model, "tqd").values(t)
-            assert all(np.isfinite(column).all() for column in values)
+            assert np.isfinite(values).all()
 
     @pytest.mark.parametrize("tau_p, tau_s", [(1e308, 0.5), (1e200, 0.5), (1e308, 1e308)])
     def test_pulses_far_apart_give_no_correction(self, tau_p, tau_s):
@@ -340,9 +351,9 @@ class TestEveryFiniteParameter:
         # is zero to far below the smallest float
         params = PulseParameters(omega0=2.0, tau_p=tau_p, tau_s=tau_s)
         t = np.linspace(-4.0, 4.0, 9)
-        values = ControlSchedule(params, "effective", "tqd").values(t)
-        assert np.array_equal(values.omega1, np.zeros(9))
-        assert np.array_equal(values.omega_r, np.zeros(9))
+        omega_r, _, omega1 = ControlSchedule(params, "effective", "tqd").values(t).T
+        assert np.array_equal(omega1, np.zeros(9))
+        assert np.array_equal(omega_r, np.zeros(9))
         g_m, omega_m = physical_pulse_pair(params, t)
         assert np.array_equal(g_m, np.zeros(9)) and np.array_equal(omega_m, np.zeros(9))
 
