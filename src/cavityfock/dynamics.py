@@ -21,8 +21,8 @@ basis states and steps 6, 8 or 10 coordinates whatever n_max is.
 Time is taken in chunks of whole strides, and the controls at all half steps
 of a chunk come from one call.  The RK4 one-step matrices of a chunk come
 from batched products, each stride of them is folded into one block, and
-the recorded states from prefix products within groups of blocks, applied
-to each group's start state in turn, about one product per block.
+the recorded states from prefix products within groups of blocks, each
+group's applied to the state before it by one product.
 
 The recorded states are the real coordinates of the state on the basis
 states the model was built on, zero where a coordinate was not stepped.
@@ -167,15 +167,16 @@ def _integrate(
     ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the coordinates
     that x0 reaches (_reachable) are stepped; every other one stays exactly
     zero.  One call of ``schedule.values`` gives the controls at all half
-    steps of a chunk, and each half step once: a chunk starts from the end
-    point of the one before.  A recorded step k is half step 2k, at t_start +
-    (dt/2)(2k), the same double as t_start + k dt, so the recorded controls
-    are those columns: every (2 stride)-th of a chunk, and its last.  A
-    chunk is a whole number of strides, so its blocks end at the next
-    recorded steps; a longer stride is cut into chunks of one block, which
-    write its recorded step's row until the last, which ends there.
+    steps of a chunk, each half step once: row 0 of the run's column and
+    state buffers carries the last of the chunk before.  A recorded step k
+    is half step 2k, at t_start + (dt/2)(2k), the same double as t_start +
+    k dt, so the recorded controls are those columns: every (2 stride)-th
+    of a chunk, and its last.  A chunk is a whole number of strides, so its
+    blocks end at the next recorded steps; a longer stride is cut into
+    chunks of one block, which write its recorded step's row until the
+    last, which ends there.
     """
-    samples, stride = grid.sample_steps, grid.stride
+    count, stride = len(grid.sample_steps), grid.stride
     reached = _reachable(blocks, x0)
     # Chunks of 711 steps, since each costs one control call and one advance
     # call, but with r x r step matrices that take no more room than 64
@@ -183,31 +184,34 @@ def _integrate(
     r = len(reached)
     capacity = max(1, min(711, 64 * 144**2 // r**2))
     advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt, capacity)
-    chunk = np.empty((capacity, r))
+    chunk = np.empty((capacity + 1, r))
+    # channel by channel in memory, as values' columns are, so they copy in whole
+    columns = np.empty((len(schedule.channels), 2 * capacity + 1)).T
     length = stride * (capacity // stride) or capacity
     period = max(length, stride)  # no chunk crosses a multiple of it
-    states = np.zeros((len(samples), len(x0)))
+    states = np.zeros((count, len(x0)))
     stepped = slice(None) if r == len(x0) else reached  # a slice on every pure-state preset
-    states[0, stepped] = state = x0[reached]
-    columns = schedule.values(np.array([grid.t_start]))
-    controls = np.empty((len(samples), columns.shape[1]))
-    controls[0] = columns[0]
-    first = 0
+    states[0, stepped] = chunk[0] = x0[reached]
+    controls = np.empty((count, columns.shape[1]))
+    first, n_steps = 0, grid.n_steps
     # A diverging run overflows to inf and NaN; _record reports it.
     with np.errstate(over="ignore", invalid="ignore"):
-        while first < grid.n_steps:
-            last = min(first + length, (first // period + 1) * period, grid.n_steps)
+        while first < n_steps:
+            last = min(first + length, (first // period + 1) * period, n_steps)
             n = last - first
             block = min(stride, n)
             m = -(-n // block)
-            half_steps = np.arange(2 * first + 1, 2 * last + 1)
-            chunk_columns = schedule.values(grid.t_start + (0.5 * grid.dt) * half_steps)
-            columns = np.concatenate((columns[-1:], chunk_columns))
-            state = advance(state, columns, block, chunk[:m])
-            lo = np.searchsorted(samples, first + 1)
-            states[lo : lo + m, stepped] = chunk[:m]
-            controls[lo : lo + n // block] = columns[2 * block :: 2 * block]
-            controls[lo + m - 1] = columns[-1]  # the last block may be partial
+            fresh = int(first > 0)  # row 0 holds the last column before, or t_start's
+            half_steps = np.arange(2 * first + fresh, 2 * last + 1)
+            columns[fresh : 2 * n + 1] = schedule.values(grid.t_start + 0.5 * grid.dt * half_steps)
+            if not first:
+                controls[0] = columns[0]
+            advance(columns[: 2 * n + 1], block, chunk[: m + 1])
+            lo = first // stride + 1  # the row of the next recorded step
+            states[lo : lo + m, stepped] = chunk[1 : m + 1]
+            controls[lo : lo + n // block] = columns[2 * block : 2 * n + 1 : 2 * block]
+            controls[lo + m - 1] = columns[2 * n]  # the last block may be partial
+            chunk[0], columns[0] = chunk[m], columns[2 * n]
             first = last
     return states, controls
 
@@ -227,38 +231,37 @@ def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
 
 
 def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
-    """``advance(x, columns, block, out)`` for dx/dt = (A_static +
-    sum_k c_k A_k) x, with ``blocks`` the real stack (A_static, A_1, ...,
-    A_K) of shape (K+1, r, r), in chunks of at most ``length`` steps,
-    padding included.
+    """``advance(columns, block, out)`` for dx/dt = (A_static + sum_k c_k A_k)
+    x, with ``blocks`` the real stack (A_static, A_1, ..., A_K) of shape
+    (K+1, r, r), in chunks of at most ``length`` steps, padding included.
 
-    It takes n steps through the control columns (2n + 1, K) at their half
-    steps, writes the state after each run of ``block`` steps to the
-    m = ceil(n / block) rows of ``out`` and returns the last one.  One
-    product of the columns, with ones for A_static and, at whole steps, for
-    I, gives I + X at the n + 1 whole steps, then X_m, X = (dt/2) A.  The
-    RK4 one-step matrix S = I + (X_s + X_e)/3 + 2/3 (Y2 + Y3 + X_e Y3), with
-    Y2 = X_m + X_m X_s and Y3 = X_m + X_m Y2, takes three batched products
-    of these contiguous runs, four passes, and a product of the summed
-    whole-step weights for I + (X_s + X_e)/3.  Each run of ``block`` of
-    them, the last padded with identities, is folded by a pairwise tree.  In
-    groups of g = isqrt(m) block products, g - 1 batched products give the
-    prefixes within each group; then, group by group, one batched product of
-    its prefixes with its start state gives its states, and its last state
-    starts the next group: about m matrix products and m matrix-vector
-    products in about 2 sqrt(m) calls.  An operand that overlaps its
-    product's output is read from a copy, as numpy does.  The buffers are
-    allocated once per run: large arrays allocated anew per chunk could be
-    faulted back in every chunk.
+    It takes n steps from row 0 of ``out``, C-contiguous (m + 1, r), through
+    the control columns (2n + 1, K) at their half steps, and writes the
+    state after each run of ``block`` steps to its m = ceil(n / block) other
+    rows.  One product of the columns, with ones for A_static and, at whole
+    steps, for I, gives I + X at the n + 1 whole steps, then X_m, X = (dt/2)
+    A.  The RK4 one-step matrix S = I + (X_s + X_e)/3 + 2/3 (Y2 + Y3 + X_e
+    Y3), with Y2 = X_m + X_m X_s and Y3 = X_m + X_m Y2, takes three batched
+    products of these contiguous runs, four passes, and a product of the
+    summed whole-step weights for I + (X_s + X_e)/3.  Each run of ``block``
+    of them, the last padded with identities, is folded by a pairwise tree.
+    In groups of g = isqrt(m) block products, g - 1 batched products write
+    the prefixes within each group into the spare buffer; then one 2-D
+    product of a group's (g r, r) prefixes with the state before it gives
+    its states: about m matrix products and m matrix-vector products in
+    about 2 sqrt(m) calls, none of whose outputs overlaps an operand.  The
+    buffers are allocated once per run: large arrays allocated anew per
+    chunk could be faulted back in every chunk.
     """
     size = blocks.shape[-1]
-    scaled = np.concatenate((0.5 * dt * blocks, np.eye(size)[None])).reshape(len(blocks) + 1, -1)
+    identity = np.eye(size)
+    scaled = np.concatenate((0.5 * dt * blocks, identity[None])).reshape(len(blocks) + 1, -1)
     mix = np.ones((2 * length + 1, len(scaled)))  # weights of the rows of scaled, A_static's 1
     halves = np.empty((2 * length + 1, size * size))  # I + X or X at each half step
     buffers = np.empty((3, length, size, size))
 
-    def advance(x, columns, block, out):
-        n, m = len(columns) // 2, len(out)
+    def advance(columns, block, out):
+        n, m = len(columns) // 2, len(out) - 1
         # n + 1 whole steps, then n midpoints; a longer chunk left other I weights here
         mix[: n + 1, 1:-1], mix[: n + 1, -1] = columns[::2], 1.0
         mix[n + 1 : 2 * n + 1, 1:-1], mix[n + 1 : 2 * n + 1, -1] = columns[1::2], 0.0
@@ -275,7 +278,7 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
         outer[:, -1] = 1.0
         np.matmul(outer, scaled, out=y3.reshape(n, -1))  # I + (X_s + X_e)/3
         steps += y3
-        buffers[2, n : m * block] = np.eye(size)
+        buffers[2, n : m * block] = identity
         product, spare, width = buffers[2], buffers[0], block
         while width > 1:
             pairs, rest = divmod(width, 2)
@@ -287,11 +290,13 @@ def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
                 folded[:, pairs] = factors[:, -1]
             product, spare, width = spare, product, pairs + rest
         group = math.isqrt(m)
-        for k in range(1, group):  # each block becomes its prefix within its group
-            np.matmul(product[k:m:group], product[k - 1 : m - 1 : group], out=product[k:m:group])
-        for lo in range(0, m, group):  # x may be a row of out
-            x = np.matmul(product[lo : min(lo + group, m)], x, out=out[lo : lo + group])[-1]
-        return x
+        spare[:m:group] = product[:m:group]  # each group's prefixes, from its first block
+        for k in range(1, group):
+            np.matmul(product[k:m:group], spare[k - 1 : m - 1 : group], out=spare[k:m:group])
+        states = out[1:].reshape(-1)  # a view, as out is C-contiguous
+        for lo in range(0, m, group):  # one (g r, r) product per group, from the state before it
+            hi = min(lo + group, m)
+            np.dot(spare[lo:hi].reshape(-1, size), out[lo], out=states[lo * size : hi * size])
 
     return advance
 

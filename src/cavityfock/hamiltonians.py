@@ -116,7 +116,7 @@ class LinearHamiltonian:
     """H(t) = static + sum_k c_k(t) X_k with fixed matrices X_k: the list
     form [H0, [X1, c1(t)], [X2, c2(t)], ...] of QuTiP.
 
-    ``terms`` maps each channel that is on to its X_k, and
+    ``terms`` maps each channel that is on, and no other, to its X_k, and
     ``schedule.values`` gives the columns c_k in ``schedule.channels``
     order.  An open system has ``jumps``, and ``static`` carries their
     decay terms -i/2 sum_j r_j L_j^dag L_j.
@@ -127,6 +127,10 @@ class LinearHamiltonian:
     terms: dict[str, np.ndarray]
     schedule: ControlSchedule
     jumps: Jumps = ()
+
+    def __post_init__(self):
+        if set(self.terms) != set(channels := self.schedule.channels):
+            raise ModelMismatchError(f"terms {tuple(self.terms)} are not the channels {channels}")
 
 
 def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamiltonian:

@@ -31,6 +31,12 @@ class ProductBasis:
     levels: tuple[str, ...]
     n_max: int
 
+    def __post_init__(self):
+        if isinstance(self.n_max, bool) or not isinstance(self.n_max, numbers.Integral):
+            raise ParameterDomainError(f"n_max must be an integer, got {self.n_max!r}")
+        if not 1 <= self.n_max <= N_MAX_LIMIT:
+            raise ParameterDomainError(f"n_max must be in 1..{N_MAX_LIMIT}, got {self.n_max}")
+
     @property
     def n_fock(self) -> int:
         return self.n_max + 1
@@ -59,10 +65,6 @@ class ProductBasis:
 
 
 def build_basis(model: str, n_max: int) -> ProductBasis:
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral):
-        raise ParameterDomainError(f"n_max must be an integer, got {n_max!r}")
-    if not 1 <= n_max <= N_MAX_LIMIT:
-        raise ParameterDomainError(f"n_max must be in 1..{N_MAX_LIMIT}, got {n_max}")
     if model not in LEVELS:
         raise ParameterDomainError(f"unknown model {model!r}")
     return ProductBasis(LEVELS[model], n_max)

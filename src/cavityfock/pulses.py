@@ -70,10 +70,9 @@ class PulseParameters:
 
 def gaussian_pulse(omega0: float, center: float, t):
     """Gaussian envelope omega0 * exp(-(t - center)**2) of unit width."""
-    # a square past the float range is inf, and its exponential exactly 0
-    with np.errstate(over="ignore"):
-        u = np.asarray(t, dtype=float) - center
-        return omega0 * np.exp(-u * u)
+    t = np.asarray(t, dtype=float)
+    with np.errstate(over="ignore"):  # a square past the float range is inf, its exponential 0
+        return (omega0 * np.exp(_exponent(t, center))).reshape(t.shape)[()]
 
 
 def stirap_pair(params: PulseParameters, t):
@@ -83,9 +82,7 @@ def stirap_pair(params: PulseParameters, t):
     pump, which peaks at +tau_p: the counter-intuitive ordering required for
     dark-state transfer.
     """
-    omega_r = gaussian_pulse(params.omega0, params.tau_p, t)
-    g = gaussian_pulse(params.omega0, -params.tau_s, t)
-    return omega_r, g
+    return tuple(np.moveaxis(ControlSchedule(params).values(t), -1, 0))
 
 
 def counterdiabatic_amplitude(params: PulseParameters, t):
@@ -102,27 +99,7 @@ def counterdiabatic_amplitude(params: PulseParameters, t):
     zero in the tails; it is clamped to exactly zero once both pulses are
     below TAIL_CLAMP * omega0.
     """
-    tt = np.asarray(t, dtype=float)
-    # An exponent past the float range is -inf.  With one, the ratio is 0
-    # or inf and damp exactly 0; with two, both pulses are off and the NaN
-    # ratio is clamped below.
-    with np.errstate(over="ignore", invalid="ignore"):
-        exponent_p = -((tt - params.tau_p) ** 2)
-        exponent_s = -((tt + params.tau_s) ** 2)
-        log_ratio = exponent_p - exponent_s  # log(omega_r / g); omega0 cancels
-        separation = min(max(params.tau_p + params.tau_s, -_FAR_APART), _FAR_APART)
-        # 1 / (r + 1/r) rewritten so neither exponential can overflow.
-        damp = np.exp(-np.abs(log_ratio))
-        value = 2.0 * separation * damp / (1.0 + damp * damp)
-    switched_off = (exponent_p < _LOG_TAIL_CLAMP) & (exponent_s < _LOG_TAIL_CLAMP)
-    return np.where(switched_off, 0.0, value)
-
-
-def _check_delta_m(params: PulseParameters) -> None:
-    if not params.delta_m > 0:
-        raise ParameterDomainError(
-            f"delta_m must be positive for physical pulses, got {params.delta_m}"
-        )
+    return ControlSchedule(params, drive="tqd").values(t)[..., 2]
 
 
 def physical_pulse_pair(params: PulseParameters, t):
@@ -135,10 +112,14 @@ def physical_pulse_pair(params: PulseParameters, t):
     product under the root is taken over 64, which is exact, so that it
     stays finite for every finite delta_m, as |omega1| <= _FAR_APART.
     """
-    _check_delta_m(params)
-    omega1 = counterdiabatic_amplitude(params, t)
-    omega_m = 8.0 * np.sqrt(params.delta_m / 64.0 * np.abs(omega1))
-    return np.copysign(omega_m, omega1), omega_m
+    return tuple(np.moveaxis(ControlSchedule(params, "full", "tqd").values(t)[..., 2:], -1, 0))
+
+
+def _exponent(t: np.ndarray, center: float) -> np.ndarray:
+    """-(t - center)**2, the log of a unit Gaussian at center, as a new flat array."""
+    u = t.reshape(-1) - center
+    np.multiply(u, u, out=u)
+    return np.negative(u, out=u)
 
 
 @dataclass(frozen=True)
@@ -161,8 +142,10 @@ class ControlSchedule:
             raise ParameterDomainError(f"unknown model {self.model!r}")
         if self.drive not in ("stirap", "tqd"):
             raise ParameterDomainError(f"unknown drive {self.drive!r}")
-        if "g_m" in self.channels:
-            _check_delta_m(self.params)
+        if "g_m" in self.channels and not self.params.delta_m > 0:
+            raise ParameterDomainError(
+                f"delta_m must be positive for physical pulses, got {self.params.delta_m}"
+            )
 
     @property
     def channels(self) -> tuple[str, ...]:
@@ -170,10 +153,32 @@ class ControlSchedule:
         return channels if self.drive == "tqd" else channels[:2]
 
     def values(self, t) -> np.ndarray:
-        """The ``channels`` at ``t``, a time or an array of times, as a new last axis."""
-        columns = [*stirap_pair(self.params, t)]
-        if "omega1" in self.channels:
-            columns.append(counterdiabatic_amplitude(self.params, t))
-        if "g_m" in self.channels:
-            columns.extend(physical_pulse_pair(self.params, t))
-        return np.stack(columns, axis=-1)
+        """The ``channels`` at ``t``, a time or an array of times, as a new
+        last axis, of which the public pulse pairs and omega1 are views.  They
+        are the rows of one new array, each written whole and in place so
+        that every exponential takes one contiguous path; each pulse's
+        exponent serves its Gaussian and omega1, which makes the auxiliary pair."""
+        params, t = self.params, np.asarray(t, dtype=float)
+        rows = np.empty((len(self.channels), t.size))
+        # A square past the float range is inf, its exponential exactly 0.  An
+        # exponent of -inf makes the ratio 0 or inf and damp exactly 0; two
+        # make it NaN, where both pulses are off and omega1 is clamped below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            exponent_p, exponent_s = _exponent(t, params.tau_p), _exponent(t, -params.tau_s)
+            np.exp(exponent_p, out=rows[0])
+            np.exp(exponent_s, out=rows[1])
+            rows[:2] *= params.omega0
+            if len(rows) > 2:  # omega1, or the full model's g_m, made from it in place
+                # 1 / (r + 1/r) from log(r) = log(omega_r / g), where omega0
+                # cancels, rewritten so neither exponential can overflow
+                damp = np.subtract(exponent_p, exponent_s, out=rows[2])
+                np.exp(np.negative(np.abs(damp, out=damp), out=damp), out=damp)
+                separation = min(max(params.tau_p + params.tau_s, -_FAR_APART), _FAR_APART)
+                np.divide(damp * (2.0 * separation), damp * damp + 1.0, out=damp)
+                np.copyto(damp, 0.0, where=np.maximum(exponent_p, exponent_s) < _LOG_TAIL_CLAMP)
+            if len(rows) > 3:
+                omega1, omega_m = rows[2:]
+                np.sqrt(np.abs(omega1, out=omega_m) * (params.delta_m / 64.0), out=omega_m)
+                omega_m *= 8.0
+                np.copysign(omega_m, omega1, out=omega1)
+        return rows.T.reshape(t.shape + (len(rows),))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -515,11 +516,12 @@ def reference_advance(blocks, dt, x, columns, block):
 
 class TestLinearAdvance:
     """The stepper on seeded random real blocks against per-step products.
-    Chunks of m = 1 and 2 block products, a prime m, a perfect square and a
-    square plus one, so that the last group is partial; the last block is
-    partial too where the stride is above 1."""
+    Chunks of m = 1, 2 and 3 block products, in groups of one; a prime m;
+    m = 15 = 4^2 - 1, in five full groups of isqrt(15) = 3; a perfect
+    square; and a square plus one, whose last group is one block.  The
+    last block is partial too where the stride is above 1."""
 
-    @pytest.mark.parametrize("m", [1, 2, 13, 16, 17])
+    @pytest.mark.parametrize("m", [1, 2, 3, 13, 15, 16, 17])
     @pytest.mark.parametrize("stride", [1, 2, 3, 7])
     @pytest.mark.parametrize("r", [3, 6, 10])
     def test_every_recorded_state_matches(self, r, stride, m):
@@ -542,24 +544,49 @@ class TestLinearAdvance:
         hold for its own length, not for the rows a longer chunk left."""
         self.check(r, stride, -(-23 // stride), 1e-2, lengths=(23, 5, 17))
 
+    @pytest.mark.parametrize("m, stride", [(1, 1), (2, 3), (17, 1), (17, 3), (71, 10)])
+    def test_no_product_writes_over_its_operands(self, m, stride, monkeypatch):
+        """Every matmul and dot of the stepper writes into a buffer that
+        none of its operands shares memory with, so numpy never copies an
+        operand before the product."""
+        called = set()
+
+        def checked(product):
+            def call(*operands, out):
+                for operand in operands:
+                    assert not np.shares_memory(out, operand), product.__name__
+                called.add(product.__name__)
+                return product(*operands, out=out)
+
+            return call
+
+        patched = types.SimpleNamespace(**vars(np))
+        patched.matmul, patched.dot = checked(np.matmul), checked(np.dot)
+        monkeypatch.setattr(dynamics, "np", patched)
+        self.check(6, stride, m, 1e-3)
+        assert called == {"matmul", "dot"}
+
     @staticmethod
     def check(r, stride, m, dt, lengths=None):
         """Chunks of ``lengths`` steps, by default two of m * stride -
-        stride // 2, through one advance of m * stride steps."""
+        stride // 2, through one advance of m * stride steps: each starts
+        from row 0 of ``rows``, where the last state of the one before is
+        carried, as the run's chunks are."""
         rng = np.random.default_rng(100 * r + 10 * stride + m)
         blocks = rng.normal(size=(3, r, r)) / math.sqrt(r)
         whole = m * stride - stride // 2
         advance = _linear_advance(blocks, dt, m * stride)
-        rows = np.empty((m, blocks.shape[-1]))
-        x = rng.normal(size=r)
-        for n in lengths or (whole, whole):  # each chunk after the first starts from a row of out
+        rows = np.empty((m + 1, blocks.shape[-1]))
+        rows[0] = rng.normal(size=r)
+        for n in lengths or (whole, whole):
             columns = rng.normal(size=(2 * n + 1, 2))
-            expected = reference_advance(blocks, dt, x, columns, stride)
-            out = rows[: -(-n // stride)]
-            last = advance(x, columns, stride, out)
-            assert np.max(np.abs(out - expected)) <= 1e-12
-            assert np.shares_memory(last, out) and np.array_equal(last, out[-1])
-            x = last
+            start = rows[0].copy()
+            expected = reference_advance(blocks, dt, start, columns, stride)
+            out = rows[: -(-n // stride) + 1]
+            advance(columns, stride, out)
+            assert np.array_equal(out[0], start)
+            assert np.max(np.abs(out[1:] - expected)) <= 1e-12
+            rows[0] = out[-1]
 
 
 class TestStrideIndependence:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,26 @@ class TestEffectiveRamanCoupling:
         g_m, omega_m = physical_pulse_pair(PULSES, 0.0)
         value = effective_raman_coupling(omega_m, g_m, PULSES.delta_m)
         assert value == pytest.approx(counterdiabatic_amplitude(PULSES, 0.0), rel=1e-13)
+
+
+class TestLinearHamiltonian:
+    @pytest.mark.parametrize(
+        "config, channels",
+        [(EFFECTIVE_TQD, ("omega_r", "g")), (EFFECTIVE_STIRAP, ("omega_r", "g", "omega1"))],
+        ids=["missing", "extra"],
+    )
+    def test_terms_must_be_the_schedule_channels(self, config, channels):
+        """A model whose terms lack a channel that is on, or hold one that
+        is off, is rejected when it is built, not in the stepper."""
+        model = linear_hamiltonian(config, EFFECTIVE_BASIS)
+        terms = {channel: np.eye(EFFECTIVE_BASIS.dimension) for channel in channels}
+        with pytest.raises(ModelMismatchError, match="terms"):
+            replace(model, terms=terms)
+
+    def test_terms_may_be_listed_in_any_order(self):
+        model = linear_hamiltonian(EFFECTIVE_TQD, EFFECTIVE_BASIS)
+        reordered = replace(model, terms=dict(reversed(list(model.terms.items()))))
+        assert tuple(reordered.terms) == ("omega1", "g", "omega_r")
 
 
 class TestModelConfig:

@@ -6,6 +6,7 @@ import pytest
 from cavityfock import (
     ModelMismatchError,
     ParameterDomainError,
+    ProductBasis,
     analytic_eigensystem,
     build_basis,
     ladder_operators,
@@ -38,6 +39,23 @@ class TestBuildBasis:
     def test_rejects_unknown_model(self):
         with pytest.raises(ParameterDomainError):
             build_basis("bogus", 1)
+
+    @pytest.mark.parametrize(
+        "n_max, message",
+        [
+            (2.0, "an integer"),
+            (1.5, "an integer"),
+            (True, "an integer"),
+            (0, "in 1..10"),
+            (11, "in 1..10"),
+        ],
+        ids=["2.0", "1.5", "True", "0", "11"],
+    )
+    def test_the_dataclass_checks_its_own_n_max(self, n_max, message):
+        """The exported ProductBasis rejects what build_basis rejects, so
+        that no basis has a float dimension such as 9.0."""
+        with pytest.raises(ParameterDomainError, match=f"n_max must be {message}"):
+            ProductBasis(("g1", "e", "g2"), n_max)
 
 
 class TestIndexing:

@@ -16,7 +16,7 @@ from cavityfock import (
     physical_pulse_pair,
     stirap_pair,
 )
-from cavityfock.pulses import TAIL_CLAMP
+from cavityfock.pulses import _FAR_APART, TAIL_CLAMP
 
 from oracles import (
     DegenerateSpectrumError,
@@ -247,6 +247,27 @@ class TestGenericCounterdiabatic:
             generic_counterdiabatic(_transfer_hamiltonian, 0.0, 0.0)
 
 
+def plain_controls(params, t):
+    """Every channel by the plain formulas of the module's docstrings, one
+    whole-array operation at a time: the reference for the kernel that
+    ControlSchedule.values shares with the public pulse functions."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponent_p, exponent_s = -((t - params.tau_p) ** 2), -((t + params.tau_s) ** 2)
+        damp = np.exp(-np.abs(exponent_p - exponent_s))
+        separation = min(max(params.tau_p + params.tau_s, -_FAR_APART), _FAR_APART)
+        omega1 = 2.0 * separation * damp / (1.0 + damp * damp)
+        switched_off = (exponent_p < math.log(TAIL_CLAMP)) & (exponent_s < math.log(TAIL_CLAMP))
+        omega1 = np.where(switched_off, 0.0, omega1)
+        omega_m = 8.0 * np.sqrt(params.delta_m / 64.0 * np.abs(omega1))
+        return {
+            "omega_r": params.omega0 * np.exp(exponent_p),
+            "g": params.omega0 * np.exp(exponent_s),
+            "omega1": omega1,
+            "g_m": np.copysign(omega_m, omega1),
+            "omega_m": omega_m,
+        }
+
+
 class TestControlSchedule:
     def test_correction_silent_without_tqd(self):
         """A STIRAP schedule evaluates the pump/Stokes pair alone, on
@@ -288,6 +309,53 @@ class TestControlSchedule:
                 assert columns.shape == (len(times), len(schedule.channels))
                 for i, t in enumerate(times):
                     assert np.array_equal(columns[i], schedule.values(float(t)))
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            STANDARD,
+            PulseParameters(omega0=3.7, tau_p=-0.9, tau_s=-0.2, delta_m=25.0),
+            PulseParameters(omega0=2.0, tau_p=30.0, tau_s=30.0),
+            PulseParameters(omega0=2.0, tau_p=1e308, tau_s=0.5),
+            PulseParameters(omega0=1e300, tau_p=1e200, tau_s=1e200, delta_m=1e308),
+        ],
+        ids=["standard", "reversed", "far_apart", "clipped", "extreme"],
+    )
+    def test_values_are_the_plain_formulas_bit_for_bit(self, params):
+        """Every column of every model and drive, and every public pulse
+        function, equals the plain formulas bit for bit, the sign of each
+        zero included.  The times reach the tails, where the correction is
+        clamped to zero, and past the float range of the squares; the
+        parameters include separations past _FAR_APART, which is clipped."""
+        t = np.concatenate((np.linspace(-70.0, 70.0, 2801), [-1e200, 1e200, -np.inf, np.inf]))
+        expected = plain_controls(params, t)
+        public = dict(zip(("omega_r", "g"), stirap_pair(params, t)))
+        public.update(zip(("g_m", "omega_m"), physical_pulse_pair(params, t)))
+        public.update(omega1=counterdiabatic_amplitude(params, t))
+        assert public.keys() == expected.keys()
+        for channel, column in public.items():
+            assert column.tobytes() == expected[channel].tobytes(), channel
+        pump = gaussian_pulse(params.omega0, params.tau_p, t)
+        assert pump.tobytes() == expected["omega_r"].tobytes()
+        for model in ("effective", "full"):
+            for drive in ("stirap", "tqd"):
+                schedule = ControlSchedule(params, model=model, drive=drive)
+                columns = np.stack([expected[channel] for channel in schedule.channels], axis=-1)
+                assert schedule.values(t).tobytes() == columns.tobytes(), (model, drive)
+
+    @pytest.mark.parametrize(
+        "t", [0.3, np.float64(-1.2), np.array(2.5)], ids=["float", "float64", "0-d"]
+    )
+    def test_a_scalar_time_gives_one_row_of_channels(self, t):
+        """bound_hamiltonian calls values with one time, and gets one
+        value per channel, as the same time in an array does."""
+        for model in ("effective", "full"):
+            for drive in ("stirap", "tqd"):
+                schedule = ControlSchedule(STANDARD, model=model, drive=drive)
+                row = schedule.values(t)
+                assert row.shape == (len(schedule.channels),)
+                assert np.array_equal(row, schedule.values(np.array([t]))[0])
+                assert schedule.values(np.full((2, 3), t)).shape == (2, 3, len(schedule.channels))
 
     def test_rejects_unknown_model_or_drive(self):
         with pytest.raises(ParameterDomainError):
