@@ -46,7 +46,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "CavityFockError",

@@ -38,20 +38,24 @@ def _coerce(key: str, raw: str):
 def parse_config_file(path: str) -> dict[str, str]:
     """Flat key=value file; blank lines and lines starting with # ignored."""
     entries: dict[str, str] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if "=" not in stripped:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected key=value, got {stripped!r}"
-                )
-            key, _, value = stripped.partition("=")
-            key = key.strip()
-            if key in entries:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            entries[key] = value.strip()
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    for lineno, line in enumerate(lines, start=1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ConfigError(
+                f"{path}:{lineno}: expected key=value, got {stripped!r}"
+            )
+        key, _, value = stripped.partition("=")
+        key = key.strip()
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        entries[key] = value.strip()
     return entries
 
 

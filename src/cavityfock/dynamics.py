@@ -27,22 +27,20 @@ group's applied to the state before it by one product.
 The recorded states are the real coordinates of the state on the basis
 states the model was built on, zero where a coordinate was not stepped.
 Observables and conservation checks are computed once per run from them,
-positivity by a Cholesky certificate.  The recorded controls are the
-stepper's control columns at the recorded steps, so each half step is
+positivity by a Cholesky certificate.  The recorded controls are read
+back from the stepper's weights at the recorded steps, so each half step is
 evaluated once per run; full states are lifted only when they are read.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationError, ParameterDomainError
+from .errors import IntegrationError, ParameterDomainError, _check_numbers
 from .hamiltonians import LinearHamiltonian
 from .hilbert import ProductBasis, _read_only
 from .observables import diagonal_weights, photon_statistics, populations
@@ -63,11 +61,11 @@ class TimeGrid:
     stride: int = 1
 
     def __post_init__(self):
+        _check_numbers(t_start=self.t_start, t_end=self.t_end, dt=self.dt)
         # every check is written so that NaN fails it
         if not 0.0 < self.dt < math.inf:
             raise ParameterDomainError(f"dt must be finite and positive, got {self.dt}")
-        if isinstance(self.stride, bool) or not isinstance(self.stride, numbers.Integral):
-            raise ParameterDomainError(f"stride must be an integer, got {self.stride}")
+        _check_numbers(integer=True, stride=self.stride)
         if self.stride < 1:
             raise ParameterDomainError(f"stride must be at least 1, got {self.stride}")
         steps = (self.t_end - self.t_start) / self.dt
@@ -164,35 +162,52 @@ def _integrate(
     grid one chunk at a time; return the recorded coordinates (S, len(x0))
     and the control columns c_k at the recorded steps (S, K).
 
-    ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the coordinates
-    that x0 reaches (_reachable) are stepped; every other one stays exactly
-    zero.  One call of ``schedule.values`` gives the controls at all half
-    steps of a chunk, each half step once: row 0 of the run's column and
-    state buffers carries the last of the chunk before.  A recorded step k
-    is half step 2k, at t_start + (dt/2)(2k), the same double as t_start +
-    k dt, so the recorded controls are those columns: every (2 stride)-th
-    of a chunk, and its last.  A chunk is a whole number of strides, so its
+    ``blocks`` is the stack (A_static, A_1, ..., A_K).  Only the r
+    coordinates that x0 reaches (_reachable) are stepped; every other one
+    stays exactly zero.  A chunk is a whole number of strides, so its
     blocks end at the next recorded steps; a longer stride is cut into
     chunks of one block, which write its recorded step's row until the
     last, which ends there.
+
+    One call of ``schedule.values`` gives the controls at the half steps of
+    a chunk of n steps, each half step once per run, straight into the
+    weights ``mix`` of (X_static, X_1, ..., X_K, I), X = (dt/2) A: the n + 1
+    whole steps, whose row 0 carries the last of the chunk before, then the
+    n midpoints.  A recorded step k is half step 2k, at t_start + (dt/2)(2k),
+    the same double as t_start + k dt, so its controls are read back from
+    its whole-step row.  One product of the weights gives I + X at the
+    whole steps and X_m.  The RK4 one-step matrix S = I + (X_s + X_e)/3 +
+    2/3 (Y2 + Y3 + X_e Y3), with Y2 = X_m + X_m X_s and Y3 = X_m + X_m Y2,
+    takes three batched products, four passes, and a product of the summed
+    whole-step weights for I + (X_s + X_e)/3.  Each run of ``block`` of
+    them, the last padded with identities, is folded by a pairwise tree.
+    In groups of g = isqrt(m) block products, g - 1 batched products write
+    the prefixes within each group into the spare buffer; then one 2-D
+    product of a group's (g r, r) prefixes with the state before it gives
+    its states: about 2 sqrt(m) calls, none of whose outputs overlaps an
+    operand.  The buffers are allocated once per run: large arrays
+    allocated anew per chunk could be faulted back in every chunk.
     """
-    count, stride = len(grid.sample_steps), grid.stride
+    count, stride, dt = len(grid.sample_steps), grid.stride, grid.dt
     reached = _reachable(blocks, x0)
-    # Chunks of 711 steps, since each costs one control call and one advance
-    # call, but with r x r step matrices that take no more room than 64
-    # steps' at full support at n_max = 3, r = 144
+    # Chunks of 711 steps, since each costs one control call and one pass of
+    # the stepper, but with r x r step matrices that take no more room than
+    # 64 steps' at full support at n_max = 3, r = 144
     r = len(reached)
     capacity = max(1, min(711, 64 * 144**2 // r**2))
-    advance = _linear_advance(blocks[:, reached[:, None], reached], grid.dt, capacity)
-    chunk = np.empty((capacity + 1, r))
-    # channel by channel in memory, as values' columns are, so they copy in whole
-    columns = np.empty((len(schedule.channels), 2 * capacity + 1)).T
+    identity = np.eye(r)
+    scaled = 0.5 * dt * blocks[:, reached[:, None], reached]
+    scaled = np.concatenate((scaled, identity[None])).reshape(len(blocks) + 1, -1)
+    mix = np.ones((2 * capacity + 1, len(scaled)))  # weights of the rows of scaled
+    halves = np.empty((2 * capacity + 1, r * r))  # I + X or X at each half step
+    buffers = np.empty((3, capacity, r, r))
+    chunk = np.empty((capacity + 1, r))  # row 0 holds the state before the chunk
     length = stride * (capacity // stride) or capacity
     period = max(length, stride)  # no chunk crosses a multiple of it
     states = np.zeros((count, len(x0)))
     stepped = slice(None) if r == len(x0) else reached  # a slice on every pure-state preset
     states[0, stepped] = chunk[0] = x0[reached]
-    controls = np.empty((count, columns.shape[1]))
+    controls = np.empty((count, len(blocks) - 1))
     first, n_steps = 0, grid.n_steps
     # A diverging run overflows to inf and NaN; _record reports it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -201,17 +216,51 @@ def _integrate(
             n = last - first
             block = min(stride, n)
             m = -(-n // block)
-            fresh = int(first > 0)  # row 0 holds the last column before, or t_start's
+            fresh = int(first > 0)  # row 0 holds the last whole step before, or t_start's
             half_steps = np.arange(2 * first + fresh, 2 * last + 1)
-            columns[fresh : 2 * n + 1] = schedule.values(grid.t_start + 0.5 * grid.dt * half_steps)
+            values = schedule.values(grid.t_start + 0.5 * dt * half_steps)
+            # a longer chunk left other I weights in these rows
+            mix[fresh : n + 1, 1:-1], mix[: n + 1, -1] = values[fresh::2], 1.0
+            mix[n + 1 : 2 * n + 1, 1:-1], mix[n + 1 : 2 * n + 1, -1] = values[1 - fresh :: 2], 0.0
             if not first:
-                controls[0] = columns[0]
-            advance(columns[: 2 * n + 1], block, chunk[: m + 1])
+                controls[0] = mix[0, 1:-1]
+            a = np.matmul(mix[: 2 * n + 1], scaled, out=halves[: 2 * n + 1]).reshape(-1, r, r)
+            ends, mid = a[: n + 1], a[n + 1 :]  # I + X at the whole steps, X_m
+            y2, y3, steps = buffers[:, :n]
+            np.matmul(mid, ends[:-1], out=y2)
+            np.matmul(mid, y2, out=y3)
+            y3 += mid
+            np.matmul(ends[1:], y3, out=steps)
+            steps += y2
+            steps *= 2.0 / 3.0
+            outer = (mix[:n] + mix[1 : n + 1]) / 3.0
+            outer[:, -1] = 1.0
+            np.matmul(outer, scaled, out=y3.reshape(n, -1))  # I + (X_s + X_e)/3
+            steps += y3
+            buffers[2, n : m * block] = identity
+            product, spare, width = buffers[2], buffers[0], block
+            while width > 1:
+                pairs, rest = divmod(width, 2)
+                factors = product[: m * width].reshape(m, width, r, r)
+                folded = spare[: m * (pairs + rest)].reshape(m, pairs + rest, r, r)
+                # the later step of each pair on the left
+                np.matmul(factors[:, 1::2], factors[:, : 2 * pairs : 2], out=folded[:, :pairs])
+                if rest:
+                    folded[:, pairs] = factors[:, -1]
+                product, spare, width = spare, product, pairs + rest
+            group = math.isqrt(m)
+            spare[:m:group] = product[:m:group]  # each group's prefixes, from its first block
+            for k in range(1, group):
+                np.matmul(product[k:m:group], spare[k - 1 : m - 1 : group], out=spare[k:m:group])
+            flat = chunk[1:].reshape(-1)  # a view, as chunk is C-contiguous
+            for lo in range(0, m, group):  # a (g r, r) product per group, from the state before it
+                hi = min(lo + group, m)
+                np.dot(spare[lo:hi].reshape(-1, r), chunk[lo], out=flat[lo * r : hi * r])
             lo = first // stride + 1  # the row of the next recorded step
             states[lo : lo + m, stepped] = chunk[1 : m + 1]
-            controls[lo : lo + n // block] = columns[2 * block : 2 * n + 1 : 2 * block]
-            controls[lo + m - 1] = columns[2 * n]  # the last block may be partial
-            chunk[0], columns[0] = chunk[m], columns[2 * n]
+            controls[lo : lo + n // block] = mix[block : n + 1 : block, 1:-1]
+            controls[lo + m - 1] = mix[n, 1:-1]  # the last block may be partial
+            chunk[0], mix[0] = chunk[m], mix[n]
             first = last
     return states, controls
 
@@ -228,77 +277,6 @@ def _reachable(blocks: np.ndarray, x0: np.ndarray) -> np.ndarray:
         if np.array_equal(grown, reached):
             return np.flatnonzero(reached)
         reached = grown
-
-
-def _linear_advance(blocks: np.ndarray, dt: float, length: int) -> Callable:
-    """``advance(columns, block, out)`` for dx/dt = (A_static + sum_k c_k A_k)
-    x, with ``blocks`` the real stack (A_static, A_1, ..., A_K) of shape
-    (K+1, r, r), in chunks of at most ``length`` steps, padding included.
-
-    It takes n steps from row 0 of ``out``, C-contiguous (m + 1, r), through
-    the control columns (2n + 1, K) at their half steps, and writes the
-    state after each run of ``block`` steps to its m = ceil(n / block) other
-    rows.  One product of the columns, with ones for A_static and, at whole
-    steps, for I, gives I + X at the n + 1 whole steps, then X_m, X = (dt/2)
-    A.  The RK4 one-step matrix S = I + (X_s + X_e)/3 + 2/3 (Y2 + Y3 + X_e
-    Y3), with Y2 = X_m + X_m X_s and Y3 = X_m + X_m Y2, takes three batched
-    products of these contiguous runs, four passes, and a product of the
-    summed whole-step weights for I + (X_s + X_e)/3.  Each run of ``block``
-    of them, the last padded with identities, is folded by a pairwise tree.
-    In groups of g = isqrt(m) block products, g - 1 batched products write
-    the prefixes within each group into the spare buffer; then one 2-D
-    product of a group's (g r, r) prefixes with the state before it gives
-    its states: about m matrix products and m matrix-vector products in
-    about 2 sqrt(m) calls, none of whose outputs overlaps an operand.  The
-    buffers are allocated once per run: large arrays allocated anew per
-    chunk could be faulted back in every chunk.
-    """
-    size = blocks.shape[-1]
-    identity = np.eye(size)
-    scaled = np.concatenate((0.5 * dt * blocks, identity[None])).reshape(len(blocks) + 1, -1)
-    mix = np.ones((2 * length + 1, len(scaled)))  # weights of the rows of scaled, A_static's 1
-    halves = np.empty((2 * length + 1, size * size))  # I + X or X at each half step
-    buffers = np.empty((3, length, size, size))
-
-    def advance(columns, block, out):
-        n, m = len(columns) // 2, len(out) - 1
-        # n + 1 whole steps, then n midpoints; a longer chunk left other I weights here
-        mix[: n + 1, 1:-1], mix[: n + 1, -1] = columns[::2], 1.0
-        mix[n + 1 : 2 * n + 1, 1:-1], mix[n + 1 : 2 * n + 1, -1] = columns[1::2], 0.0
-        a = np.matmul(mix[: 2 * n + 1], scaled, out=halves[: 2 * n + 1]).reshape(-1, size, size)
-        ends, mid = a[: n + 1], a[n + 1 :]  # I + X at the whole steps, X_m
-        y2, y3, steps = buffers[:, :n]
-        np.matmul(mid, ends[:-1], out=y2)
-        np.matmul(mid, y2, out=y3)
-        y3 += mid
-        np.matmul(ends[1:], y3, out=steps)
-        steps += y2
-        steps *= 2.0 / 3.0
-        outer = (mix[:n] + mix[1 : n + 1]) / 3.0
-        outer[:, -1] = 1.0
-        np.matmul(outer, scaled, out=y3.reshape(n, -1))  # I + (X_s + X_e)/3
-        steps += y3
-        buffers[2, n : m * block] = identity
-        product, spare, width = buffers[2], buffers[0], block
-        while width > 1:
-            pairs, rest = divmod(width, 2)
-            factors = product[: m * width].reshape(m, width, size, size)
-            folded = spare[: m * (pairs + rest)].reshape(m, pairs + rest, size, size)
-            # the later step of each pair on the left
-            np.matmul(factors[:, 1::2], factors[:, : 2 * pairs : 2], out=folded[:, :pairs])
-            if rest:
-                folded[:, pairs] = factors[:, -1]
-            product, spare, width = spare, product, pairs + rest
-        group = math.isqrt(m)
-        spare[:m:group] = product[:m:group]  # each group's prefixes, from its first block
-        for k in range(1, group):
-            np.matmul(product[k:m:group], spare[k - 1 : m - 1 : group], out=spare[k:m:group])
-        states = out[1:].reshape(-1)  # a view, as out is C-contiguous
-        for lo in range(0, m, group):  # one (g r, r) product per group, from the state before it
-            hi = min(lo + group, m)
-            np.dot(spare[lo:hi].reshape(-1, size), out[lo], out=states[lo * size : hi * size])
-
-    return advance
 
 
 def _record(

@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ModelMismatchError, ParameterDomainError
+from .errors import ModelMismatchError, ParameterDomainError, _check_numbers
 from .hilbert import (
     LEVELS,
     ProductBasis,
@@ -41,6 +41,7 @@ class Dissipation:
     kappa: float = 0.0
 
     def __post_init__(self):
+        _check_numbers(**vars(self))
         if not (0.0 <= self.gamma < math.inf and 0.0 <= self.kappa < math.inf):
             raise ParameterDomainError(
                 f"decay rates must be finite and non-negative, got "

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ModelMismatchError, ParameterDomainError
+from .errors import ModelMismatchError, ParameterDomainError, _check_numbers
 
 # The atomic levels of each model: the full one adds the auxiliary excited
 # level em, through which it synthesizes the correction coupling.
@@ -32,8 +31,7 @@ class ProductBasis:
     n_max: int
 
     def __post_init__(self):
-        if isinstance(self.n_max, bool) or not isinstance(self.n_max, numbers.Integral):
-            raise ParameterDomainError(f"n_max must be an integer, got {self.n_max!r}")
+        _check_numbers(integer=True, n_max=self.n_max)
         if not 1 <= self.n_max <= N_MAX_LIMIT:
             raise ParameterDomainError(f"n_max must be in 1..{N_MAX_LIMIT}, got {self.n_max}")
 

@@ -24,7 +24,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .errors import ParameterDomainError
+from .errors import ParameterDomainError, _check_numbers
 
 # Both Gaussians below this fraction of their peak count as switched off;
 # the correction amplitude is clamped to zero there instead of evaluating a
@@ -60,6 +60,7 @@ class PulseParameters:
     delta_m: float = 18.0
 
     def __post_init__(self):
+        _check_numbers(**vars(self))
         if not all(math.isfinite(value) for value in astuple(self)):
             raise ParameterDomainError(f"pulse parameters must be finite, got {self}")
         if self.omega0 < 0:

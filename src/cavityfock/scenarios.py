@@ -18,27 +18,16 @@ from .hamiltonians import Dissipation, LinearHamiltonian, ModelConfig, linear_ha
 from .hilbert import _read_only, build_basis
 from .pulses import CHANNELS, PulseParameters
 
-CSV_COLUMNS = (
-    "t_over_T",
-    "p_g1_0",
-    "p_e_0",
-    "p_g2_1",
-    "p_g2_0",
-    "p_em_0",
-    "dark_overlap",
-    "n_mean",
-    "mandel_q",
-    "norm_or_trace",
-    "omega_r_T",
-    "g_T",
-    "omega1_T",
-    "gm_T",
-    "omegam_T",
-)
 # The basis states whose populations the CSV and the run summary report
 _REPORTED_STATES = (("g1", 0), ("e", 0), ("g2", 1), ("g2", 0), ("em", 0))
-# The control channels whose columns end the CSV, in its order
-_REPORTED_CHANNELS = ("omega_r", "g", "omega1", "g_m", "omega_m")
+# The control channels whose columns end the CSV, in its order, and their columns
+_CONTROLS = dict(omega_r="omega_r_T", g="g_T", omega1="omega1_T", g_m="gm_T", omega_m="omegam_T")
+CSV_COLUMNS = (
+    "t_over_T",
+    *(f"p_{level}_{n}" for level, n in _REPORTED_STATES),
+    *("dark_overlap", "n_mean", "mandel_q", "norm_or_trace"),
+    *_CONTROLS.values(),
+)
 
 
 @dataclass
@@ -226,7 +215,7 @@ def _table(trajectory: Trajectory) -> dict[str, np.ndarray]:
         trajectory.mean_photon_n,
         trajectory.mandel_q,
         trajectory.norm_or_trace,
-        *(controls.get(c, off) if c in channels else undefined for c in _REPORTED_CHANNELS),
+        *(controls.get(c, off) if c in channels else undefined for c in _CONTROLS),
     ]
     return dict(zip(CSV_COLUMNS, columns))
 

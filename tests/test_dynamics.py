@@ -30,8 +30,8 @@ from cavityfock import dynamics
 from cavityfock.dynamics import (
     NEGATIVITY_LIMIT,
     _coordinates,
+    _integrate,
     _kept_states,
-    _linear_advance,
     _linear_form,
     _reachable,
     _real_liouvillian,
@@ -88,6 +88,16 @@ class TestTimeGrid:
     def test_rejects_a_stride_that_is_not_an_integer(self, stride):
         with pytest.raises(ParameterDomainError, match=f"stride must be an integer, got {stride}"):
             TimeGrid(-4.0, 4.0, 1e-3, stride=stride)
+
+    @pytest.mark.parametrize("name", ["t_start", "t_end", "dt"])
+    @pytest.mark.parametrize(
+        "value", [True, False, "2", None, 2j], ids=["True", "False", "str", "None", "complex"]
+    )
+    def test_rejects_a_window_or_step_that_is_not_a_real_number(self, name, value):
+        """A bool is not taken as 1.0 or 0.0, and text fails typed."""
+        window = dict(t_start=-4.0, t_end=4.0, dt=1e-3)
+        with pytest.raises(ParameterDomainError, match=f"{name} must be a real number"):
+            TimeGrid(**{**window, name: value})
 
     @pytest.mark.parametrize(
         "window",
@@ -498,7 +508,7 @@ class TestBlockScan:
 def reference_advance(blocks, dt, x, columns, block):
     """Per-step RK4 of dx/dt = (A_static + sum_k c_k A_k) x through the
     control columns at the half steps, recording every ``block`` steps and
-    the last one: the reference for _linear_advance."""
+    the last one: the reference for _integrate."""
     generators = blocks[0] + np.einsum("hk,kij->hij", columns, blocks[1:])
     n = len(columns) // 2
     states = []
@@ -514,35 +524,54 @@ def reference_advance(blocks, dt, x, columns, block):
     return np.array(states)
 
 
+class StandInSchedule:
+    """A schedule's ``channels`` and ``values``: seeded sinusoids fast
+    enough that neighbouring half steps take unrelated controls, the same
+    for the same time, as a (times, channels) array."""
+
+    channels = ("a", "b")
+
+    def __init__(self, rng):
+        self.rates = rng.uniform(100.0, 1000.0, size=2)
+        self.phases = rng.uniform(0.0, 2.0 * math.pi, size=2)
+
+    def values(self, t):
+        return np.sin(np.multiply.outer(t, self.rates) + self.phases)
+
+
 class TestLinearAdvance:
-    """The stepper on seeded random real blocks against per-step products.
-    Chunks of m = 1, 2 and 3 block products, in groups of one; a prime m;
-    m = 15 = 4^2 - 1, in five full groups of isqrt(15) = 3; a perfect
-    square; and a square plus one, whose last group is one block.  The
-    last block is partial too where the stride is above 1."""
+    """The stepper, _integrate, on seeded random real blocks and a stand-in
+    schedule against per-step products.  Chunks of m = 1, 2 and 3 block
+    products, in groups of one; a prime m; m = 15 = 4^2 - 1, in five full
+    groups of isqrt(15) = 3; a perfect square; and a square plus one, whose
+    last group is one block.  The last block is partial too where the
+    stride is above 1."""
 
     @pytest.mark.parametrize("m", [1, 2, 3, 13, 15, 16, 17])
     @pytest.mark.parametrize("stride", [1, 2, 3, 7])
     @pytest.mark.parametrize("r", [3, 6, 10])
     def test_every_recorded_state_matches(self, r, stride, m):
-        self.check(r, stride, m, 1e-2)
+        self.check(r, stride, m * stride - stride // 2, 1e-2)
 
     @pytest.mark.parametrize("m, stride", [(71, 10), (711, 1)])
     @pytest.mark.parametrize("r", [6, 10])
     def test_production_chunks_match(self, r, stride, m):
-        """The chunks of a preset run at stride 10, 8 groups of 8 block
-        products and one of 7, and at stride 1, 27 groups of 26 and one of
-        9, with the 6 coordinates of an effective-model preset and the 10
-        of the master equation, at the presets' step."""
-        self.check(r, stride, m, 1e-3)
+        """Two chunks of a preset run, at stride 10, 8 groups of 8 block
+        products and one of 7, the last block partial in the second, and
+        at stride 1, 27 groups of 26 and one of 9, with the 6 coordinates
+        of an effective-model preset and the 10 of the master equation, at
+        the presets' step."""
+        self.check(r, stride, 2 * m * stride - stride // 2, 1e-3)
 
-    @pytest.mark.parametrize("stride", [1, 3])
+    @pytest.mark.parametrize("stride, n_steps", [(1, 2 * 711 + 23), (750, 2 * 750 + 100)])
     @pytest.mark.parametrize("r", [6, 10])
-    def test_chunks_of_unequal_length_match(self, r, stride):
-        """One advance over chunks of 23, 5 and 17 steps, as the last chunk
-        of a run is shorter than the ones before it: each chunk's weights
-        hold for its own length, not for the rows a longer chunk left."""
-        self.check(r, stride, -(-23 // stride), 1e-2, lengths=(23, 5, 17))
+    def test_chunks_of_unequal_length_match(self, r, stride, n_steps):
+        """Chunks of 711, 711 and 23 steps at stride 1, and at stride 750,
+        above the capacity of 711, chunks of 711 and 39 in turn and a last
+        one of 100, so a longer chunk follows a shorter one: each chunk's
+        weights hold for its own length, not for the rows a longer chunk
+        left."""
+        self.check(r, stride, n_steps, 1e-3)
 
     @pytest.mark.parametrize("m, stride", [(1, 1), (2, 3), (17, 1), (17, 3), (71, 10)])
     def test_no_product_writes_over_its_operands(self, m, stride, monkeypatch):
@@ -563,30 +592,30 @@ class TestLinearAdvance:
         patched = types.SimpleNamespace(**vars(np))
         patched.matmul, patched.dot = checked(np.matmul), checked(np.dot)
         monkeypatch.setattr(dynamics, "np", patched)
-        self.check(6, stride, m, 1e-3)
+        self.check(6, stride, m * stride - stride // 2, 1e-3)
         assert called == {"matmul", "dot"}
 
     @staticmethod
-    def check(r, stride, m, dt, lengths=None):
-        """Chunks of ``lengths`` steps, by default two of m * stride -
-        stride // 2, through one advance of m * stride steps: each starts
-        from row 0 of ``rows``, where the last state of the one before is
-        carried, as the run's chunks are."""
-        rng = np.random.default_rng(100 * r + 10 * stride + m)
+    def check(r, stride, n_steps, dt):
+        """A run of ``n_steps`` from a state with every coordinate nonzero:
+        its states against reference_advance through the controls at every
+        half step, and its recorded controls against the schedule's values
+        at the recorded steps, half steps 2 sample_steps."""
+        rng = np.random.default_rng(100 * r + 10 * stride + n_steps)
         blocks = rng.normal(size=(3, r, r)) / math.sqrt(r)
-        whole = m * stride - stride // 2
-        advance = _linear_advance(blocks, dt, m * stride)
-        rows = np.empty((m + 1, blocks.shape[-1]))
-        rows[0] = rng.normal(size=r)
-        for n in lengths or (whole, whole):
-            columns = rng.normal(size=(2 * n + 1, 2))
-            start = rows[0].copy()
-            expected = reference_advance(blocks, dt, start, columns, stride)
-            out = rows[: -(-n // stride) + 1]
-            advance(columns, stride, out)
-            assert np.array_equal(out[0], start)
-            assert np.max(np.abs(out[1:] - expected)) <= 1e-12
-            rows[0] = out[-1]
+        schedule = StandInSchedule(rng)
+        x0 = rng.normal(size=r)
+        grid = TimeGrid(-1.0, -1.0 + n_steps * dt, dt, stride=stride)
+        assert grid.n_steps == n_steps
+        states, controls = _integrate(schedule, grid, blocks, x0)
+        half_steps = np.arange(2 * n_steps + 1)
+        columns = schedule.values(grid.t_start + 0.5 * grid.dt * half_steps)
+        expected = reference_advance(blocks, dt, x0, columns, stride)
+        assert states.shape == (len(grid.sample_steps), r)
+        assert np.array_equal(states[0], x0)
+        assert np.max(np.abs(states[1:] - expected)) <= 1e-12
+        recorded = schedule.values(grid.t_start + 0.5 * grid.dt * (2 * grid.sample_steps))
+        assert np.array_equal(controls, recorded)
 
 
 class TestStrideIndependence:

@@ -167,6 +167,20 @@ class TestModelConfig:
             ModelConfig("effective", "tqd", pulses)
 
 
+class TestDissipation:
+    @pytest.mark.parametrize("name", ["gamma", "kappa"])
+    @pytest.mark.parametrize(
+        "value", [True, False, "2", None, 2j], ids=["True", "False", "str", "None", "complex"]
+    )
+    def test_rejects_rates_that_are_not_real_numbers(self, name, value):
+        """A bool is not taken as 1.0 or 0.0, and text fails typed."""
+        with pytest.raises(ParameterDomainError, match=f"{name} must be a real number"):
+            Dissipation(**{name: value})
+
+    def test_takes_integers_and_numpy_reals(self):
+        assert Dissipation(5, np.float64(0.05)) == Dissipation(5.0, 0.05)
+
+
 class TestDissipativeHamiltonian:
     @pytest.mark.parametrize("dissipation", [None, (5.0, 0.05)], ids=["None", "tuple"])
     def test_rates_must_be_a_dissipation(self, dissipation):

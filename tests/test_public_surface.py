@@ -32,8 +32,9 @@ TEST_ORACLES = (
 REPLACED_BY_TABLES = ("EFFECTIVE_LEVELS", "FULL_LEVELS", "_coupling_terms", "_sweep_value")
 # The second CSV row layout, its cell kind for "%.16e" text, the raising
 # operators and level projectors that transition_operator gives, the
-# field-kind sets and field names that scenarios.FIELD_KINDS gives, and the
-# padded record of every channel, which the schedule's columns replaced
+# field-kind sets and field names that scenarios.FIELD_KINDS gives, the
+# padded record of every channel, which the schedule's columns replaced, and
+# the stepper's closure, which _integrate runs itself
 REMOVED = (
     "_sliced_rows",
     "_masked_rows",
@@ -46,6 +47,7 @@ REMOVED = (
     "_FIELD_TYPES",
     "config_field_names",
     "ControlValues",
+    "_linear_advance",
 )
 
 

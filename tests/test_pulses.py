@@ -39,6 +39,18 @@ class TestPulseParameters:
         with pytest.raises(ParameterDomainError):
             PulseParameters(**{"omega0": 2.0, name: value})
 
+    @pytest.mark.parametrize("name", ["omega0", "tau_p", "tau_s", "delta", "delta_m"])
+    @pytest.mark.parametrize(
+        "value", [True, False, "2", None, 2j], ids=["True", "False", "str", "None", "complex"]
+    )
+    def test_rejects_values_that_are_not_real_numbers(self, name, value):
+        """A bool is not taken as 1.0 or 0.0, and text fails typed."""
+        with pytest.raises(ParameterDomainError, match=f"{name} must be a real number"):
+            PulseParameters(**{"omega0": 2.0, name: value})
+
+    def test_takes_integers_and_numpy_reals(self):
+        assert PulseParameters(2, np.int64(1), np.float64(0.5)) == PulseParameters(2.0, 1.0, 0.5)
+
 
 class TestGaussianPulse:
     def test_peak_at_center(self):

@@ -323,6 +323,12 @@ class TestConfigFile:
         with pytest.raises(ConfigError):
             parse_config_file(str(path))
 
+    def test_text_that_is_not_utf8_raises(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"scenario=fig2_tqd\n# \xc3\xa9 is UTF-8\nomega0_T=\xff\n")
+        with pytest.raises(ConfigError, match=f"{re.escape(str(path))}: not UTF-8 text"):
+            parse_config_file(str(path))
+
     def test_duplicate_key_raises(self, tmp_path):
         path = tmp_path / "twice.cfg"
         path.write_text("stride=10\nomega0_T=2\n stride = 20\n", encoding="utf-8")
@@ -400,6 +406,16 @@ class TestCli:
         assert main([command, *given, *sweeps, "--out", "x.csv"]) == 2
         assert capsys.readouterr().err.startswith("error: unknown preset ''; ")
         assert sorted(os.listdir(tmp_path)) == ["job.cfg"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_config_that_is_not_utf8_is_usage_error(self, command, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_bytes(b"\xff\n")
+        sweeps = ["--param", "omega0_T", "--values", "2"] if command == "sweep" else []
+        assert main([command, "--config", "bad.cfg", *sweeps, "--out", "x.csv"]) == 2
+        message = "error: bad.cfg: not UTF-8 text (invalid start byte)\n"
+        assert capsys.readouterr().err == message
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
 
     def test_unknown_key_is_usage_error(self, capsys):
         assert main(["run", "--set", "bogus_key=1"]) == 2
