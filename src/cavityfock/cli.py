@@ -35,43 +35,33 @@ def _coerce(key: str, raw: str):
         raise ConfigError(f"{key} expects {expected}, got {raw!r}") from None
 
 
-def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and lines starting with # ignored."""
+def _entries(items) -> dict[str, str]:
+    """Split (where, text) items at their first "=" into stripped key/value
+    entries, each key once; ``where`` (<path>:<line> or --set) names an item."""
     entries: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except UnicodeDecodeError as exc:
-        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
-    for lineno, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(
-                f"{path}:{lineno}: expected key=value, got {stripped!r}"
-            )
-        key, _, value = stripped.partition("=")
-        key = key.strip()
+    for where, text in items:
+        if "=" not in text:
+            raise ConfigError(f"{where} expects key=value, got {text!r}")
+        key, _, value = (part.strip() for part in text.partition("="))
         if key in entries:
-            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-        entries[key] = value.strip()
+            raise ConfigError(f"{where}: duplicate key {key!r}")
+        entries[key] = value
     return entries
 
 
+def parse_config_file(path: str) -> dict[str, str]:
+    """Flat key=value file; blank lines and lines starting with # ignored."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = [(f"{path}:{n}", line.strip()) for n, line in enumerate(handle, start=1)]
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    return _entries((where, text) for where, text in lines if text and not text.startswith("#"))
+
+
 def _resolve_config(args) -> SimulationConfig:
-    overrides: dict[str, str] = {}
-    if args.config:
-        overrides.update(parse_config_file(args.config))
-    given: set[str] = set()
-    for item in args.set or []:
-        if "=" not in item:
-            raise ConfigError(f"--set expects key=value, got {item!r}")
-        key, _, value = (part.strip() for part in item.partition("="))
-        if key in given:
-            raise ConfigError(f"--set: duplicate key {key!r}")
-        given.add(key)
-        overrides[key] = value
+    overrides = parse_config_file(args.config) if args.config else {}
+    overrides.update(_entries(("--set", item) for item in args.set or []))
     if args.command == "sweep" and "output_path" in overrides:
         raise ConfigError("sweep writes its table to --out and takes no output_path")
 

@@ -68,17 +68,17 @@ class TimeGrid:
         _check_numbers(integer=True, stride=self.stride)
         if self.stride < 1:
             raise ParameterDomainError(f"stride must be at least 1, got {self.stride}")
-        steps = (self.t_end - self.t_start) / self.dt
-        if not 0.0 < steps < math.inf:  # also an infinite t_start or t_end
+        if not 0.0 < self.t_end - self.t_start < math.inf:  # also an infinite t_start or t_end
             raise ParameterDomainError(
                 f"window [{self.t_start}, {self.t_end}] must be finite and of positive length"
             )
+        steps = (self.t_end - self.t_start) / self.dt  # inf if dt is too small to count them
         tolerance = 1e-9 * max(1.0, steps)
         if not tolerance < 0.5:
             raise ParameterDomainError(
                 f"{steps:.3g} steps of dt={self.dt} are too many to resolve a fractional step"
             )
-        if not abs(steps - round(steps)) <= tolerance:
+        if not (steps > 0.5 and abs(steps - round(steps)) <= tolerance):  # a whole number, not 0
             raise ParameterDomainError(
                 f"window [{self.t_start}, {self.t_end}] is not an integer "
                 f"number of steps of dt={self.dt}"

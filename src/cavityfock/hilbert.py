@@ -63,7 +63,7 @@ class ProductBasis:
 
 
 def build_basis(model: str, n_max: int) -> ProductBasis:
-    if model not in LEVELS:
+    if not isinstance(model, str) or model not in LEVELS:
         raise ParameterDomainError(f"unknown model {model!r}")
     return ProductBasis(LEVELS[model], n_max)
 

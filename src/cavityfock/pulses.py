@@ -139,7 +139,7 @@ class ControlSchedule:
     def __post_init__(self):
         if not isinstance(self.params, PulseParameters):
             raise ParameterDomainError(f"pulses must be a PulseParameters, got {self.params!r}")
-        if self.model not in CHANNELS:
+        if not isinstance(self.model, str) or self.model not in CHANNELS:
             raise ParameterDomainError(f"unknown model {self.model!r}")
         if self.drive not in ("stirap", "tqd"):
             raise ParameterDomainError(f"unknown drive {self.drive!r}")

@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 import numbers
 import operator
-import sys
 import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -13,7 +12,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dynamics import TimeGrid, Trajectory, propagate
-from .errors import ConfigError
+from .errors import ConfigError, _is_of_kind
 from .hamiltonians import Dissipation, LinearHamiltonian, ModelConfig, linear_hamiltonian
 from .hilbert import _read_only, build_basis
 from .pulses import CHANNELS, PulseParameters
@@ -53,8 +52,8 @@ class SimulationConfig:
 
 
 # Each field's kind, by its annotation (a string, as annotations are not
-# evaluated in this module): the values it takes and how messages name them.
-# A float field takes any real number, an int field any integer.
+# evaluated in this module): the values it takes, by errors._is_of_kind, and
+# how messages name them.
 _KINDS = {
     "float": (numbers.Real, "a number"),
     "int": (numbers.Integral, "an integer"),
@@ -82,7 +81,7 @@ def resolve_preset(name: str) -> SimulationConfig:
     """Fully populated configuration for a named preset."""
     if name == "custom":
         return SimulationConfig()
-    if name not in PRESETS:
+    if not isinstance(name, str) or name not in PRESETS:
         raise ConfigError(
             f"unknown preset {name!r}; available presets: "
             + ", ".join(sorted(PRESETS))
@@ -151,9 +150,7 @@ def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, TimeGrid]:
     field must first hold a value of its type; nothing is coerced."""
     for name, (kind, expected) in FIELD_KINDS.items():
         value = getattr(sim, name)
-        # a bool is no number here, nor is an int beyond the float range
-        big = kind is numbers.Real and isinstance(value, int) and abs(value) > sys.float_info.max
-        if big or isinstance(value, bool) or not isinstance(value, kind):
+        if not _is_of_kind(value, kind):
             raise ConfigError(f"{name} expects {expected}, got {value!r}")
     config = model_config(sim)
     basis = build_basis(sim.model, sim.n_max)

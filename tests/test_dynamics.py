@@ -2,6 +2,7 @@ import math
 import tracemalloc
 import types
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -91,7 +92,9 @@ class TestTimeGrid:
 
     @pytest.mark.parametrize("name", ["t_start", "t_end", "dt"])
     @pytest.mark.parametrize(
-        "value", [True, False, "2", None, 2j], ids=["True", "False", "str", "None", "complex"]
+        "value",
+        [True, False, "2", None, 2j, Fraction(1, 2), 10**400],
+        ids=["True", "False", "str", "None", "complex", "Fraction", "10**400"],
     )
     def test_rejects_a_window_or_step_that_is_not_a_real_number(self, name, value):
         """A bool is not taken as 1.0 or 0.0, and text fails typed."""
@@ -108,13 +111,24 @@ class TestTimeGrid:
             (-math.inf, 1.0, 0.1),
             (0.0, math.inf, 0.1),
             (0.0, 1.0, math.inf),
-            (-1e308, 1e308, 1.0),  # the step count overflows
+            (-1e308, 1e308, 1.0),  # the window's length overflows
             (0.0, 1.0, 1e-9),  # 1e-9 * steps cannot resolve a fractional step
         ],
     )
     def test_rejects_non_finite_window_or_step(self, window):
         with pytest.raises(ParameterDomainError):
             TimeGrid(*window)
+
+    @pytest.mark.parametrize("dt", [1e-320, 5e-324])
+    def test_a_step_count_past_the_float_range_is_too_many_steps(self, dt):
+        # the window is fine; it is the step that is too small
+        with pytest.raises(ParameterDomainError, match="inf steps of dt=.* are too many"):
+            TimeGrid(-4.0, 4.0, dt)
+
+    @pytest.mark.parametrize("dt", [1e10, 2.5])
+    def test_rejects_a_window_shorter_than_one_step(self, dt):
+        with pytest.raises(ParameterDomainError, match="is not an integer number of steps"):
+            TimeGrid(0.0, 1.0, dt)
 
 
 def closed_and_open_models():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -166,11 +167,17 @@ class TestModelConfig:
         with pytest.raises(ParameterDomainError, match="pulses must be a PulseParameters"):
             ModelConfig("effective", "tqd", pulses)
 
+    def test_rejects_a_model_name_that_is_not_a_string(self):
+        with pytest.raises(ParameterDomainError, match="unknown model"):
+            ModelConfig(["x"], "tqd", PULSES)
+
 
 class TestDissipation:
     @pytest.mark.parametrize("name", ["gamma", "kappa"])
     @pytest.mark.parametrize(
-        "value", [True, False, "2", None, 2j], ids=["True", "False", "str", "None", "complex"]
+        "value",
+        [True, False, "2", None, 2j, Fraction(1, 2), 10**400],
+        ids=["True", "False", "str", "None", "complex", "Fraction", "10**400"],
     )
     def test_rejects_rates_that_are_not_real_numbers(self, name, value):
         """A bool is not taken as 1.0 or 0.0, and text fails typed."""
@@ -179,6 +186,7 @@ class TestDissipation:
 
     def test_takes_integers_and_numpy_reals(self):
         assert Dissipation(5, np.float64(0.05)) == Dissipation(5.0, 0.05)
+        assert Dissipation(np.int64(5), np.float32(0.25)) == Dissipation(5.0, 0.25)
 
 
 class TestDissipativeHamiltonian:

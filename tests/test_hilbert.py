@@ -40,6 +40,10 @@ class TestBuildBasis:
         with pytest.raises(ParameterDomainError):
             build_basis("bogus", 1)
 
+    def test_rejects_a_model_name_that_is_not_a_string(self):
+        with pytest.raises(ParameterDomainError, match="unknown model"):
+            build_basis(["x"], 1)
+
     @pytest.mark.parametrize(
         "n_max, message",
         [

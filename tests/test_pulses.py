@@ -1,6 +1,7 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,7 +42,9 @@ class TestPulseParameters:
 
     @pytest.mark.parametrize("name", ["omega0", "tau_p", "tau_s", "delta", "delta_m"])
     @pytest.mark.parametrize(
-        "value", [True, False, "2", None, 2j], ids=["True", "False", "str", "None", "complex"]
+        "value",
+        [True, False, "2", None, 2j, Fraction(1, 2), 10**400],
+        ids=["True", "False", "str", "None", "complex", "Fraction", "10**400"],
     )
     def test_rejects_values_that_are_not_real_numbers(self, name, value):
         """A bool is not taken as 1.0 or 0.0, and text fails typed."""
@@ -50,6 +53,7 @@ class TestPulseParameters:
 
     def test_takes_integers_and_numpy_reals(self):
         assert PulseParameters(2, np.int64(1), np.float64(0.5)) == PulseParameters(2.0, 1.0, 0.5)
+        assert PulseParameters(np.float32(2), delta=np.int64(3)) == PulseParameters(2.0, delta=3.0)
 
 
 class TestGaussianPulse:
@@ -374,6 +378,11 @@ class TestControlSchedule:
             ControlSchedule(STANDARD, model="bogus", drive="stirap")
         with pytest.raises(ParameterDomainError):
             ControlSchedule(STANDARD, model="effective", drive="bogus")
+
+    @pytest.mark.parametrize("field", ["model", "drive"])
+    def test_rejects_a_name_that_is_not_a_string(self, field):
+        with pytest.raises(ParameterDomainError, match=f"unknown {field}"):
+            ControlSchedule(STANDARD, **{field: ["x"]})
 
     @pytest.mark.parametrize("params", [None, (2.0, 0.5, 0.5)], ids=["None", "tuple"])
     def test_rejects_params_that_are_not_pulse_parameters(self, params):

@@ -1,9 +1,11 @@
+import numbers
 import os
 import re
 import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +21,7 @@ from cavityfock import (
 )
 from cavityfock import scenarios
 from cavityfock.cli import main, parse_config_file
-from cavityfock.scenarios import CSV_COLUMNS, SWEEP_COLUMNS
+from cavityfock.scenarios import CSV_COLUMNS, FIELD_KINDS, SWEEP_COLUMNS
 
 
 def _read_csv(path):
@@ -70,6 +72,10 @@ class TestPresets:
     def test_unknown_name_lists_presets(self):
         with pytest.raises(ConfigError, match="fig2_stirap"):
             resolve_preset("fig9_bogus")
+
+    def test_a_name_that_is_not_a_string_is_an_unknown_preset(self):
+        with pytest.raises(ConfigError, match=r"unknown preset \[\]"):
+            resolve_preset([])
 
 
 class TestRun:
@@ -192,6 +198,20 @@ class TestRun:
             simulate(sim)
         assert str(error.value) == f"{field} expects {expected}, got {value!r}"
         assert built == []  # checked before anything is built
+
+    @pytest.mark.parametrize(
+        "field", [name for name, (kind, _) in FIELD_KINDS.items() if kind is numbers.Real]
+    )
+    @pytest.mark.parametrize("value", [Fraction(1, 2), 10**400], ids=["Fraction", "10**400"])
+    def test_float_fields_take_no_fraction_nor_an_int_past_the_float_range(
+        self, field, value, monkeypatch
+    ):
+        built = []
+        monkeypatch.setattr(scenarios, "model_config", lambda sim: built.append(sim))
+        sim = replace(resolve_preset("fig2_tqd"), **{field: value})
+        with pytest.raises(ConfigError, match=f"^{field} expects a number, got "):
+            simulate(sim)
+        assert built == []
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_every_preset_conserves_norm_or_trace(self, name):
@@ -432,6 +452,43 @@ class TestCli:
     def test_malformed_override_is_usage_error(self, setting, message, capsys):
         assert main(["run", "--set", setting]) == 2
         assert capsys.readouterr().err == message
+
+    @pytest.mark.parametrize("source", ["config", "set"])
+    @pytest.mark.parametrize(
+        "entries, message",
+        [
+            (["foo"], "{where} expects key=value, got 'foo'"),
+            (["stride=10", "stride=20"], "{where}: duplicate key 'stride'"),
+            ([" omega0_T = abc "], "omega0_T expects a number, got 'abc'"),
+            (["model=a=b"], "unknown model 'a=b'"),
+        ],
+        ids=["no_equals", "repeated_key", "spaces", "value_with_equals"],
+    )
+    def test_config_lines_and_set_items_are_read_alike(
+        self, source, entries, message, tmp_path, capsys, monkeypatch
+    ):
+        # one reader takes both: a file line is named by <path>:<line>, a --set item by --set
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "job.cfg").write_text("".join(f"{e}\n" for e in entries), encoding="utf-8")
+        if source == "config":
+            given, where = ["--config", "job.cfg"], f"job.cfg:{len(entries)}"
+        else:
+            given, where = [arg for e in entries for arg in ("--set", e)], "--set"
+        assert main(["run", "--preset", "fig2_tqd", *given, "--out", "x.csv"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(where=where)}\n"
+        assert sorted(os.listdir(tmp_path)) == ["job.cfg"]
+
+    @pytest.mark.parametrize("dt", ["5e-324", "1e-320"])
+    def test_a_step_too_small_to_count_is_too_many_steps(self, dt, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        argv = ["run", "--preset", "fig2_tqd", "--set", f"dt_over_T={dt}", "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: inf steps of dt={float(dt)} are too many to resolve a fractional step\n"
+        )
+        assert not out.exists()
 
     def test_repeated_set_key_is_usage_error(self, tmp_path, capsys):
         # as a repeated key of a configuration file is; --set may still
