@@ -31,7 +31,6 @@ from .pulses import (
     ControlSchedule,
     PulseParameters,
     counterdiabatic_amplitude,
-    gaussian_pulse,
     physical_pulse_pair,
     stirap_pair,
 )
@@ -46,7 +45,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.22.0"
+__version__ = "0.23.0"
 
 __all__ = [
     "CavityFockError",
@@ -70,7 +69,6 @@ __all__ = [
     "bound_hamiltonian",
     "build_basis",
     "counterdiabatic_amplitude",
-    "gaussian_pulse",
     "jump_operators",
     "ladder_operators",
     "linear_hamiltonian",

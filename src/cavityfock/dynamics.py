@@ -43,6 +43,8 @@ import numpy as np
 from .errors import IntegrationError, ParameterDomainError, _check_numbers
 from .hamiltonians import LinearHamiltonian
 from .hilbert import ProductBasis, _read_only
+# populations is not called here: perfbench/run.py wraps cavityfock.dynamics.populations
+# for its in-run probe, and tests/test_benchmark_names.py pins that name
 from .observables import diagonal_weights, photon_statistics, populations
 from .pulses import ControlSchedule
 
@@ -108,8 +110,9 @@ class Trajectory:
     matrix (_coordinates), (S, k^2); each is exactly zero where it was not
     stepped.  ``states`` lifts them to pure states (S, d) or density
     matrices (S, d, d) on first access, and ``final_state`` lifts the last
-    sample alone.  ``populations`` (S, d) are in the order of
-    ``basis.labels()``, zero on every basis state not kept.
+    sample alone; a run reads neither.  ``populations`` (S, d) are in the
+    order of ``basis.labels()``, zero on every basis state not kept, and
+    their last row is the run's final populations.
     ``model`` is the schedule's model, "effective" or "full", and
     ``controls`` maps each of the schedule's channels to its (S,) column.
     ``dark_overlap`` and ``mandel_q`` are NaN where undefined: no drive
@@ -145,10 +148,6 @@ class Trajectory:
         full = np.zeros(states.shape[:1] + (self.basis.dimension,) * axes, dtype=complex)
         full[(slice(None),) + np.ix_(*[self.kept] * axes)] = states
         return full
-
-    @property
-    def final_populations(self) -> dict[tuple[str, int], float]:
-        return populations(self.final_state, self.basis)
 
     def population_series(self, level: str, n: int) -> np.ndarray:
         """P(level, n) at every sample, zero if |level, n> was not kept."""
@@ -305,11 +304,13 @@ def _record(
     steps = grid.sample_steps
     times = grid.time(steps)
     weights = np.zeros((len(times), basis.dimension))
-    if is_density:
-        weights[:, kept] = coordinates[:, :size]  # the diagonal coordinates come first
-    else:
-        weights[:, kept] = diagonal_weights(_kept_states(coordinates, size, False), False)
-    weight = weights.sum(axis=-1)
+    # A diverging run's inf and NaN reach these; the check below reports it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if is_density:
+            weights[:, kept] = coordinates[:, :size]  # the diagonal coordinates come first
+        else:
+            weights[:, kept] = diagonal_weights(_kept_states(coordinates, size, False), False)
+        weight = weights.sum(axis=-1)
     kind = "trace" if is_density else "norm"
     bad = ~(np.abs(weight - 1.0) <= NORM_DRIFT_LIMIT)
     if bad.any():

@@ -161,7 +161,9 @@ def linear_hamiltonian(config: ModelConfig, basis: ProductBasis) -> LinearHamilt
         static = static + pulses.delta_m * transition_operator(basis, "em", "em")
     jumps = jump_operators(config, basis)
     if jumps:
-        static = static - 0.5j * sum(rate * (op.conj().T @ op) for rate, op in jumps)
+        # a rate near the float range overflows to inf and NaN; the run reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            static = static - 0.5j * sum(rate * (op.conj().T @ op) for rate, op in jumps)
 
     terms = {channel: _coupling(basis, channel) for channel in schedule.channels}
     return LinearHamiltonian(basis, static, terms, schedule, jumps)

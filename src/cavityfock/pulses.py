@@ -5,7 +5,8 @@ is the common Gaussian width of the pump and Stokes pulses, so every width
 is 1 here; converting to a physical pulse length is a presentation-layer
 concern.  The module provides
 
-* the counter-intuitively ordered pump/Stokes Gaussian pair,
+* the counter-intuitively ordered pump/Stokes Gaussian pair, whose
+  envelope ControlSchedule.values alone writes and stirap_pair reads,
 * the closed-form correction amplitude that makes the transfer exactly
   follow the instantaneous dark state,
 * the physically realizable auxiliary pulse pair that synthesizes the same
@@ -67,13 +68,6 @@ class PulseParameters:
             raise ParameterDomainError(
                 f"omega0 must be non-negative, got {self.omega0}"
             )
-
-
-def gaussian_pulse(omega0: float, center: float, t):
-    """Gaussian envelope omega0 * exp(-(t - center)**2) of unit width."""
-    t = np.asarray(t, dtype=float)
-    with np.errstate(over="ignore"):  # a square past the float range is inf, its exponential 0
-        return (omega0 * np.exp(_exponent(t, center))).reshape(t.shape)[()]
 
 
 def stirap_pair(params: PulseParameters, t):

@@ -121,7 +121,8 @@ _FIGURES = {
 @dataclass
 class RunSummary:
     """End-of-run figures: ``figures_of_merit`` holds each of _FIGURES by
-    name, reduced from the table that the CSV is written from."""
+    name, reduced from the table that the CSV is written from, and
+    ``final_populations`` the last row of the trajectory's populations by label."""
 
     scenario: str
     model: str
@@ -175,7 +176,7 @@ def _simulate(
         scenario=sim.scenario,
         model=sim.model,
         drive=sim.drive,
-        final_populations=trajectory.final_populations,
+        final_populations=dict(zip(model.basis.labels(), trajectory.populations[-1].tolist())),
         figures_of_merit=figures,
         wall_time_s=wall,
     )

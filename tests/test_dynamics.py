@@ -233,7 +233,7 @@ class TestTransitionlessTracking:
         assert np.all(lossless_tqd_trajectory.dark_overlap >= 0.999)
 
     def test_transfer_completes(self, lossless_tqd_trajectory):
-        assert lossless_tqd_trajectory.final_populations[("g2", 1)] >= 0.999
+        assert lossless_tqd_trajectory.population_series("g2", 1)[-1] >= 0.999
 
 
 class TestLindblad:

@@ -33,8 +33,9 @@ REPLACED_BY_TABLES = ("EFFECTIVE_LEVELS", "FULL_LEVELS", "_coupling_terms", "_sw
 # The second CSV row layout, its cell kind for "%.16e" text, the raising
 # operators and level projectors that transition_operator gives, the
 # field-kind sets and field names that scenarios.FIELD_KINDS gives, the
-# padded record of every channel, which the schedule's columns replaced, and
-# the stepper's closure, which _integrate runs itself
+# padded record of every channel, which the schedule's columns replaced, the
+# stepper's closure, which _integrate runs itself, and the second Gaussian
+# envelope, which ControlSchedule.values writes
 REMOVED = (
     "_sliced_rows",
     "_masked_rows",
@@ -48,6 +49,7 @@ REMOVED = (
     "config_field_names",
     "ControlValues",
     "_linear_advance",
+    "gaussian_pulse",
 )
 
 
@@ -111,7 +113,9 @@ def test_no_restricted_copy_of_the_model(module):
 
 
 def test_trajectory_has_one_population_series_and_no_maximum():
+    """Nor a lift of the final state: the last row of populations holds it."""
     assert not hasattr(cavityfock.Trajectory, "max_population")
+    assert not hasattr(cavityfock.Trajectory, "final_populations")
 
 
 def test_trajectory_keeps_one_population_record():

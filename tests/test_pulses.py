@@ -13,7 +13,6 @@ from cavityfock import (
     ParameterDomainError,
     PulseParameters,
     counterdiabatic_amplitude,
-    gaussian_pulse,
     physical_pulse_pair,
     stirap_pair,
 )
@@ -56,26 +55,6 @@ class TestPulseParameters:
         assert PulseParameters(np.float32(2), delta=np.int64(3)) == PulseParameters(2.0, delta=3.0)
 
 
-class TestGaussianPulse:
-    def test_peak_at_center(self):
-        assert gaussian_pulse(2.0, 0.5, 0.5) == pytest.approx(2.0, abs=0)
-
-    def test_one_width_from_center(self):
-        expected = 2.0 * math.exp(-1.0)
-        assert gaussian_pulse(2.0, 0.5, 1.5) == pytest.approx(expected, rel=1e-15)
-
-    def test_symmetric_about_center(self):
-        left = gaussian_pulse(2.0, 0.5, -0.5)
-        right = gaussian_pulse(2.0, 0.5, 1.5)
-        assert left == pytest.approx(right, rel=1e-15)
-
-    def test_vectorized_matches_scalar(self):
-        times = np.linspace(-3.0, 3.0, 13)
-        values = gaussian_pulse(1.5, 0.2, times)
-        for t, value in zip(times, values):
-            assert value == gaussian_pulse(1.5, 0.2, float(t))
-
-
 class TestStirapPair:
     def test_channels_cross_at_mid(self):
         omega_r, g = stirap_pair(STANDARD, 0.0)
@@ -83,16 +62,32 @@ class TestStirapPair:
         assert omega_r == pytest.approx(expected, rel=1e-15)
         assert g == pytest.approx(expected, rel=1e-15)
 
-    def test_values_at_stokes_peak(self):
-        omega_r, g = stirap_pair(STANDARD, -0.5)
-        assert g == pytest.approx(2.0, abs=0)
-        assert omega_r == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
+    @pytest.mark.parametrize("t, peak", [(-0.5, 1), (0.5, 0)], ids=["stokes", "pump"])
+    def test_values_at_each_peak(self, t, peak):
+        """The pulse that peaks at t is omega0 there, and the other one, one
+        width from its own center, is omega0/e."""
+        pair = stirap_pair(STANDARD, t)
+        assert pair[peak] == pytest.approx(2.0, abs=0)
+        assert pair[1 - peak] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-15)
 
-    def test_mirror_symmetry_swaps_channels(self):
+    @pytest.mark.parametrize(
+        "params, batched",
+        [(STANDARD, False), (PulseParameters(omega0=2.0, tau_s=-0.5), False), (STANDARD, True)],
+        ids=["standard", "one_center", "batched"],
+    )
+    def test_mirror_symmetry_swaps_channels(self, params, batched):
+        """Mirrored about the midpoint of the two centers, each pulse is the
+        other, so two pulses at one center are each symmetric about it.  The
+        times in one array give each time's values alone, bit for bit."""
         rng = np.random.default_rng(11)
-        for t in rng.uniform(-4.0, 4.0, size=25):
-            omega_r, g = stirap_pair(STANDARD, t)
-            omega_r_m, g_m = stirap_pair(STANDARD, -t)
+        mid = 0.5 * (params.tau_p - params.tau_s)
+        times = rng.uniform(-4.0, 4.0, size=25)
+        if batched:
+            rows = np.transpose(stirap_pair(params, mid + times))
+            assert all(tuple(row) == stirap_pair(params, mid + t) for t, row in zip(times, rows))
+        for t in times:
+            omega_r, g = stirap_pair(params, mid + t)
+            omega_r_m, g_m = stirap_pair(params, mid - t)
             assert omega_r == pytest.approx(g_m, rel=1e-14)
             assert g == pytest.approx(omega_r_m, rel=1e-14)
 
@@ -351,8 +346,6 @@ class TestControlSchedule:
         assert public.keys() == expected.keys()
         for channel, column in public.items():
             assert column.tobytes() == expected[channel].tobytes(), channel
-        pump = gaussian_pulse(params.omega0, params.tau_p, t)
-        assert pump.tobytes() == expected["omega_r"].tobytes()
         for model in ("effective", "full"):
             for drive in ("stirap", "tqd"):
                 schedule = ControlSchedule(params, model=model, drive=drive)

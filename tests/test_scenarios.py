@@ -102,12 +102,14 @@ class TestRun:
     def test_summary_matches_last_row(self, name, n_max, stride, tmp_path):
         """Every printed figure is, as text, the CSV's last cell of its
         column (final_*) or "%.16e" of the column's maximum (max_*); the
-        drift is the largest |x - 1| over the norm_or_trace cells."""
+        drift is the largest |x - 1| over the norm_or_trace cells.  The
+        final populations are the trajectory's last row, bit for bit."""
         out = str(tmp_path / "t.csv")
-        cfg = replace(resolve_preset(name), n_max=n_max, stride=stride, output_path=out)
-        path, summary = run(cfg)
+        cfg = replace(resolve_preset(name), n_max=n_max, stride=stride)
+        trajectory, summary = simulate(cfg)
+        scenarios.write_trajectory_csv(trajectory, out)
         printed = summary.figures()
-        header, rows = _read_csv(path)
+        header, rows = _read_csv(out)
         reduced = [(name, column) for name, (column, _) in scenarios._FIGURES.items()]
         assert reduced == list(_REDUCED.items())
         for figure, column in _REDUCED.items():
@@ -125,9 +127,29 @@ class TestRun:
         assert float(last[header.index("p_g2_1")]) == summary.final_populations[("g2", 1)]
         assert last[header.index("n_mean")] == printed["final_n"]
         assert last[header.index("mandel_q")] == printed["final_q"]
+        final = trajectory.populations[-1].tolist()
+        assert list(summary.final_populations) == trajectory.basis.labels()
+        for label, value in summary.final_populations.items():
+            assert value.hex() == final[trajectory.basis.index(*label)].hex(), label
 
     def test_sweep_columns(self):
         assert SWEEP_COLUMNS == ("parameter", "value", *_REDUCED)
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_no_run_lifts_a_state(self, name, tmp_path, capsys, monkeypatch):
+        """The summary reads its final populations from the recorded ones:
+        no run, at any stride, and no sweep lifts a state."""
+
+        def refuse(self, coordinates):
+            raise AssertionError("a state was lifted")
+
+        monkeypatch.setattr(cavityfock.dynamics.Trajectory, "_lifted", refuse)
+        for stride in (1, 10):
+            argv = ["run", "--preset", name, "--set", f"stride={stride}"]
+            assert main(argv + ["--out", str(tmp_path / "t.csv")]) == 0
+        argv = ["sweep", "--preset", name, "--param", "omega0_T", "--values", "1,3"]
+        assert main(argv + ["--out", str(tmp_path / "s.csv")]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_summary_and_csv_lift_no_states(self, tmp_path):
         sim = replace(resolve_preset("fig2f_dissipative_tqd"), stride=1)
@@ -594,6 +616,39 @@ class TestCli:
             captured.err,
         ), captured.err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "preset, settings, message",
+        [
+            ("fig2_stirap", ["delta_T=1e8"], "norm drifted to inf at step 10, t=-3.99"),
+            (
+                "fig2_tqd",
+                ["omega0_T=1e8", "stride=1"],
+                "norm drifted to 1.000022e+00 at step 303, t=-3.697",
+            ),
+            (
+                "fig2_stirap",
+                ["omega0_T=1000", "kappa_T=40", "dt_over_T=0.01"],
+                "trace drifted to 2.048000e+03 at step 240, t=-1.6",
+            ),
+            (
+                "fig2f_dissipative_tqd",
+                ["kappa_T=1.7e308", "n_max=3"],
+                "trace drifted to nan at step 10, t=-3.99",
+            ),
+        ],
+        ids=["square", "square_and_complex_state", "trace_sum", "decay_terms"],
+    )
+    def test_overflow_is_integration_failure_without_warnings(
+        self, preset, settings, message, tmp_path, capsys
+    ):
+        """A run whose numbers overflow ends in the one error line: no numpy
+        warning comes first, which the test settings would raise instead of
+        the IntegrationError."""
+        argv = ["run", "--preset", preset, "--out", str(tmp_path / "o.csv")]
+        assert main(argv + [arg for setting in settings for arg in ("--set", setting)]) == 3
+        assert capsys.readouterr().err == f"error: {message}; reduce dt\n"
+        assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("n_max", [1, 3])
     def test_negative_eigenvalue_is_integration_failure(self, n_max, tmp_path, capsys):
