@@ -27,9 +27,10 @@ group's applied to the state before it by one product.
 The recorded states are the real coordinates of the state on the basis
 states the model was built on, zero where a coordinate was not stepped.
 Observables and conservation checks are computed once per run from them,
-positivity by a Cholesky certificate.  The recorded controls are read
-back from the stepper's weights at the recorded steps, so each half step is
-evaluated once per run; full states are lifted only when they are read.
+positivity by an LDL^H certificate on the coordinates themselves.  The
+recorded controls are read back from the stepper's weights at the recorded
+steps, so each half step is evaluated once per run; full states are lifted
+only when they are read.
 """
 
 from __future__ import annotations
@@ -189,11 +190,11 @@ def _integrate(
     """
     count, stride, dt = len(grid.sample_steps), grid.stride, grid.dt
     reached = _reachable(blocks, x0)
-    # Chunks of 711 steps, since each costs one control call and one pass of
-    # the stepper, but with r x r step matrices that take no more room than
-    # 64 steps' at full support at n_max = 3, r = 144
+    # Chunks of up to 711 steps, since each costs one control call and one
+    # pass of the stepper, but short enough that halves and buffers, about
+    # 5 capacity r^2 doubles, fit in 2 MiB, a core's L2 cache
     r = len(reached)
-    capacity = max(1, min(711, 64 * 144**2 // r**2))
+    capacity = max(1, min(711, 52_428 // r**2))
     identity = np.eye(r)
     scaled = 0.5 * dt * blocks[:, reached[:, None], reached]
     scaled = np.concatenate((scaled, identity[None])).reshape(len(blocks) + 1, -1)
@@ -295,9 +296,8 @@ def _record(
     schedule is not evaluated again.  The populations (S, d) are the
     diagonal coordinates, or |psi_k|^2, on the kept basis states and zero
     on the others; the norm or trace and the photon statistics are taken
-    from them.  Density matrices are rebuilt on the kept basis states, 512
-    samples at a time by one product each (_kept_states), for
-    _check_positive, and the dark overlap is a form on a few coordinates
+    from them.  Positivity is certified on the coordinates
+    (_check_positive), and the dark overlap is a form on a few coordinates
     (_dark_overlaps).  Every check is written so that NaN fails it.
     """
     basis, is_density, size = hamiltonian.basis, bool(hamiltonian.jumps), len(kept)
@@ -320,9 +320,7 @@ def _record(
         )
     n_mean, q = photon_statistics(weights, basis)
     if is_density:
-        for start in range(0, len(times), 512):
-            part = slice(start, start + 512)
-            _check_positive(_kept_states(coordinates[part], size, True), steps[part], grid)
+        _check_positive(coordinates, size, steps, grid)
     model = hamiltonian.schedule.model
     controls = dict(zip(hamiltonian.schedule.channels, columns.T.copy()))
     if model == "effective":
@@ -371,32 +369,72 @@ def _dark_overlaps(
     return np.where(driven, dark, np.nan)
 
 
-def _check_positive(states: np.ndarray, steps: np.ndarray, grid: TimeGrid) -> None:
-    """Raise IntegrationError at the first density matrix of the stack
-    (S, k, k) with an eigenvalue below NEGATIVITY_LIMIT, naming its step.
+def _check_positive(
+    coordinates: np.ndarray, size: int, steps: np.ndarray, grid: TimeGrid
+) -> None:
+    """Raise IntegrationError at the first sample of the density
+    coordinates (S, k^2) on the k = ``size`` kept basis states
+    (_coordinates) whose matrix has an eigenvalue below NEGATIVITY_LIMIT,
+    naming its step.
 
-    rho - NEGATIVITY_LIMIT * I has a Cholesky factor exactly when every
-    eigenvalue of rho is above the limit, and a factorization in floating
-    point succeeds only within a backward error of order k u |rho| of that
-    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    ch. 10).  So the stack passes when its factors are all finite, since
-    NaN may give a NaN factor rather than an error; only a stack that
-    fails is diagonalized, to name the sample and its eigenvalue.
+    rho - NEGATIVITY_LIMIT * I factors as L D L^H, L unit lower triangular
+    and D positive, exactly when every eigenvalue of rho is above the
+    limit.  Its pivots are those of Cholesky, d_j = l_jj^2, and a
+    factorization in floating point succeeds only within a backward error
+    of order k u |rho| of that (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 10).  It runs on every sample at once, in real
+    arithmetic on the coordinate columns: pivot j updates the trailing
+    entries, rho_il -= conj(rho_ji) rho_jl / d_j for j < i <= l.  A
+    coherence that is zero in every sample, as one never stepped is, is
+    skipped with every update it would feed.  A pivot that is not positive,
+    NaN included, fails its sample, and only the samples that fail are
+    diagonalized, 512 at a time, to name the first one below the limit.
     """
-    shifted = states - NEGATIVITY_LIMIT * np.eye(states.shape[-1])
-    try:
-        if np.isfinite(np.linalg.cholesky(shifted)).all():
-            return
-    except np.linalg.LinAlgError:
-        pass
-    smallest = _smallest_eigenvalues(states)
-    bad = ~(smallest >= NEGATIVITY_LIMIT)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise IntegrationError(
-            f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
-            f"at step {steps[i]}, t={grid.time(steps[i]):g}; reduce dt"
-        )
+    upper = size * (size - 1) // 2
+    rows, cols = (index.tolist() for index in np.triu_indices(size, 1))
+    work = coordinates.T.copy()  # a row per coordinate
+    pivots = work[:size]
+    pivots -= NEGATIVITY_LIMIT
+    nonzero = work[size:].any(axis=1)  # NaN is nonzero
+    live = np.flatnonzero(nonzero[:upper] | nonzero[upper:]).tolist()
+    # (i, l), i < l, to the rows of Re rho_il and Im rho_il
+    entries = {(rows[p], cols[p]): (work[size + p], work[size + upper + p]) for p in live}
+    passed = np.ones(len(coordinates), dtype=bool)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for j in range(size):
+            passed &= pivots[j] > 0.0
+            below = sorted(l for i, l in entries if i == j)
+            if not below:
+                continue
+            inverse = 1.0 / pivots[j]
+            for a, i in enumerate(below):
+                re_i, im_i = entries[j, i]
+                scaled_re, scaled_im = re_i * inverse, im_i * inverse
+                pivots[i] -= re_i * scaled_re + im_i * scaled_im
+                for l in below[a + 1 :]:
+                    re_l, im_l = entries[j, l]
+                    re = scaled_re * re_l + scaled_im * im_l  # conj(rho_ji) rho_jl / d_j
+                    im = scaled_re * im_l - scaled_im * re_l
+                    if (i, l) in entries:
+                        target_re, target_im = entries[i, l]
+                        target_re -= re
+                        target_im -= im
+                    else:  # fill-in: a new live entry
+                        entries[i, l] = -re, -im
+    failed = np.flatnonzero(~passed)
+    for start in range(0, len(failed), 512):
+        part = failed[start : start + 512]
+        with np.errstate(invalid="ignore"):  # an infinite coordinate lifts to NaN
+            states = _kept_states(coordinates[part], size, True)
+        smallest = _smallest_eigenvalues(states)
+        bad = ~(smallest >= NEGATIVITY_LIMIT)
+        if bad.any():
+            i = int(np.argmax(bad))
+            step = steps[part[i]]
+            raise IntegrationError(
+                f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
+                f"at step {step}, t={grid.time(step):g}; reduce dt"
+            )
 
 
 def _smallest_eigenvalues(states: np.ndarray) -> np.ndarray:

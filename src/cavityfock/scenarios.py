@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import errno
 import math
 import numbers
 import operator
+import os
 import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -184,10 +186,31 @@ def _simulate(
 
 
 def run(sim: SimulationConfig) -> tuple[str, RunSummary]:
-    """Simulate and write the trajectory CSV to the configured output path."""
+    """Simulate and write the trajectory CSV to the configured output path,
+    whose directory is checked (_check_output) before the simulation."""
+    _check_output(sim.output_path)
     trajectory, summary = simulate(sim)
     write_trajectory_csv(trajectory, sim.output_path)
     return sim.output_path, summary
+
+
+def _check_output(path: str) -> None:
+    """Raise the OSError that opening ``path`` for writing would raise
+    because of where it is: a directory that does not exist, is no
+    directory or cannot be written, or a path that is itself a directory.
+    Nothing is created."""
+    directory = os.path.dirname(path) or os.curdir
+    if not os.path.exists(directory):
+        error, code = FileNotFoundError, errno.ENOENT
+    elif not os.path.isdir(directory):
+        error, code = NotADirectoryError, errno.ENOTDIR
+    elif not os.access(directory, os.W_OK | os.X_OK):
+        error, code = PermissionError, errno.EACCES
+    elif os.path.isdir(path):
+        error, code = IsADirectoryError, errno.EISDIR
+    else:
+        return
+    raise error(code, os.strerror(code), path)
 
 
 def _fmt(value: float) -> str:
@@ -231,10 +254,12 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     of all cells at once.  A finite cell whose rounding it cannot prove -
     within 2^-40 of a tie, subnormal, or with |x| outside [1e-283, 1e299) -
     is formatted by ``"%.16e" % x`` itself; on the presets that is no cell
-    at all.  A column that is NaN in every row, such as that of a level or
-    channel the model lacks, is written as separators alone and never
-    formatted (_csv_blocks).  Every block of rows is laid out by column
-    slices (_block_rows).
+    at all.  Each distinct column is formatted once (_csv_blocks): a column
+    that is NaN in every row, such as that of a level or channel the model
+    lacks, is written as separators alone, a column of one value as one
+    text, and a column that repeats an earlier one bit for bit from that
+    column's cells.  Every block of rows is laid out by column slices
+    (_block_rows).
     """
     table = _table(trajectory)
     with open(path, "wb") as handle:
@@ -262,56 +287,85 @@ def _csv_blocks(columns: list[np.ndarray]):
     """The rows of equal-length float columns as CSV bytes, one block of
     rows at a time: each cell as ``"%.16e" % x``, NaN cells empty.
 
-    A column that is NaN in every row is left out of the table that
-    _e16_cells formats and written as separators alone.  Every block is
-    laid out by _block_rows.  The table and cell buffers are allocated, and
-    the bytes that every cell writes are laid out, once per call.
+    Each distinct column is formatted once.  A column that is NaN in every
+    row is written as separators alone, and one that holds one value in
+    every row, its float64 bits, as the text of ``"%.16e"`` of that value.
+    A column whose bits equal an earlier column's reuses that column's
+    cells (int64 views, so -0.0 and +0.0 stay apart).  The others make the
+    table that _e16_cells formats block by block, and every block is laid
+    out by _block_rows.  The table and cell buffers are allocated, and the
+    bytes that every cell writes are laid out, once per call.
     """
     rows, width = len(columns[0]), len(columns)
-    live = [j for j, column in enumerate(columns) if not np.isnan(column).all()]
+    varying, sources, constants = [], {}, {}
+    for j, column in enumerate(columns):
+        if np.isnan(column).all():
+            continue
+        bits = column.view(np.int64)
+        if bits[0] == bits[-1] and (bits == bits[0]).all():
+            constants[j] = np.frombuffer(_fmt(column[0]).encode(), dtype=np.uint8)
+            continue
+        for p, k in enumerate(varying):
+            other = columns[k].view(np.int64)
+            if bits[0] == other[0] and bits[-1] == other[-1] and np.array_equal(bits, other):
+                sources[j] = p
+                break
+        else:
+            sources[j] = len(varying)
+            varying.append(j)
     step = max(1, min(rows, _BLOCK_CELLS // width))
-    table = np.empty((step, len(live)))
-    cells = np.empty((step * len(live), _CELL), dtype=np.uint8)
+    table = np.empty((step, len(varying)))
+    cells = np.empty((step * len(varying), _CELL), dtype=np.uint8)
     cells[:, _FIXED[0]] = _FIXED[1]
     for first in range(0, rows, step):
         part = table[: min(step, rows - first)]
-        for p, j in enumerate(live):
+        for p, j in enumerate(varying):
             part[:, p] = columns[j][first : first + step]
         kind = _e16_cells(part, cells).reshape(part.shape)
-        yield _block_rows(cells, kind, live, width)
+        yield _block_rows(cells, kind, sources, constants, width)
 
 
-def _block_rows(cells: np.ndarray, kind: np.ndarray, live: list[int], width: int) -> np.ndarray:
+def _block_rows(
+    cells: np.ndarray, kind: np.ndarray, sources: dict, constants: dict, width: int
+) -> np.ndarray:
     """The CSV bytes of a block of rows laid out by column slices.
 
-    ``kind`` (rows, live columns) holds the kinds of the cells of ``cells``
-    (_e16_cells), and ``live`` the columns of the ``width`` in the table;
-    the others are empty.  Each live column is copied into the rows as one
-    slice of its cells' slots: the text span of its kind (_decimal_tables)
-    when every cell of the column in this block has one kind, and the whole
-    slot otherwise.  The separators are written once.  Only a block with
-    such a mixed column is then compressed, by a mask that keeps, in each
-    mixed cell, the bytes that its kind writes.
+    ``kind`` (rows, table columns) holds the kinds of the cells of
+    ``cells`` (_e16_cells).  Of the ``width`` columns, ``sources`` maps
+    each that the table holds to its column there, and ``constants`` each
+    of one value to its text; the others are empty.  A column of the table
+    is copied into the rows as one slice of its cells' slots: the text span
+    of its kind (_decimal_tables) when every cell of the column in this
+    block has one kind, and the whole slot otherwise.  The separators are
+    written once.  Only a block with such a mixed column is then
+    compressed, by a mask that keeps, in each mixed cell, the bytes that
+    its kind writes.
     """
     count = len(kind)
     kept, spans = _decimal_tables()[3:]
     mixed = (kind != kind[0]).any(axis=0)
-    starts, stops = np.zeros((2, width), dtype=np.intp)
-    starts[live], stops[live] = np.where(mixed[:, None], (0, _CELL), spans[kind[0]]).T
-    ends = np.cumsum(stops - starts + 1)  # one past each separator
+    starts, stops = np.where(mixed[:, None], (0, _CELL), spans[kind[0]]).T
+    lengths = np.zeros(width, dtype=np.intp)
+    lengths[list(sources)] = (stops - starts)[list(sources.values())]
+    lengths[list(constants)] = [len(text) for text in constants.values()]
+    ends = np.cumsum(lengths + 1)  # one past each separator
     rows = np.empty((count, int(ends[-1])), dtype=np.uint8)
     rows[:, ends - 1] = ord(",")
     rows[:, -1] = ord("\n")
-    slots = cells[: kind.size].reshape(count, len(live), _CELL)
-    bounds = zip(*(bound[live].tolist() for bound in (starts, stops, ends)))
-    for p, (start, stop, end) in enumerate(bounds):
+    slots = cells[: kind.size].reshape(kind.shape + (_CELL,))
+    for j, p in sources.items():
+        end, start, stop = int(ends[j]), int(starts[p]), int(stops[p])
         rows[:, end - 1 - (stop - start) : end - 1] = slots[:, p, start:stop]
+    for j, text in constants.items():
+        end = int(ends[j])
+        rows[:, end - 1 - len(text) : end - 1] = text
     if not mixed.any():
         return rows.ravel()
     keep = np.ones(rows.shape, dtype=bool)
-    for p in np.flatnonzero(mixed).tolist():
-        end = int(ends[live[p]])
-        keep[:, end - 1 - _CELL : end - 1] = kept[kind[:, p]]
+    for j, p in sources.items():
+        if mixed[p]:
+            end = int(ends[j])
+            keep[:, end - 1 - _CELL : end - 1] = kept[kind[:, p]]
     return rows[keep]
 
 
@@ -482,7 +536,8 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
 
     One summary row is written per value, in input order.  Only numeric
     fields can be swept, with a number for each value.  Every value's model
-    and grid are built, which checks it, before the first run.
+    and grid are built, which checks it, and the output's directory is
+    checked (_check_output) before the first run.
     """
     if parameter not in NUMERIC_FIELDS:
         raise ConfigError(
@@ -491,6 +546,7 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
         )
     configs = [replace(base, **{parameter: value}) for value in values]
     built = [_setup(config) for config in configs]
+    _check_output(out_path)
     text = str if FIELD_KINDS[parameter][0] is numbers.Integral else _fmt  # exact at any size
     rows = [",".join(SWEEP_COLUMNS)]
     for config, setup in zip(configs, built):

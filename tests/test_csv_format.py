@@ -104,11 +104,25 @@ def mixed(monkeypatch):
     seen = []
     original = scenarios._block_rows
 
-    def recording(cells, kind, live, width):
+    def recording(cells, kind, *layout):
         seen.append(int((kind != kind[0]).any(axis=0).sum()))
-        return original(cells, kind, live, width)
+        return original(cells, kind, *layout)
 
     monkeypatch.setattr(scenarios, "_block_rows", recording)
+    return seen
+
+
+@pytest.fixture
+def digits(monkeypatch):
+    """The number of cells that reach the digit kernel."""
+    seen = []
+    original = scenarios._decimal_digits
+
+    def counting(x):
+        seen.append(len(x))
+        return original(x)
+
+    monkeypatch.setattr(scenarios, "_decimal_digits", counting)
     return seen
 
 
@@ -145,21 +159,16 @@ class TestLayouts:
     column that changes kind is compressed by a mask; a column that is NaN
     in every row is never formatted."""
 
-    @pytest.mark.parametrize("name, live", [("fig2_tqd", 12), ("fig3_full", 13)])
-    def test_all_nan_columns_never_reach_the_digits(self, name, live, monkeypatch):
+    @pytest.mark.parametrize("name", ["fig2_tqd", "fig3_full"])
+    def test_all_nan_columns_never_reach_the_digits(self, name, digits):
         """The effective model lacks p_em_0, gm_T and omegam_T; the full
-        model omega1_T, and its dark_overlap is undefined."""
+        model omega1_T, and its dark_overlap is undefined.  Of the 12 and
+        13 other columns, p_g2_0 is zero in every row and is written as the
+        text of "%.16e", and n_mean repeats p_g2_1, and the full model's
+        omegam_T its gm_T, bit for bit: 10 columns reach the digits."""
         trajectory, _summary = simulate(replace(resolve_preset(name), stride=1))
-        counted = []
-        original = scenarios._decimal_digits
-
-        def counting(x):
-            counted.append(len(x))
-            return original(x)
-
-        monkeypatch.setattr(scenarios, "_decimal_digits", counting)
         write_trajectory_csv(trajectory, os.devnull)
-        assert sum(counted) == live * len(trajectory.times)
+        assert sum(digits) == 10 * len(trajectory.times)
 
     def test_stride_one_blocks_change_kind_in_two_columns(self, mixed):
         """t changes sign in one block and mandel_q stops being NaN in
@@ -197,16 +206,18 @@ class TestLayouts:
         assert mixed == [2, 0]
 
     def test_columns_that_percent_format_writes(self, mixed, fallbacks):
-        """Columns wholly of cells that "%.16e" writes, or of infinities,
-        are laid out by the spans of their kinds."""
-        rows = 40
+        """Columns wholly of cells that "%.16e" writes, or, in the first of
+        two blocks, of infinities, are laid out by the spans of their kinds.
+        The infinite columns end finite, so that they hold more than one
+        value and reach the kernel."""
+        step = scenarios._BLOCK_CELLS // 6
+        rows = step + 40
         ramp = np.linspace(1.0, 2.0, rows)
         subnormal, large = ramp * 5e-320, ramp * 1e300
-        table = np.column_stack(
-            [subnormal, -subnormal, large, -large, np.full(rows, math.inf), np.full(rows, -math.inf)]
-        )
+        infinite = np.where(np.arange(rows) < step, math.inf, ramp)
+        table = np.column_stack([subnormal, -subnormal, large, -large, infinite, -infinite])
         assert formatted(table) == expected_rows(table)
-        assert mixed == [0]
+        assert mixed == [0, 0]
         assert len(fallbacks) == 4 * rows
 
     def test_all_nan_table_is_separators_alone(self, fallbacks):
@@ -218,12 +229,17 @@ class TestAgainstPercentFormat:
     @settings(derandomize=True, max_examples=500, deadline=None)
     @given(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True))
     def test_single_value(self, value):
-        assert formatted([[value]]) == expected_rows([[value]])
+        """The value and, below it, its negation: the column never holds
+        one value, so the kernel formats both cells."""
+        table = [[value], [-value]]
+        assert formatted(table) == expected_rows(table)
 
     @settings(derandomize=True, max_examples=200, deadline=None)
     @given(st.lists(st.floats(), min_size=1, max_size=20))
     def test_one_row(self, values):
-        assert formatted([values]) == expected_rows([values])
+        """The row and, below it, its negation, as above."""
+        table = [values, [-value for value in values]]
+        assert formatted(table) == expected_rows(table)
 
     def test_random_bit_patterns(self, fallbacks):
         """10^6 seeded random 64-bit patterns, every class of double among
@@ -277,6 +293,55 @@ class TestAgainstPercentFormat:
         assert formatted([[-0.0, 0.0, math.nan, -math.nan]]) == (
             b"-0.0000000000000000e+00,0.0000000000000000e+00,,\n"
         )
+
+
+class TestDistinctColumns:
+    """Each distinct column is formatted once: a column that repeats an
+    earlier one's float64 bits reuses its cells, and a column of one value
+    is the text of "%.16e" of that value, made once; every table is still
+    byte for byte "%.16e"."""
+
+    ROWS = 1200  # one block of up to 6 columns
+
+    def check(self, columns, cells, digits):
+        table = np.column_stack(columns)
+        assert formatted(table) == expected_rows(table)
+        assert sum(digits) == cells
+
+    def test_negative_and_positive_zero_stay_apart(self, digits, fallbacks):
+        """Constant columns of -0.0 and +0.0, and two columns that differ
+        only in the sign of a zero mid-column, which compare equal as
+        floats but not as bits."""
+        ramp = np.linspace(1.0, 2.0, self.ROWS)
+        signed = ramp.copy()
+        signed[600] = -0.0
+        unsigned = ramp.copy()
+        unsigned[600] = 0.0
+        columns = [np.full(self.ROWS, -0.0), np.zeros(self.ROWS), signed, unsigned]
+        self.check(columns, 2 * self.ROWS, digits)
+        assert fallbacks == [-0.0, 0.0]
+
+    def test_columns_that_differ_in_their_last_row_stay_apart(self, digits):
+        ramp = np.linspace(1.0, 2.0, self.ROWS)
+        last = ramp.copy()
+        last[-1] = np.nextafter(last[-1], 3.0)
+        self.check([ramp, last], 2 * self.ROWS, digits)
+
+    def test_a_constant_column_is_formatted_once(self, digits, fallbacks):
+        ramp = np.linspace(1.0, 2.0, self.ROWS)
+        self.check([ramp, np.full(self.ROWS, 0.1), ramp], self.ROWS, digits)
+        assert fallbacks == [0.1]
+
+    def test_a_duplicated_column_is_formatted_once(self, digits):
+        ramp = np.linspace(-1e-5, 3.0, self.ROWS) ** 3
+        self.check([ramp, -ramp, ramp.copy(), -ramp], 2 * self.ROWS, digits)
+
+    def test_a_duplicate_of_a_column_that_changes_kind(self, digits, mixed):
+        """t crosses 0 within the block, so its duplicate changes kind there
+        too: both take the byte mask, from the one formatted column."""
+        t = np.linspace(-1.0, 1.0, self.ROWS)
+        self.check([t, np.exp(t), t.copy()], 2 * self.ROWS, digits)
+        assert mixed == [1]
 
 
 class TestMemory:

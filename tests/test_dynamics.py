@@ -501,7 +501,7 @@ class TestScanLengths:
 class TestBlockScan:
     """Each stride of step matrices is folded into one block before the
     recurrence.  On 1 600 steps, with room for 711 steps a chunk at r = 6
-    and 10: 1 records every step through several chunks, 7 leaves a
+    and 524 at r = 10: 1 records every step through several chunks, 7 leaves a
     partial block at the grid end, 750 spans several chunks and does not
     divide the grid, 1 600 is the whole grid and 2 000 records only its
     end."""
@@ -567,14 +567,16 @@ class TestLinearAdvance:
     def test_every_recorded_state_matches(self, r, stride, m):
         self.check(r, stride, m * stride - stride // 2, 1e-2)
 
-    @pytest.mark.parametrize("m, stride", [(71, 10), (711, 1)])
-    @pytest.mark.parametrize("r", [6, 10])
+    @pytest.mark.parametrize(
+        "r, stride, m", [(6, 10, 71), (6, 1, 711), (10, 10, 52), (10, 1, 524)]
+    )
     def test_production_chunks_match(self, r, stride, m):
-        """Two chunks of a preset run, at stride 10, 8 groups of 8 block
-        products and one of 7, the last block partial in the second, and
-        at stride 1, 27 groups of 26 and one of 9, with the 6 coordinates
-        of an effective-model preset and the 10 of the master equation, at
-        the presets' step."""
+        """Two chunks of a preset run at the presets' step.  With the 6
+        coordinates of an effective-model preset, at stride 10, 8 groups of
+        8 block products and one of 7, the last block partial in the
+        second, and at stride 1, 27 groups of 26 and one of 9.  With the 10
+        of the master equation, at stride 10, 7 groups of 7 and one of 3,
+        and at stride 1, 23 groups of 22 and one of 18."""
         self.check(r, stride, 2 * m * stride - stride // 2, 1e-3)
 
     @pytest.mark.parametrize("stride, n_steps", [(1, 2 * 711 + 23), (750, 2 * 750 + 100)])
@@ -584,8 +586,16 @@ class TestLinearAdvance:
         above the capacity of 711, chunks of 711 and 39 in turn and a last
         one of 100, so a longer chunk follows a shorter one: each chunk's
         weights hold for its own length, not for the rows a longer chunk
-        left."""
+        left.  At r = 10, with room for 524 steps, chunks of 524, 524 and
+        397, and of 524 and 226 in turn and a last one of 100."""
         self.check(r, stride, n_steps, 1e-3)
+
+    @pytest.mark.parametrize("stride", [1, 10])
+    def test_cache_sized_chunks_match(self, stride):
+        """A stand-in for a larger stack, r = 20, whose chunks hold 131
+        steps (130 at stride 10): 300 steps in three chunks, the last
+        partial."""
+        self.check(20, stride, 300, 1e-3)
 
     @pytest.mark.parametrize("m, stride", [(1, 1), (2, 3), (17, 1), (17, 3), (71, 10)])
     def test_no_product_writes_over_its_operands(self, m, stride, monkeypatch):
@@ -630,6 +640,52 @@ class TestLinearAdvance:
         assert np.max(np.abs(states[1:] - expected)) <= 1e-12
         recorded = schedule.values(grid.t_start + 0.5 * grid.dt * (2 * grid.sample_steps))
         assert np.array_equal(controls, recorded)
+
+
+class TestChunkCapacity:
+    """A chunk holds min(711, 52_428 // r^2) steps, at least one, so that
+    its half-step matrices and stage buffers, about 5 capacity r^2
+    doubles, stay within 2 MiB."""
+
+    @pytest.mark.parametrize(
+        "r, capacity", [(6, 711), (8, 711), (10, 524), (20, 131), (144, 2)]
+    )
+    def test_chunks_hold_the_capacity(self, r, capacity):
+        """Two full chunks and one step: each chunk is one control call,
+        of its 2n half steps and, in the first, t_start's."""
+        lengths = []
+
+        class Recording(StandInSchedule):
+            def values(self, t):
+                lengths.append(len(t))
+                return super().values(t)
+
+        rng = np.random.default_rng(r)
+        blocks = rng.normal(size=(3, r, r)) / math.sqrt(r)
+        n_steps = 2 * capacity + 1
+        grid = TimeGrid(-1.0, -1.0 + n_steps * 1e-3, 1e-3)
+        _integrate(Recording(rng), grid, blocks, rng.normal(size=r))
+        assert lengths == [2 * capacity + 1, 2 * capacity, 2]
+
+    @pytest.mark.parametrize("stride", [1, 7, 10])
+    @pytest.mark.parametrize("name", LOSSLESS_PRESETS)
+    def test_closed_presets_keep_chunks_of_711_steps(self, name, stride, monkeypatch):
+        """The pure-state presets step 6 or 8 coordinates, so every chunk
+        but the last holds the strides that fit in 711 steps, as under the
+        rule before the byte budget: the same products, the same bytes."""
+        lengths = []
+        original = ControlSchedule.values
+
+        def recording(schedule, t):
+            lengths.append(len(t))
+            return original(schedule, t)
+
+        monkeypatch.setattr(ControlSchedule, "values", recording)
+        simulate(replace(resolve_preset(name), stride=stride))
+        n = stride * (711 // stride)
+        assert lengths[0] == 2 * n + 1
+        assert set(lengths[1:-1]) == {2 * n}
+        assert sum(lengths) == 2 * 8000 + 1
 
 
 class TestStrideIndependence:
@@ -933,9 +989,9 @@ class TestNegativityCheck:
 
     @pytest.mark.parametrize("support", [[0, 2], [1, 2, 4], [0, 3, 4, 5], list(range(6))])
     def test_certificate_passes_and_fails_as_the_full_spectrum(self, support):
-        """_record certifies 512 samples at a time by a Cholesky factor and
-        diagonalizes only a chunk that fails: 600 samples at or above the
-        limit pass, and one below it in the second chunk is named."""
+        """_record certifies every sample at once by an LDL^H factorization
+        and diagonalizes only the samples that fail it: 600 samples at or
+        above the limit pass, and one below it is named."""
         rng = np.random.default_rng(len(support))
         stack = embedded_density_stack(rng, support, 6, self.SMALLEST)
         smallest = np.linalg.eigvalsh(stack)[:, 0]
@@ -949,34 +1005,65 @@ class TestNegativityCheck:
         with pytest.raises(IntegrationError, match="eigenvalue -3.000e-06 at step 530, t=5.3;"):
             record_stack(self.MODEL, grid, samples)
 
-    @pytest.mark.parametrize("cholesky", ["numpy", "raises", "nan factor"])
-    def test_nan_coherence_fails_at_its_sample(self, cholesky, monkeypatch):
-        """NaN off the diagonal leaves every trace at 1.  The sample is named
-        whether Cholesky raises on NaN or returns a NaN factor, which
-        depends on the numpy version; both are stubbed here."""
+    @pytest.mark.parametrize("lowest, fails", [(-1.01e-6, True), (-0.99e-6, False)])
+    def test_last_of_8001_samples_just_past_the_limit(self, lowest, fails):
+        """A stride-1 record's 8 001 samples, the last with its smallest
+        eigenvalue 1 % below or above the limit, far outside the
+        factorization's backward error of order k u."""
+        rng = np.random.default_rng(6)
+        stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, [0.0, 1e-7, 1e-3, lowest])
+        samples = stack[np.append(np.arange(8000) % 3, 3)]
+        grid = TimeGrid(-4.0, 4.0, 1e-3)
+        if not fails:
+            record_stack(self.MODEL, grid, samples)
+            return
+        with pytest.raises(IntegrationError, match="eigenvalue -1.010e-06 at step 8000, t=4;"):
+            record_stack(self.MODEL, grid, samples)
 
-        def raises(matrices):
-            raise np.linalg.LinAlgError("Matrix is not positive definite")
+    @pytest.mark.parametrize("lowest", [-1e-3, -1e-5, -3e-6, -5e-7, 0.0, 1e-7, 1e-3])
+    def test_fill_in_gets_the_verdict_of_the_full_spectrum(self, lowest):
+        """An arrow matrix, whose coherences all involve the first basis
+        state, fills in every other coherence at the first pivot.  A
+        multiple of I sets its smallest eigenvalue and keeps its pattern."""
+        rng = np.random.default_rng(8)
+        arrow = np.diag(rng.uniform(0.1, 1.0, size=4)).astype(complex)
+        arrow[0, 1:] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        arrow[1:, 0] = arrow[0, 1:].conj()
+        arrow += (lowest - np.linalg.eigvalsh(arrow)[0]) * np.eye(4)
+        grid = TimeGrid(0.0, 1.0, 1.0)
+        coordinates = _coordinates(np.array([arrow, arrow]))
+        if np.linalg.eigvalsh(arrow)[0] >= NEGATIVITY_LIMIT:
+            dynamics._check_positive(coordinates, 4, grid.sample_steps, grid)
+            return
+        with pytest.raises(IntegrationError, match=f"eigenvalue {lowest:.3e} at step 0, t=0;"):
+            dynamics._check_positive(coordinates, 4, grid.sample_steps, grid)
 
-        def nan_factor(matrices):
-            return np.full_like(matrices, np.nan)
-
-        if cholesky != "numpy":
-            stub = raises if cholesky == "raises" else nan_factor
-            monkeypatch.setattr(np.linalg, "cholesky", stub)
+    @pytest.mark.parametrize("where", [(0, 2), (4, 5)], ids=["stepped", "outside_support"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_coherence_fails_at_its_sample(self, value, where):
+        """A non-finite coherence leaves every trace at 1 and fails the
+        certificate, whether its coherence is nonzero in the other samples
+        or zero in all of them, as one never stepped is; its sample
+        diagonalizes to NaN."""
         rng = np.random.default_rng(5)
         stack = embedded_density_stack(rng, [0, 1, 2, 3], 6, [0.0, 1e-3, 1e-3])
-        stack[1, 0, 2] = stack[1, 2, 0] = np.nan
+        stack[(1, *where)] = stack[(1, *where[::-1])] = value
         with pytest.raises(IntegrationError, match="negative eigenvalue nan at step 1, t=1;"):
             record_stack(self.MODEL, TimeGrid(0.0, 2.0, 1.0), stack)
 
+    @pytest.mark.parametrize("stride", [1, 10])
     @pytest.mark.parametrize("n_max", [1, 3])
-    def test_a_positive_run_is_never_diagonalized(self, n_max, monkeypatch):
-        def diagonalized(states):
-            raise AssertionError("a certified chunk was diagonalized")
+    def test_a_positive_run_is_never_diagonalized(self, n_max, stride, monkeypatch):
+        """A positive run is certified without LAPACK: neither a Cholesky
+        factorization nor a diagonalization is called."""
 
-        monkeypatch.setattr(dynamics, "_smallest_eigenvalues", diagonalized)
-        sim = replace(resolve_preset("fig2f_dissipative_tqd"), n_max=n_max, stride=1)
+        def called(*args):
+            raise AssertionError("a positive run called LAPACK")
+
+        monkeypatch.setattr(dynamics, "_smallest_eigenvalues", called)
+        monkeypatch.setattr(np.linalg, "cholesky", called)
+        monkeypatch.setattr(np.linalg, "eigvalsh", called)
+        sim = replace(resolve_preset("fig2f_dissipative_tqd"), n_max=n_max, stride=stride)
         basis = build_basis(sim.model, n_max)
         model = linear_hamiltonian(model_config(sim), basis)
         propagate(model, basis.state("g1", 0), time_grid(sim))

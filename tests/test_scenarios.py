@@ -629,7 +629,7 @@ class TestCli:
             (
                 "fig2_stirap",
                 ["omega0_T=1000", "kappa_T=40", "dt_over_T=0.01"],
-                "trace drifted to 2.048000e+03 at step 240, t=-1.6",
+                "trace drifted to -5.219123e+07 at step 240, t=-1.6",
             ),
             (
                 "fig2f_dissipative_tqd",
@@ -853,19 +853,40 @@ class TestCli:
             printed.append(captured.out + captured.err)
         assert outputs(same, codes, printed) == expected
 
-    def test_unwritable_output_exit_code(self, tmp_path, capsys):
-        code = main(
-            [
-                "run",
-                "--preset",
-                "fig2_stirap",
-                "--set",
-                "dt_over_T=0.01",
-                "--out",
-                str(tmp_path / "missing_dir" / "x.csv"),
-            ]
-        )
-        assert code == 4
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep", "--param", "omega0_T", "--values", "1,2"]],
+        ids=["run", "sweep"],
+    )
+    @pytest.mark.parametrize(
+        "where, error",
+        [
+            ("missing_dir/x.csv", "[Errno 2] No such file or directory"),
+            ("file/x.csv", "[Errno 20] Not a directory"),
+            ("directory", "[Errno 21] Is a directory"),
+        ],
+        ids=["missing", "not_a_directory", "a_directory"],
+    )
+    def test_unwritable_output_fails_before_any_simulation(
+        self, argv, where, error, tmp_path, capsys, monkeypatch
+    ):
+        """The output's directory is checked before the first simulation,
+        with the error that opening the file would raise: exit 4, one line
+        of stderr, nothing printed and nothing written."""
+
+        def simulated(*args):
+            raise AssertionError("simulated before the output was checked")
+
+        monkeypatch.setattr(scenarios, "_simulate", simulated)
+        (tmp_path / "file").write_text("")
+        (tmp_path / "directory").mkdir()
+        out = str(tmp_path / where)
+        assert main([*argv, "--preset", "fig2_tqd", "--out", out]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {error}: {out!r}\n"
+        assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["directory", "file"]
+        assert not os.listdir(tmp_path / "directory")
 
     def test_sweep_command(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")
