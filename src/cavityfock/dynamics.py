@@ -190,11 +190,11 @@ def _integrate(
     """
     count, stride, dt = len(grid.sample_steps), grid.stride, grid.dt
     reached = _reachable(blocks, x0)
-    # Chunks of up to 711 steps, since each costs one control call and one
-    # pass of the stepper, but short enough that halves and buffers, about
-    # 5 capacity r^2 doubles, fit in 2 MiB, a core's L2 cache
+    # Chunks of 711 steps, since each costs one control call and one pass of
+    # the stepper, but with r x r step matrices that take no more room than
+    # 64 steps' at full support at n_max = 3, r = 144
     r = len(reached)
-    capacity = max(1, min(711, 52_428 // r**2))
+    capacity = max(1, min(711, 64 * 144**2 // r**2))
     identity = np.eye(r)
     scaled = 0.5 * dt * blocks[:, reached[:, None], reached]
     scaled = np.concatenate((scaled, identity[None])).reshape(len(blocks) + 1, -1)
@@ -377,6 +377,31 @@ def _check_positive(
     (_coordinates) whose matrix has an eigenvalue below NEGATIVITY_LIMIT,
     naming its step.
 
+    The samples are certified 4 096 at a time (_certified).  Only the
+    samples that fail are diagonalized, 512 at a time, to name the first
+    one below the limit.
+    """
+    for first in range(0, len(coordinates), 4096):
+        failed = first + np.flatnonzero(~_certified(coordinates[first : first + 4096], size))
+        for start in range(0, len(failed), 512):
+            part = failed[start : start + 512]
+            with np.errstate(invalid="ignore"):  # an infinite coordinate lifts to NaN
+                states = _kept_states(coordinates[part], size, True)
+            smallest = _smallest_eigenvalues(states)
+            bad = ~(smallest >= NEGATIVITY_LIMIT)
+            if bad.any():
+                i = int(np.argmax(bad))
+                step = steps[part[i]]
+                raise IntegrationError(
+                    f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
+                    f"at step {step}, t={grid.time(step):g}; reduce dt"
+                )
+
+
+def _certified(coordinates: np.ndarray, size: int) -> np.ndarray:
+    """Whether each sample of the density coordinates (S, k^2) certifies
+    that its matrix has no eigenvalue below NEGATIVITY_LIMIT (S,).
+
     rho - NEGATIVITY_LIMIT * I factors as L D L^H, L unit lower triangular
     and D positive, exactly when every eigenvalue of rho is above the
     limit.  Its pivots are those of Cholesky, d_j = l_jj^2, and a
@@ -387,8 +412,7 @@ def _check_positive(
     entries, rho_il -= conj(rho_ji) rho_jl / d_j for j < i <= l.  A
     coherence that is zero in every sample, as one never stepped is, is
     skipped with every update it would feed.  A pivot that is not positive,
-    NaN included, fails its sample, and only the samples that fail are
-    diagonalized, 512 at a time, to name the first one below the limit.
+    NaN included, fails its sample.
     """
     upper = size * (size - 1) // 2
     rows, cols = (index.tolist() for index in np.triu_indices(size, 1))
@@ -421,20 +445,7 @@ def _check_positive(
                         target_im -= im
                     else:  # fill-in: a new live entry
                         entries[i, l] = -re, -im
-    failed = np.flatnonzero(~passed)
-    for start in range(0, len(failed), 512):
-        part = failed[start : start + 512]
-        with np.errstate(invalid="ignore"):  # an infinite coordinate lifts to NaN
-            states = _kept_states(coordinates[part], size, True)
-        smallest = _smallest_eigenvalues(states)
-        bad = ~(smallest >= NEGATIVITY_LIMIT)
-        if bad.any():
-            i = int(np.argmax(bad))
-            step = steps[part[i]]
-            raise IntegrationError(
-                f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
-                f"at step {step}, t={grid.time(step):g}; reduce dt"
-            )
+    return passed
 
 
 def _smallest_eigenvalues(states: np.ndarray) -> np.ndarray:

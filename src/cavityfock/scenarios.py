@@ -7,6 +7,7 @@ import math
 import numbers
 import operator
 import os
+import stat
 import time
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -160,9 +161,12 @@ def _setup(sim: SimulationConfig) -> tuple[LinearHamiltonian, TimeGrid]:
     return linear_hamiltonian(config, basis), time_grid(sim)
 
 
-def simulate(sim: SimulationConfig) -> tuple[Trajectory, RunSummary]:
-    """Run the configured simulation and summarize it (no file output)."""
-    return _simulate(sim, *_setup(sim))
+def simulate(
+    sim: SimulationConfig, setup: tuple[LinearHamiltonian, TimeGrid] | None = None
+) -> tuple[Trajectory, RunSummary]:
+    """Run the configured simulation and summarize it (no file output).
+    ``setup`` is the model and grid of ``sim`` if _setup has built them."""
+    return _simulate(sim, *(setup or _setup(sim)))
 
 
 def _simulate(
@@ -186,31 +190,35 @@ def _simulate(
 
 
 def run(sim: SimulationConfig) -> tuple[str, RunSummary]:
-    """Simulate and write the trajectory CSV to the configured output path,
-    whose directory is checked (_check_output) before the simulation."""
+    """Simulate and write the trajectory CSV to the configured output path.
+    The configuration is checked first, then the output path
+    (_check_output), and only then is the model run."""
+    setup = _setup(sim)
     _check_output(sim.output_path)
-    trajectory, summary = simulate(sim)
+    trajectory, summary = simulate(sim, setup)
     write_trajectory_csv(trajectory, sim.output_path)
     return sim.output_path, summary
 
 
 def _check_output(path: str) -> None:
     """Raise the OSError that opening ``path`` for writing would raise
-    because of where it is: a directory that does not exist, is no
-    directory or cannot be written, or a path that is itself a directory.
+    because of where it is.  A path that exists must be no directory and
+    writable itself, as a file in a read-only directory or os.devnull may
+    be.  Otherwise its directory must be one that exists and can be written.
     Nothing is created."""
-    directory = os.path.dirname(path) or os.curdir
-    if not os.path.exists(directory):
-        error, code = FileNotFoundError, errno.ENOENT
-    elif not os.path.isdir(directory):
-        error, code = NotADirectoryError, errno.ENOTDIR
-    elif not os.access(directory, os.W_OK | os.X_OK):
-        error, code = PermissionError, errno.EACCES
-    elif os.path.isdir(path):
-        error, code = IsADirectoryError, errno.EISDIR
-    else:
-        return
-    raise error(code, os.strerror(code), path)
+    try:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if os.path.exists(path):
+            target, mode = path, os.W_OK
+        else:
+            target, mode = os.path.dirname(path) or os.curdir, os.W_OK | os.X_OK
+            if not stat.S_ISDIR(os.stat(target).st_mode):  # raises as open would
+                raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+        if not os.access(target, mode):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as error:
+        raise type(error)(error.errno, error.strerror, path) from None
 
 
 def _fmt(value: float) -> str:
@@ -536,8 +544,8 @@ def sweep(base: SimulationConfig, parameter: str, values, out_path: str) -> str:
 
     One summary row is written per value, in input order.  Only numeric
     fields can be swept, with a number for each value.  Every value's model
-    and grid are built, which checks it, and the output's directory is
-    checked (_check_output) before the first run.
+    and grid are built, which checks it, and then the output path is
+    checked (_check_output), before the first run.
     """
     if parameter not in NUMERIC_FIELDS:
         raise ConfigError(

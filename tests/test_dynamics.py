@@ -501,7 +501,7 @@ class TestScanLengths:
 class TestBlockScan:
     """Each stride of step matrices is folded into one block before the
     recurrence.  On 1 600 steps, with room for 711 steps a chunk at r = 6
-    and 524 at r = 10: 1 records every step through several chunks, 7 leaves a
+    and 10: 1 records every step through several chunks, 7 leaves a
     partial block at the grid end, 750 spans several chunks and does not
     divide the grid, 1 600 is the whole grid and 2 000 records only its
     end."""
@@ -567,16 +567,14 @@ class TestLinearAdvance:
     def test_every_recorded_state_matches(self, r, stride, m):
         self.check(r, stride, m * stride - stride // 2, 1e-2)
 
-    @pytest.mark.parametrize(
-        "r, stride, m", [(6, 10, 71), (6, 1, 711), (10, 10, 52), (10, 1, 524)]
-    )
+    @pytest.mark.parametrize("m, stride", [(71, 10), (711, 1)])
+    @pytest.mark.parametrize("r", [6, 10])
     def test_production_chunks_match(self, r, stride, m):
-        """Two chunks of a preset run at the presets' step.  With the 6
-        coordinates of an effective-model preset, at stride 10, 8 groups of
-        8 block products and one of 7, the last block partial in the
-        second, and at stride 1, 27 groups of 26 and one of 9.  With the 10
-        of the master equation, at stride 10, 7 groups of 7 and one of 3,
-        and at stride 1, 23 groups of 22 and one of 18."""
+        """Two chunks of a preset run, at stride 10, 8 groups of 8 block
+        products and one of 7, the last block partial in the second, and
+        at stride 1, 27 groups of 26 and one of 9, with the 6 coordinates
+        of an effective-model preset and the 10 of the master equation, at
+        the presets' step."""
         self.check(r, stride, 2 * m * stride - stride // 2, 1e-3)
 
     @pytest.mark.parametrize("stride, n_steps", [(1, 2 * 711 + 23), (750, 2 * 750 + 100)])
@@ -586,16 +584,15 @@ class TestLinearAdvance:
         above the capacity of 711, chunks of 711 and 39 in turn and a last
         one of 100, so a longer chunk follows a shorter one: each chunk's
         weights hold for its own length, not for the rows a longer chunk
-        left.  At r = 10, with room for 524 steps, chunks of 524, 524 and
-        397, and of 524 and 226 in turn and a last one of 100."""
+        left."""
         self.check(r, stride, n_steps, 1e-3)
 
     @pytest.mark.parametrize("stride", [1, 10])
-    def test_cache_sized_chunks_match(self, stride):
-        """A stand-in for a larger stack, r = 20, whose chunks hold 131
-        steps (130 at stride 10): 300 steps in three chunks, the last
+    def test_a_larger_stack_matches(self, stride):
+        """A stand-in for a larger stack, r = 20, in chunks of 711 steps
+        (710 at stride 10): 1 445 steps in three chunks, the last
         partial."""
-        self.check(20, stride, 300, 1e-3)
+        self.check(20, stride, 2 * 711 + 23, 1e-3)
 
     @pytest.mark.parametrize("m, stride", [(1, 1), (2, 3), (17, 1), (17, 3), (71, 10)])
     def test_no_product_writes_over_its_operands(self, m, stride, monkeypatch):
@@ -643,12 +640,12 @@ class TestLinearAdvance:
 
 
 class TestChunkCapacity:
-    """A chunk holds min(711, 52_428 // r^2) steps, at least one, so that
-    its half-step matrices and stage buffers, about 5 capacity r^2
-    doubles, stay within 2 MiB."""
+    """A chunk holds min(711, 64 * 144^2 // r^2) steps, at least one, so
+    that its r x r step matrices take no more room than 64 steps' at full
+    support at n_max = 3, r = 144."""
 
     @pytest.mark.parametrize(
-        "r, capacity", [(6, 711), (8, 711), (10, 524), (20, 131), (144, 2)]
+        "r, capacity", [(6, 711), (8, 711), (10, 711), (20, 711), (144, 64)]
     )
     def test_chunks_hold_the_capacity(self, r, capacity):
         """Two full chunks and one step: each chunk is one control call,
@@ -671,8 +668,7 @@ class TestChunkCapacity:
     @pytest.mark.parametrize("name", LOSSLESS_PRESETS)
     def test_closed_presets_keep_chunks_of_711_steps(self, name, stride, monkeypatch):
         """The pure-state presets step 6 or 8 coordinates, so every chunk
-        but the last holds the strides that fit in 711 steps, as under the
-        rule before the byte budget: the same products, the same bytes."""
+        but the last holds the strides that fit in 711 steps."""
         lengths = []
         original = ControlSchedule.values
 
@@ -989,9 +985,9 @@ class TestNegativityCheck:
 
     @pytest.mark.parametrize("support", [[0, 2], [1, 2, 4], [0, 3, 4, 5], list(range(6))])
     def test_certificate_passes_and_fails_as_the_full_spectrum(self, support):
-        """_record certifies every sample at once by an LDL^H factorization
-        and diagonalizes only the samples that fail it: 600 samples at or
-        above the limit pass, and one below it is named."""
+        """_record certifies the samples by an LDL^H factorization and
+        diagonalizes only those that fail it: 600 samples at or above the
+        limit pass, and one below it is named."""
         rng = np.random.default_rng(len(support))
         stack = embedded_density_stack(rng, support, 6, self.SMALLEST)
         smallest = np.linalg.eigvalsh(stack)[:, 0]
@@ -1018,6 +1014,26 @@ class TestNegativityCheck:
             record_stack(self.MODEL, grid, samples)
             return
         with pytest.raises(IntegrationError, match="eigenvalue -1.010e-06 at step 8000, t=4;"):
+            record_stack(self.MODEL, grid, samples)
+
+    @pytest.mark.parametrize("negative", [None, 4095, 4096, 8000])
+    def test_samples_across_two_slices(self, negative):
+        """8 001 samples are certified as 4 096 and 3 905.  The coherences
+        with the third and fourth basis states are zero in every sample of
+        the first slice and stepped in the second.  A sample past the limit
+        is named as the last of the first slice, the first of the second,
+        or the last of all."""
+        rng = np.random.default_rng(9)
+        narrow = embedded_density_stack(rng, [0, 1], 6, [0.0, 1e-3])
+        wide = embedded_density_stack(rng, [0, 1, 2, 3], 6, [0.0, 1e-3, -3e-6])
+        samples = np.concatenate((narrow[np.arange(4096) % 2], wide[np.arange(3905) % 2]))
+        grid = TimeGrid(-4.0, 4.0, 1e-3)
+        if negative is None:
+            record_stack(self.MODEL, grid, samples)
+            return
+        samples[negative] = wide[2]
+        message = f"eigenvalue -3.000e-06 at step {negative}, t={grid.time(negative):g};"
+        with pytest.raises(IntegrationError, match=message):
             record_stack(self.MODEL, grid, samples)
 
     @pytest.mark.parametrize("lowest", [-1e-3, -1e-5, -3e-6, -5e-7, 0.0, 1e-7, 1e-3])
@@ -1143,6 +1159,29 @@ class TestMemory:
         """As above, recording every step: the groups of the recurrence fit
         in the rows of the chunk."""
         assert self._full_support_peak(stride=1) <= 1.05 * 65.5e6
+
+    def test_certificate_peak_does_not_grow_with_sample_count(self):
+        """The positivity certificate of a record at a large kept support,
+        k = 12, works on 4 096 samples at a time, so its peak on three
+        slices' samples is that on one.  The samples are arrow matrices,
+        whose first pivot fills in every other coherence."""
+        rng = np.random.default_rng(10)
+        arrows = np.zeros((7, 12, 12), dtype=complex)
+        for arrow in arrows:
+            arrow[0, 1:] = 0.1 * (rng.normal(size=11) + 1j * rng.normal(size=11))
+            arrow += arrow.conj().T + np.diag(rng.uniform(0.5, 1.0, size=12))
+            arrow += (0.1 - np.linalg.eigvalsh(arrow)[0]) * np.eye(12)
+        peaks = []
+        for count in (4096, 3 * 4096):
+            coordinates = _coordinates(arrows[np.arange(count) % 7])
+            grid = TimeGrid(0.0, count - 1.0, 1.0)
+            tracemalloc.start()
+            try:
+                dynamics._check_positive(coordinates, 12, grid.sample_steps, grid)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.05 * peaks[0]
 
     @staticmethod
     def _full_support_peak(stride):

@@ -1,6 +1,7 @@
 import numbers
 import os
 import re
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -629,7 +630,7 @@ class TestCli:
             (
                 "fig2_stirap",
                 ["omega0_T=1000", "kappa_T=40", "dt_over_T=0.01"],
-                "trace drifted to -5.219123e+07 at step 240, t=-1.6",
+                "trace drifted to 2.048000e+03 at step 240, t=-1.6",
             ),
             (
                 "fig2f_dissipative_tqd",
@@ -863,9 +864,10 @@ class TestCli:
         [
             ("missing_dir/x.csv", "[Errno 2] No such file or directory"),
             ("file/x.csv", "[Errno 20] Not a directory"),
+            ("file/sub/x.csv", "[Errno 20] Not a directory"),
             ("directory", "[Errno 21] Is a directory"),
         ],
-        ids=["missing", "not_a_directory", "a_directory"],
+        ids=["missing", "not_a_directory", "below_a_file", "a_directory"],
     )
     def test_unwritable_output_fails_before_any_simulation(
         self, argv, where, error, tmp_path, capsys, monkeypatch
@@ -887,6 +889,51 @@ class TestCli:
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["directory", "file"]
         assert not os.listdir(tmp_path / "directory")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["run"], ["sweep", "--param", "omega0_T", "--values", "1,2"]],
+        ids=["run", "sweep"],
+    )
+    def test_configuration_is_checked_before_the_output(self, argv, tmp_path, capsys):
+        """A bad configuration and a missing output directory: both commands
+        report the configuration, exit 2."""
+        out = str(tmp_path / "missing_dir" / "x.csv")
+        bad = ["--set", "dt_over_T=5e-324"]
+        assert main([*argv, "--preset", "fig2_tqd", *bad, "--out", out]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: inf steps of dt=5e-324 are too many")
+        assert captured.out == ""
+
+    @staticmethod
+    def owner_access(path, mode):
+        """os.access by the owner's permission bits, as for a user other
+        than root, who may write anywhere."""
+        need = (stat.S_IWUSR if mode & os.W_OK else 0) | (stat.S_IXUSR if mode & os.X_OK else 0)
+        return os.stat(path).st_mode & need == need
+
+    def test_output_path_is_checked_by_its_own_permissions(self, tmp_path, monkeypatch):
+        """An existing file is checked itself, and a new one by its
+        directory, as opening them for writing is: a writable file in a
+        read-only directory and os.devnull pass, a new file in that
+        directory and a read-only file do not."""
+        monkeypatch.setattr(scenarios.os, "access", self.owner_access)
+        (tmp_path / "shut").mkdir()
+        (tmp_path / "shut" / "open.csv").write_text("")
+        (tmp_path / "read_only.csv").write_text("")
+        (tmp_path / "read_only.csv").chmod(0o444)
+        (tmp_path / "shut").chmod(0o555)
+        try:
+            scenarios._check_output(str(tmp_path / "shut" / "open.csv"))
+            scenarios._check_output(os.devnull)
+            for where in ("shut/new.csv", "read_only.csv"):
+                out = str(tmp_path / where)
+                with pytest.raises(PermissionError) as error:
+                    scenarios._check_output(out)
+                assert str(error.value) == f"[Errno 13] Permission denied: {out!r}"
+            assert sorted(os.listdir(tmp_path / "shut")) == ["open.csv"]
+        finally:
+            (tmp_path / "shut").chmod(0o755)
 
     def test_sweep_command(self, tmp_path, capsys):
         out = str(tmp_path / "sweep.csv")
