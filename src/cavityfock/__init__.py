@@ -45,7 +45,7 @@ from .scenarios import (
     write_trajectory_csv,
 )
 
-__version__ = "0.24.0"
+__version__ = "0.25.0"
 
 __all__ = [
     "CavityFockError",

@@ -78,7 +78,7 @@ def _resolve_config(args) -> SimulationConfig:
                 + ", ".join(sorted(FIELD_KINDS))
             )
         setattr(config, key, _coerce(key, raw))
-    if args.out:
+    if args.out is not None:
         config.output_path = args.out
     return config
 
@@ -95,7 +95,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     config = _resolve_config(args)
     values = [_coerce(args.param, raw) for raw in args.values.split(",")]
-    out = args.out or "sweep.csv"
+    out = "sweep.csv" if args.out is None else args.out
     path = sweep(config, args.param, values, out)
     print(f"rows={len(values)}")
     print(f"output_path={path}")

@@ -205,8 +205,10 @@ def _check_output(path: str) -> None:
     because of where it is.  A path that exists must be no directory and
     writable itself, as a file in a read-only directory or os.devnull may
     be.  Otherwise its directory must be one that exists and can be written.
-    Nothing is created."""
+    The empty path names no file.  Nothing is created."""
     try:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if os.path.exists(path):
@@ -255,18 +257,19 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     Columns that do not apply to the trajectory's model are left empty, as
     are undefined dark_overlap / mandel_q entries.  Every other cell is
     byte for byte the text of ``"%.16e" % x``, made by a numpy kernel
-    (_e16_cells) for about 1 000 rows at a time, so the memory used does
-    not grow with the row count.  The kernel takes the 17 digits of each
-    |x| from an exact double-double product with a power of ten, rounds
-    them to nearest as correctly rounded dtoa does, and lays out the bytes
-    of all cells at once.  A finite cell whose rounding it cannot prove -
+    (_e16_cells) for 1 092 rows of the 15 columns at a time, so the memory
+    used does not grow with the row count.  The kernel takes the 17 digits
+    of each |x| from an exact double-double product with a power of ten,
+    rounds them to nearest as correctly rounded dtoa does, and lays out the
+    bytes of all cells at once.  A finite cell whose rounding it cannot prove -
     within 2^-40 of a tie, subnormal, or with |x| outside [1e-283, 1e299) -
     is formatted by ``"%.16e" % x`` itself; on the presets that is no cell
     at all.  Each distinct column is formatted once (_csv_blocks): a column
     that is NaN in every row, such as that of a level or channel the model
     lacks, is written as separators alone, a column of one value as one
     text, and a column that repeats an earlier one bit for bit from that
-    column's cells.  Every block of rows is laid out by column slices
+    column's cells.  Every block of rows is laid out by column slices, in
+    runs of rows in which each column keeps one sign and exponent width
     (_block_rows).
     """
     table = _table(trajectory)
@@ -275,9 +278,14 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
         handle.writelines(_csv_blocks(list(table.values())))
 
 
-# Rows are formatted about 8 000 cells at a time (546 trajectory rows), so
-# that the temporaries stay near 1 MB.
-_BLOCK_CELLS = 8192
+# Rows are formatted 16 384 cells at a time, 1 092 trajectory rows, so that
+# a stride-10 trajectory (801 rows) is one block, and the temporaries stay
+# near 1 MB.
+_BLOCK_CELLS = 16384
+# The most runs of rows that a block is laid out in one by one (_block_rows):
+# on a 2-vCPU Xeon a run took about 16 us, and the byte mask that lays out
+# a block of more runs about 350 us on 1 092 rows.
+_RUNS = 16
 # Decimal exponents E whose scale 10^(16-E), and the numbers of that
 # exponent, split into halves without overflow; the fast path takes
 # 1e-283 <= |x| < 1e299, whose exponents all lie in this range.
@@ -306,20 +314,22 @@ def _csv_blocks(columns: list[np.ndarray]):
     """
     rows, width = len(columns[0]), len(columns)
     varying, sources, constants = [], {}, {}
+    by_ends = {}  # the table columns by the bits of their first and last rows
     for j, column in enumerate(columns):
-        if np.isnan(column).all():
+        if column[0] != column[0] and np.isnan(column).all():
             continue
         bits = column.view(np.int64)
-        if bits[0] == bits[-1] and (bits == bits[0]).all():
+        ends = int(bits[0]), int(bits[-1])
+        if ends[0] == ends[1] and (bits == ends[0]).all():
             constants[j] = np.frombuffer(_fmt(column[0]).encode(), dtype=np.uint8)
             continue
-        for p, k in enumerate(varying):
-            other = columns[k].view(np.int64)
-            if bits[0] == other[0] and bits[-1] == other[-1] and np.array_equal(bits, other):
+        for p in by_ends.get(ends, ()):
+            if np.array_equal(bits, columns[varying[p]].view(np.int64)):
                 sources[j] = p
                 break
         else:
             sources[j] = len(varying)
+            by_ends.setdefault(ends, []).append(len(varying))
             varying.append(j)
     step = max(1, min(rows, _BLOCK_CELLS // width))
     table = np.empty((step, len(varying)))
@@ -341,39 +351,54 @@ def _block_rows(
     ``kind`` (rows, table columns) holds the kinds of the cells of
     ``cells`` (_e16_cells).  Of the ``width`` columns, ``sources`` maps
     each that the table holds to its column there, and ``constants`` each
-    of one value to its text; the others are empty.  A column of the table
-    is copied into the rows as one slice of its cells' slots: the text span
-    of its kind (_decimal_tables) when every cell of the column in this
-    block has one kind, and the whole slot otherwise.  The separators are
-    written once.  Only a block with such a mixed column is then
-    compressed, by a mask that keeps, in each mixed cell, the bytes that
-    its kind writes.
+    of one value to its text; the others are empty.  The block is cut into
+    runs of rows in which every column keeps one kind, and each run is laid
+    out on its own: a column of the table is copied into its rows as one
+    slice of its cells' slots, the text span of its kind (_decimal_tables).
+    The separators of a run are written once.  A block of more than _RUNS
+    runs, such as one with a column that changes sign from row to row, is
+    laid out as one run in which a column that changes kind copies whole
+    slots, and is then compressed by a mask that keeps, in each of its
+    cells, the bytes that its kind writes.
     """
-    count = len(kind)
-    kept, spans = _decimal_tables()[3:]
-    mixed = (kind != kind[0]).any(axis=0)
-    starts, stops = np.where(mixed[:, None], (0, _CELL), spans[kind[0]]).T
-    lengths = np.zeros(width, dtype=np.intp)
-    lengths[list(sources)] = (stops - starts)[list(sources.values())]
-    lengths[list(constants)] = [len(text) for text in constants.values()]
-    ends = np.cumsum(lengths + 1)  # one past each separator
-    rows = np.empty((count, int(ends[-1])), dtype=np.uint8)
-    rows[:, ends - 1] = ord(",")
-    rows[:, -1] = ord("\n")
+    count, columns = kind.shape
+    kept, spans = _decimal_tables()[4:]
     slots = cells[: kind.size].reshape(kind.shape + (_CELL,))
-    for j, p in sources.items():
-        end, start, stop = int(ends[j]), int(starts[p]), int(stops[p])
-        rows[:, end - 1 - (stop - start) : end - 1] = slots[:, p, start:stop]
-    for j, text in constants.items():
-        end = int(ends[j])
-        rows[:, end - 1 - len(text) : end - 1] = text
+    changed = np.flatnonzero(kind[1:] != kind[:-1])
+    # the last row of each run but the last: a row holds at most one change
+    # per column, so the first _RUNS * columns changes end _RUNS runs or
+    # more unless they are all the changes
+    lasts = dict.fromkeys((changed[: _RUNS * columns] // columns).tolist())
+    mixed = np.zeros(columns, dtype=bool)
+    if len(lasts) >= _RUNS:
+        mixed[changed % columns] = True
+        lasts = {}
+    firsts = [0, *(last + 1 for last in lasts), count]
+    texts = np.where(mixed[:, None], (0, _CELL), spans[kind[firsts[:-1]]])
+    lengths = np.ones((len(texts), width), dtype=np.intp)  # the separators
+    lengths[:, list(sources)] += (texts[:, :, 1] - texts[:, :, 0])[:, list(sources.values())]
+    for j, value in constants.items():
+        lengths[:, j] += len(value)
+    ends = np.cumsum(lengths, axis=1)  # one past each separator
+    out = np.empty(int(np.diff(firsts) @ ends[:, -1]), dtype=np.uint8)
+    offset = 0
+    for first, last, text, end in zip(firsts, firsts[1:], texts.tolist(), ends):
+        rows = out[offset : offset + (last - first) * int(end[-1])].reshape(last - first, -1)
+        offset += rows.size
+        rows[:, end - 1] = ord(",")
+        rows[:, -1] = ord("\n")
+        stops = end.tolist()
+        for j, p in sources.items():
+            (start, stop), end = text[p], stops[j] - 1
+            rows[:, end - (stop - start) : end] = slots[first:last, p, start:stop]
+        for j, value in constants.items():
+            rows[:, stops[j] - 1 - len(value) : stops[j] - 1] = value
     if not mixed.any():
-        return rows.ravel()
+        return out
     keep = np.ones(rows.shape, dtype=bool)
     for j, p in sources.items():
         if mixed[p]:
-            end = int(ends[j])
-            keep[:, end - 1 - _CELL : end - 1] = kept[kind[:, p]]
+            keep[:, stops[j] - 1 - _CELL : stops[j] - 1] = kept[kind[:, p]]
     return rows[keep]
 
 
@@ -388,10 +413,12 @@ def _decimal_tables() -> tuple[np.ndarray, ...]:
     correct ones of Python integer division.  ``quads`` holds the ASCII of
     0000..9999 as one uint32 each, and ``exponents`` that of the sign and
     the digits of each exponent in [-400, 400], left-aligned: two digits
-    fill the first two of the three places.  A cell of kind k has a minus
-    sign if k & 1, a three-digit exponent if k & 2, is NaN, with no text,
-    if k & 4, and infinite if k & 8.  Its text is bytes [start, stop) of
-    its slot, row k of ``spans``, and row k of ``kept`` marks those bytes.
+    fill the first two of the three places; ``widths`` holds the kind bit
+    of each one's width, 2 for three digits and 0 for two.  A cell of kind
+    k has a minus sign if k & 1, a three-digit exponent if k & 2, is NaN,
+    with no text, if k & 4, and infinite if k & 8.  Its text is bytes
+    [start, stop) of its slot, row k of ``spans``, and row k of ``kept``
+    marks those bytes.
     """
     scales = []
     for exponent in range(_EXP_MIN, _EXP_MAX + 1):
@@ -410,6 +437,7 @@ def _decimal_tables() -> tuple[np.ndarray, ...]:
     exponents = ascii[magnitude]
     exponents[magnitude < 100, 1:3] = exponents[magnitude < 100, 2:]
     exponents[:, 0] = np.where(numbers[:801] < 400, ord("-"), ord("+"))
+    widths = np.where(magnitude < 100, 0, 2).astype(np.uint8)
     kinds = numbers[:10]  # the finite and NaN kinds, then the two infinities
     spans = np.stack((1 - kinds % 2, 23 + kinds // 2 % 2), axis=1)
     spans[4:8] = 0, 0
@@ -419,28 +447,34 @@ def _decimal_tables() -> tuple[np.ndarray, ...]:
         np.array(scales).T.copy(),
         ascii.view(np.uint32).ravel(),
         exponents.view(np.uint32).ravel(),
+        widths,
         kept,
         spans,
     )
     return tuple(map(_read_only, tables))
 
 
-def _scaled(a: np.ndarray, exponent: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a * 10^(16 - exponent) as p + lo: p = fl(a h) and lo the rest, from
-    Dekker's exact product a h = p + err (Numer. Math. 18, 224 (1971)),
-    with a split by Veltkamp as numpy has no fused multiply-add, plus a
-    times the remainder 10^(16 - exponent) - h."""
-    high, high_top, high_bottom, rest = np.take(_decimal_tables()[0], exponent - _EXP_MIN, axis=1)
-    p = a * high
-    lo = a * rest
+def _scaled(a: np.ndarray, index: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a * 10^(16 - E) as p + lo, where index = E - _EXP_MIN is the column
+    of E's scale (_decimal_tables): p = fl(a h) and lo the rest, from Dekker's
+    exact product a h = p + err (Numer. Math. 18, 224 (1971)), with a split
+    by Veltkamp as numpy has no fused multiply-add, plus a times the
+    remainder 10^(16 - E) - h.  Each scale is gathered when it is needed,
+    two into one buffer, so that seven arrays of len(a) are live at most."""
+    high, high_top, high_bottom, rest = _decimal_tables()[0]
+    p = a * high[index]
     top = a * _SPLITTER
-    top -= top - a
-    bottom = a - top
-    err = top * high_top
+    bottom = top - a
+    top -= bottom
+    np.subtract(a, top, out=bottom)
+    half = high_top[index]
+    err = top * half
     err -= p
-    err += np.multiply(bottom, high_top, out=high_top)
-    err += np.multiply(top, high_bottom, out=top)
-    err += np.multiply(bottom, high_bottom, out=high_bottom)
+    err += np.multiply(bottom, half, out=half)
+    np.take(high_bottom, index, out=half, mode="clip")
+    err += np.multiply(top, half, out=top)
+    err += np.multiply(bottom, half, out=bottom)
+    lo = np.multiply(a, np.take(rest, index, out=half, mode="clip"), out=top)
     lo += err
     return p, lo
 
@@ -452,11 +486,19 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     [1e-283, 1e299) whose rounding is not a near-tie.
 
     E is floor(log10 |x|), corrected by one where the scaled value
-    y = |x| 10^(16-E) falls outside [10^16, 10^17).  y is a double-double
-    (_scaled) whose error is far below _TIE_BOUND, so rounding it to the
-    nearest integer is the correct rounding of Gay's dtoa (AT&T Numerical
-    Analysis Manuscript 90-10 (1990)) whenever the fraction of y is not
-    within _TIE_BOUND of 1/2.  A carry to 10^17 moves to the next exponent.
+    y = |x| 10^(16-E) falls outside [10^16, 10^17), which only a p at or
+    past an end of that range can show.  y is a double-double (_scaled)
+    whose error is far below _TIE_BOUND, so rounding it to the nearest
+    integer is the correct rounding of Gay's dtoa (AT&T Numerical Analysis
+    Manuscript 90-10 (1990)) whenever y is not within _TIE_BOUND of a half.
+    A carry to 10^17 moves to the next exponent.
+
+    No E leaves [_EXP_MIN, _EXP_MAX], and the D of each nonzero decided
+    cell lies in [10^16, 10^17), with no clip or check: log10 is off by far
+    less than one on [1e-283, 1e299), whose exponents the scales cover with
+    one to spare at each end, the correction puts y in [10^16, 10^17), and
+    every other cell is scaled as 1.0, which gives D = 10^16 and E = 0.
+    Only the corrected exponents are clipped, as a guard.
     """
     a = np.abs(x)
     decided = (a >= _FAST_MIN) & (a < _FAST_MAX)  # False for NaN
@@ -464,27 +506,29 @@ def _decimal_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     exponent = np.log10(a)
     np.floor(exponent, out=exponent)
     exponent = exponent.astype(np.intp)
-    np.clip(exponent, _EXP_MIN, _EXP_MAX, out=exponent)
+    exponent -= _EXP_MIN  # the index of its scale (_scaled), until E is returned
     p, lo = _scaled(a, exponent)
-    shift = ((p > 1e17) | ((p == 1e17) & (lo >= 0))).astype(np.intp)
-    shift -= (p < 1e16) | ((p == 1e16) & (lo < 0))
-    moved = np.flatnonzero(shift)
+    ends = np.flatnonzero((p <= 1e16) | (p >= 1e17))  # where y may leave the range
+    p_end, lo_end = p[ends], lo[ends]
+    shift = ((p_end > 1e17) | ((p_end == 1e17) & (lo_end >= 0))).astype(np.intp)
+    shift -= (p_end < 1e16) | ((p_end == 1e16) & (lo_end < 0))
+    moved = ends[shift != 0]
     if len(moved):
-        exponent[moved] = np.clip(exponent[moved] + shift[moved], _EXP_MIN, _EXP_MAX)
+        exponent[moved] = np.clip(exponent[moved] + shift[shift != 0], 0, _EXP_MAX - _EXP_MIN)
         p[moved], lo[moved] = _scaled(a[moved], exponent[moved])
-    whole = np.floor(lo)
-    lo -= whole  # the fraction of y, exact near 1/2
+    nearest = np.rint(lo)
+    lo -= nearest  # y - D, exact near +-1/2
     digits = p.astype(np.int64)
-    digits += whole.astype(np.int64)
-    digits += lo > 0.5
+    digits += nearest.astype(np.int64)
     carry = np.flatnonzero(digits == 10**17)
     digits[carry] = 10**16
     exponent[carry] += 1
-    decided &= (np.abs(lo - 0.5) > _TIE_BOUND) & (digits >= 10**16) & (digits < 10**17)
-    zero = x == 0
-    digits[zero] = 0
-    exponent[zero] = 0
-    return digits, exponent, decided | zero
+    exponent += _EXP_MIN
+    decided &= np.abs(lo, out=lo) < 0.5 - _TIE_BOUND
+    zero = np.flatnonzero(x == 0)
+    digits[zero] = 0  # E is 0 already, as for every cell out of range
+    decided[zero] = True
+    return digits, exponent, decided
 
 
 def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
@@ -495,7 +539,9 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
 
     The digits and exponents come from _decimal_digits.  The _FIXED bytes
     of every slot are in place; the digits are written four at a time from
-    a lookup table, and the exponent's sign and digits as one uint32.
+    a lookup table, and the exponent's sign and digits as one uint32.  A
+    kind is the width bit of the exponent, also from a table, and the sign
+    bit; only the cells that are not finite take a NaN or infinity bit.
     Zeros keep their sign.  The finite cells that _decimal_digits leaves
     undecided - near-ties, subnormals and magnitudes out of range - are
     formatted with ``"%.16e"`` one by one, and each text goes where the
@@ -507,10 +553,11 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
     x = table.ravel()
     cells = cells[: len(x)]
     digits, exponent, decided = _decimal_digits(x)
-    nan, infinite = np.isnan(x), np.isinf(x)
-    slow = np.flatnonzero(~(decided | nan | infinite))
+    finite = np.isfinite(x)
+    slow = np.flatnonzero(finite > decided)
+    special = np.flatnonzero(~finite)
 
-    _, quads, exponents = _decimal_tables()[:3]
+    _, quads, exponents, widths = _decimal_tables()[:4]
     high = digits // 10**8
     digits -= high * 10**8
     lead = high // 10**8
@@ -522,9 +569,10 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
         quad[:, 2 * column] = quads[upper]
         part -= upper * 10**4
         quad[:, 2 * column + 1] = quads[part]
-    cells[:, 20:24].view(np.uint32)[:, 0] = exponents[exponent + 400]
-    kind = np.signbit(x).view(np.uint8) | (np.abs(exponent) >= 100).view(np.uint8) << 1
-    kind |= nan.view(np.uint8) << 2 | infinite.view(np.uint8) << 3
+    exponent += 400
+    cells[:, 20:24].view(np.uint32)[:, 0] = exponents[exponent]
+    kind = widths[exponent]
+    kind |= np.signbit(x).view(np.uint8)
     if len(slow):
         # the text of |x| follows the sign byte, and fills the slot if the
         # exponent has three digits
@@ -532,7 +580,10 @@ def _e16_cells(table: np.ndarray, cells: np.ndarray) -> np.ndarray:
         padded = np.array(texts, dtype=f"S{_CELL - 1}").view(np.uint8)
         cells[slow, 1:] = padded.reshape(len(slow), _CELL - 1)
         kind[slow] = kind[slow] & 1 | (cells[slow, -1] != 0).view(np.uint8) << 1
-    cells[infinite, 3:7] = np.frombuffer(b"-inf", dtype=np.uint8)
+    if len(special):
+        infinite = np.isinf(x[special])
+        kind[special] |= np.where(infinite, np.uint8(8), np.uint8(4))
+        cells[special[infinite], 3:7] = np.frombuffer(b"-inf", dtype=np.uint8)
     return kind
 
 

@@ -141,8 +141,8 @@ class TestAgainstRowWriter:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_earlier_start_is_byte_identical(self, name, stride, tmp_path):
         """From t = -16 T the populations' exponents drop from three digits
-        to two within blocks of rows: 7 of 37 blocks at stride 1, and at
-        least 3 of 4 at stride 10, take the mask."""
+        to two within blocks of rows: in 7 of 19 blocks at stride 1, and in
+        both at stride 10."""
         config = replace(resolve_preset(name), stride=stride, t_start_over_T=-16.0)
         trajectory, _summary = simulate(config)
         self._assert_identical(trajectory, tmp_path)
@@ -154,10 +154,23 @@ class TestAgainstRowWriter:
         assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
 
 
+def blocks(rows, width=len(CSV_COLUMNS)):
+    """The number of blocks that _csv_blocks cuts ``rows`` rows into."""
+    return -(-rows // (scenarios._BLOCK_CELLS // width))
+
+
 class TestLayouts:
-    """Every block is laid out by column slices, and only a block with a
-    column that changes kind is compressed by a mask; a column that is NaN
-    in every row is never formatted."""
+    """Every block is laid out by column slices, in runs of rows in which
+    every column keeps one kind, and only a block of more than _RUNS runs
+    is compressed by a mask; a column that is NaN in every row is never
+    formatted."""
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_stride_ten_is_one_block(self, name, mixed):
+        trajectory, _summary = simulate(resolve_preset(name))
+        write_trajectory_csv(trajectory, os.devnull)
+        assert len(trajectory.times) == 801
+        assert len(mixed) == blocks(801) == 1
 
     @pytest.mark.parametrize("name", ["fig2_tqd", "fig3_full"])
     def test_all_nan_columns_never_reach_the_digits(self, name, digits):
@@ -172,24 +185,39 @@ class TestLayouts:
 
     def test_stride_one_blocks_change_kind_in_two_columns(self, mixed):
         """t changes sign in one block and mandel_q stops being NaN in
-        another; in the other 13 of the 15 blocks of 8 001 rows every
-        column keeps one kind."""
+        another; in the other blocks of 8 001 rows (6 of 8) every column
+        keeps one kind."""
         trajectory, _summary = simulate(replace(resolve_preset("fig2_tqd"), stride=1))
         write_trajectory_csv(trajectory, os.devnull)
-        assert sorted(mixed) == [0] * 13 + [1, 1]
+        assert sorted(mixed) == [0] * (blocks(8001) - 2) + [1, 1]
 
     def test_earlier_start_changes_exponent_widths_within_blocks(self, mixed):
+        """From t = -16 T, 20 001 rows: 7 of the 19 blocks have a column
+        whose exponents drop from three digits to two, and none has more
+        than 2 columns that change kind."""
         config = replace(resolve_preset("fig2_tqd"), stride=1, t_start_over_T=-16.0)
         trajectory, _summary = simulate(config)
         write_trajectory_csv(trajectory, os.devnull)
-        assert (len(mixed), np.count_nonzero(mixed), max(mixed)) == (37, 7, 2)
+        assert (len(mixed), np.count_nonzero(mixed), max(mixed)) == (blocks(20001), 7, 2)
+
+    @pytest.mark.parametrize("runs", [1, 2, scenarios._RUNS, scenarios._RUNS + 1, 300])
+    def test_runs_of_rows_against_percent_format(self, runs):
+        """A column that changes sign, and another that changes exponent
+        width, between runs of rows: up to _RUNS runs are laid out one by
+        one, and more by the mask."""
+        rows = 600
+        run = np.arange(rows) * runs // rows
+        ramp = np.linspace(1.0, 2.0, rows)
+        sign = np.where(run % 2, -1.0, 1.0)
+        table = np.column_stack([sign * ramp, ramp * 10.0 ** (run % 3 * 60), np.exp(ramp)])
+        assert formatted(table) == expected_rows(table)
 
     @staticmethod
     def _table():
-        """Two blocks of 546 rows.  The first holds one sign flip of t and
-        a column that is NaN in some rows; in the second every column keeps
-        one kind: each sign with two- and three-digit exponents, and a
-        column that is NaN in this block only."""
+        """Two blocks of _BLOCK_CELLS // 15 rows.  The first holds one sign
+        flip of t and a column that is NaN in some rows; in the second every
+        column keeps one kind: each sign with two- and three-digit
+        exponents, and a column that is NaN in this block only."""
         rows = 2 * (scenarios._BLOCK_CELLS // 15)
         t = np.linspace(-0.5, 1.5, rows)
         ramp = np.linspace(1.0, 2.0, rows)
@@ -293,6 +321,45 @@ class TestAgainstPercentFormat:
         assert formatted([[-0.0, 0.0, math.nan, -math.nan]]) == (
             b"-0.0000000000000000e+00,0.0000000000000000e+00,,\n"
         )
+
+
+def edge_values():
+    """The values of TestAgainstPercentFormat.test_edge_values: every power
+    of ten of the double range, its two neighbours, the carries to the next
+    power, ties and the ends of each class of double, and their negations."""
+    powers = [float(f"1e{e}") for e in range(-323, 309)]
+    neighbours = [np.nextafter(p, direction) for p in powers for direction in (0.0, math.inf)]
+    carries = [float(f"9.99999999999999995e{k}") for k in range(-300, 300)]
+    special = [1278675322477191.75, 1278675322477192.25, 5e-324, 2.2250738585072014e-308]
+    special += [1.7976931348623157e308, 1e-283, 1e299, 0.0, math.inf, math.nan]
+    values = np.array(powers + neighbours + carries + special)
+    return np.concatenate((values, -values))
+
+
+class TestDecimalDigits:
+    """The exponents and digits of _decimal_digits need no clip or range
+    check: every E lies in [_EXP_MIN, _EXP_MAX], which the exponent tables
+    cover, every D in [0, 10^17), which the digit tables cover, and the D of
+    every decided cell but zero in [10^16, 10^17)."""
+
+    @pytest.mark.parametrize("source", ["random_bit_patterns", "edge_values"])
+    def test_exponents_and_digits_lie_in_range(self, source):
+        if source == "edge_values":
+            values = edge_values()
+        else:  # those of TestAgainstPercentFormat.test_random_bit_patterns
+            rng = np.random.default_rng(20)
+            values = rng.integers(0, 2**64, size=10**6, dtype=np.uint64).view(np.float64)
+        step = scenarios._BLOCK_CELLS
+        for first in range(0, len(values), step):
+            x = values[first : first + step]
+            digits, exponent, decided = scenarios._decimal_digits(x)
+            assert scenarios._EXP_MIN <= exponent.min() <= exponent.max() <= scenarios._EXP_MAX
+            assert 0 <= digits.min() <= digits.max() < 10**17
+            significant = digits[decided & (x != 0)]
+            assert np.all((significant >= 10**16) & (significant < 10**17))
+            magnitudes = np.abs(x)
+            in_range = (magnitudes >= 1e-283) & (magnitudes < 1e299)
+            assert not np.any(decided & ~in_range & (x != 0))
 
 
 class TestDistinctColumns:

@@ -866,29 +866,55 @@ class TestCli:
             ("file/x.csv", "[Errno 20] Not a directory"),
             ("file/sub/x.csv", "[Errno 20] Not a directory"),
             ("directory", "[Errno 21] Is a directory"),
+            ("", "[Errno 2] No such file or directory"),
         ],
-        ids=["missing", "not_a_directory", "below_a_file", "a_directory"],
+        ids=["missing", "not_a_directory", "below_a_file", "a_directory", "empty"],
     )
     def test_unwritable_output_fails_before_any_simulation(
         self, argv, where, error, tmp_path, capsys, monkeypatch
     ):
         """The output's directory is checked before the first simulation,
         with the error that opening the file would raise: exit 4, one line
-        of stderr, nothing printed and nothing written."""
+        of stderr, nothing printed and nothing written.  An empty --out is
+        the empty path, not the default file name, run from ``tmp_path`` so
+        that a default file would show there."""
 
         def simulated(*args):
             raise AssertionError("simulated before the output was checked")
 
         monkeypatch.setattr(scenarios, "_simulate", simulated)
+        monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("")
         (tmp_path / "directory").mkdir()
-        out = str(tmp_path / where)
+        out = str(tmp_path / where) if where else ""
         assert main([*argv, "--preset", "fig2_tqd", "--out", out]) == 4
         captured = capsys.readouterr()
         assert captured.err == f"error: {error}: {out!r}\n"
         assert captured.out == ""
         assert sorted(os.listdir(tmp_path)) == ["directory", "file"]
         assert not os.listdir(tmp_path / "directory")
+
+    @pytest.mark.parametrize("source", ["set", "config"])
+    def test_empty_output_path_fails_before_any_simulation(
+        self, source, tmp_path, capsys, monkeypatch
+    ):
+        """An empty output_path, from --set or a config file, is the empty
+        path, which open() rejects: the run exits 4 before simulating."""
+
+        def simulated(*args):
+            raise AssertionError("simulated before the output was checked")
+
+        monkeypatch.setattr(scenarios, "_simulate", simulated)
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "job.cfg").write_text("output_path=\n", encoding="utf-8")
+        given = ["--set", "output_path="] if source == "set" else ["--config", "job.cfg"]
+        assert main(["run", "--preset", "fig2_tqd", *given]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["job.cfg"]
+        with pytest.raises(FileNotFoundError):
+            run(replace(resolve_preset("fig2_tqd"), output_path=""))
 
     @pytest.mark.parametrize(
         "argv",
