@@ -257,7 +257,7 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     Columns that do not apply to the trajectory's model are left empty, as
     are undefined dark_overlap / mandel_q entries.  Every other cell is
     byte for byte the text of ``"%.16e" % x``, made by a numpy kernel
-    (_e16_cells) for 1 092 rows of the 15 columns at a time, so the memory
+    (_e16_cells) for 801 rows of the 15 columns at a time, so the memory
     used does not grow with the row count.  The kernel takes the 17 digits
     of each |x| from an exact double-double product with a power of ten,
     rounds them to nearest as correctly rounded dtoa does, and lays out the
@@ -268,8 +268,7 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     that is NaN in every row, such as that of a level or channel the model
     lacks, is written as separators alone, a column of one value as one
     text, and a column that repeats an earlier one bit for bit from that
-    column's cells.  Every block of rows is laid out by column slices, in
-    runs of rows in which each column keeps one sign and exponent width
+    column's cells.  Every block of rows is laid out by column slices
     (_block_rows).
     """
     table = _table(trajectory)
@@ -278,14 +277,11 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
         handle.writelines(_csv_blocks(list(table.values())))
 
 
-# Rows are formatted 16 384 cells at a time, 1 092 trajectory rows, so that
-# a stride-10 trajectory (801 rows) is one block, and the temporaries stay
-# near 1 MB.
-_BLOCK_CELLS = 16384
-# The most runs of rows that a block is laid out in one by one (_block_rows):
-# on a 2-vCPU Xeon a run took about 16 us, and the byte mask that lays out
-# a block of more runs about 350 us on 1 092 rows.
-_RUNS = 16
+# Rows are formatted 12 015 cells at a time, 801 trajectory rows, so that a
+# trajectory at the default stride is one block, and the temporaries stay
+# under 1 MB.  Blocks of 16 384 cells grew the heap on every stride-1 write
+# that followed a simulation.
+_BLOCK_CELLS = 12015
 # Decimal exponents E whose scale 10^(16-E), and the numbers of that
 # exponent, split into halves without overflow; the fast path takes
 # 1e-283 <= |x| < 1e299, whose exponents all lie in this range.
@@ -314,22 +310,20 @@ def _csv_blocks(columns: list[np.ndarray]):
     """
     rows, width = len(columns[0]), len(columns)
     varying, sources, constants = [], {}, {}
-    by_ends = {}  # the table columns by the bits of their first and last rows
     for j, column in enumerate(columns):
-        if column[0] != column[0] and np.isnan(column).all():
+        if np.isnan(column).all():
             continue
         bits = column.view(np.int64)
-        ends = int(bits[0]), int(bits[-1])
-        if ends[0] == ends[1] and (bits == ends[0]).all():
+        if bits[0] == bits[-1] and (bits == bits[0]).all():
             constants[j] = np.frombuffer(_fmt(column[0]).encode(), dtype=np.uint8)
             continue
-        for p in by_ends.get(ends, ()):
-            if np.array_equal(bits, columns[varying[p]].view(np.int64)):
+        for p, k in enumerate(varying):
+            other = columns[k].view(np.int64)
+            if bits[0] == other[0] and bits[-1] == other[-1] and np.array_equal(bits, other):
                 sources[j] = p
                 break
         else:
             sources[j] = len(varying)
-            by_ends.setdefault(ends, []).append(len(varying))
             varying.append(j)
     step = max(1, min(rows, _BLOCK_CELLS // width))
     table = np.empty((step, len(varying)))
@@ -345,61 +339,48 @@ def _csv_blocks(columns: list[np.ndarray]):
 
 def _block_rows(
     cells: np.ndarray, kind: np.ndarray, sources: dict, constants: dict, width: int
-) -> np.ndarray:
+) -> bytearray:
     """The CSV bytes of a block of rows laid out by column slices.
 
     ``kind`` (rows, table columns) holds the kinds of the cells of
     ``cells`` (_e16_cells).  Of the ``width`` columns, ``sources`` maps
     each that the table holds to its column there, and ``constants`` each
-    of one value to its text; the others are empty.  The block is cut into
-    runs of rows in which every column keeps one kind, and each run is laid
-    out on its own: a column of the table is copied into its rows as one
-    slice of its cells' slots, the text span of its kind (_decimal_tables).
-    The separators of a run are written once.  A block of more than _RUNS
-    runs, such as one with a column that changes sign from row to row, is
-    laid out as one run in which a column that changes kind copies whole
-    slots, and is then compressed by a mask that keeps, in each of its
-    cells, the bytes that its kind writes.
+    of one value to its text; the others are empty.  A column of the table
+    is copied into the rows as one slice of its cells' slots: the text span
+    of its kind (_decimal_tables) when every cell of the column in this
+    block has one kind, and the whole slot otherwise.  The separators are
+    written once.  Only a block with such a mixed column is then
+    compressed: in each mixed cell the bytes that its kind does not write
+    are set to NUL, which no text holds, and the block's bytes are taken
+    without their NULs.  The rows are laid out in a bytearray, so that
+    the packing reads them in place.
     """
-    count, columns = kind.shape
+    count = len(kind)
     kept, spans = _decimal_tables()[4:]
+    mixed = (kind != kind[0]).any(axis=0)
+    starts, stops = np.where(mixed[:, None], (0, _CELL), spans[kind[0]]).T
+    lengths = np.zeros(width, dtype=np.intp)
+    lengths[list(sources)] = (stops - starts)[list(sources.values())]
+    lengths[list(constants)] = [len(text) for text in constants.values()]
+    ends = np.cumsum(lengths + 1)  # one past each separator
+    block = bytearray(count * int(ends[-1]))
+    rows = np.frombuffer(block, dtype=np.uint8).reshape(count, -1)
+    rows[:, ends - 1] = ord(",")
+    rows[:, -1] = ord("\n")
     slots = cells[: kind.size].reshape(kind.shape + (_CELL,))
-    changed = np.flatnonzero(kind[1:] != kind[:-1])
-    # the last row of each run but the last: a row holds at most one change
-    # per column, so the first _RUNS * columns changes end _RUNS runs or
-    # more unless they are all the changes
-    lasts = dict.fromkeys((changed[: _RUNS * columns] // columns).tolist())
-    mixed = np.zeros(columns, dtype=bool)
-    if len(lasts) >= _RUNS:
-        mixed[changed % columns] = True
-        lasts = {}
-    firsts = [0, *(last + 1 for last in lasts), count]
-    texts = np.where(mixed[:, None], (0, _CELL), spans[kind[firsts[:-1]]])
-    lengths = np.ones((len(texts), width), dtype=np.intp)  # the separators
-    lengths[:, list(sources)] += (texts[:, :, 1] - texts[:, :, 0])[:, list(sources.values())]
-    for j, value in constants.items():
-        lengths[:, j] += len(value)
-    ends = np.cumsum(lengths, axis=1)  # one past each separator
-    out = np.empty(int(np.diff(firsts) @ ends[:, -1]), dtype=np.uint8)
-    offset = 0
-    for first, last, text, end in zip(firsts, firsts[1:], texts.tolist(), ends):
-        rows = out[offset : offset + (last - first) * int(end[-1])].reshape(last - first, -1)
-        offset += rows.size
-        rows[:, end - 1] = ord(",")
-        rows[:, -1] = ord("\n")
-        stops = end.tolist()
-        for j, p in sources.items():
-            (start, stop), end = text[p], stops[j] - 1
-            rows[:, end - (stop - start) : end] = slots[first:last, p, start:stop]
-        for j, value in constants.items():
-            rows[:, stops[j] - 1 - len(value) : stops[j] - 1] = value
+    for j, p in sources.items():
+        end, start, stop = int(ends[j]), int(starts[p]), int(stops[p])
+        rows[:, end - 1 - (stop - start) : end - 1] = slots[:, p, start:stop]
+    for j, text in constants.items():
+        end = int(ends[j])
+        rows[:, end - 1 - len(text) : end - 1] = text
     if not mixed.any():
-        return out
-    keep = np.ones(rows.shape, dtype=bool)
+        return block
     for j, p in sources.items():
         if mixed[p]:
-            keep[:, stops[j] - 1 - _CELL : stops[j] - 1] = kept[kind[:, p]]
-    return rows[keep]
+            end = int(ends[j])
+            rows[:, end - 1 - _CELL : end - 1] &= np.take(kept, kind[:, p], axis=0)
+    return block.replace(b"\0", b"")
 
 
 @lru_cache(maxsize=None)
@@ -418,7 +399,7 @@ def _decimal_tables() -> tuple[np.ndarray, ...]:
     k has a minus sign if k & 1, a three-digit exponent if k & 2, is NaN,
     with no text, if k & 4, and infinite if k & 8.  Its text is bytes
     [start, stop) of its slot, row k of ``spans``, and row k of ``kept``
-    marks those bytes.
+    is 0xFF on those bytes and 0 on the others.
     """
     scales = []
     for exponent in range(_EXP_MIN, _EXP_MAX + 1):
@@ -442,7 +423,8 @@ def _decimal_tables() -> tuple[np.ndarray, ...]:
     spans = np.stack((1 - kinds % 2, 23 + kinds // 2 % 2), axis=1)
     spans[4:8] = 0, 0
     spans[8:] = (4, 7), (3, 7)  # "inf" and "-inf" in the digit bytes
-    kept = (spans[:, :1] <= numbers[:_CELL]) & (numbers[:_CELL] < spans[:, 1:])
+    inside = (spans[:, :1] <= numbers[:_CELL]) & (numbers[:_CELL] < spans[:, 1:])
+    kept = np.where(inside, 255, 0).astype(np.uint8)
     tables = (
         np.array(scales).T.copy(),
         ascii.view(np.uint32).ravel(),

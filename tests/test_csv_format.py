@@ -141,8 +141,8 @@ class TestAgainstRowWriter:
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_earlier_start_is_byte_identical(self, name, stride, tmp_path):
         """From t = -16 T the populations' exponents drop from three digits
-        to two within blocks of rows: in 7 of 19 blocks at stride 1, and in
-        both at stride 10."""
+        to two within blocks of rows (TestLayouts counts those blocks at
+        stride 1)."""
         config = replace(resolve_preset(name), stride=stride, t_start_over_T=-16.0)
         trajectory, _summary = simulate(config)
         self._assert_identical(trajectory, tmp_path)
@@ -160,10 +160,9 @@ def blocks(rows, width=len(CSV_COLUMNS)):
 
 
 class TestLayouts:
-    """Every block is laid out by column slices, in runs of rows in which
-    every column keeps one kind, and only a block of more than _RUNS runs
-    is compressed by a mask; a column that is NaN in every row is never
-    formatted."""
+    """Every block is laid out by column slices, and only a block with a
+    column that changes kind is compressed by a mask; a column that is NaN
+    in every row is never formatted."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_stride_ten_is_one_block(self, name, mixed):
@@ -185,14 +184,14 @@ class TestLayouts:
 
     def test_stride_one_blocks_change_kind_in_two_columns(self, mixed):
         """t changes sign in one block and mandel_q stops being NaN in
-        another; in the other blocks of 8 001 rows (6 of 8) every column
+        another; in the other blocks of 8 001 rows (8 of 10) every column
         keeps one kind."""
         trajectory, _summary = simulate(replace(resolve_preset("fig2_tqd"), stride=1))
         write_trajectory_csv(trajectory, os.devnull)
         assert sorted(mixed) == [0] * (blocks(8001) - 2) + [1, 1]
 
     def test_earlier_start_changes_exponent_widths_within_blocks(self, mixed):
-        """From t = -16 T, 20 001 rows: 7 of the 19 blocks have a column
+        """From t = -16 T, 20 001 rows: 7 of the 25 blocks have a column
         whose exponents drop from three digits to two, and none has more
         than 2 columns that change kind."""
         config = replace(resolve_preset("fig2_tqd"), stride=1, t_start_over_T=-16.0)
@@ -200,17 +199,18 @@ class TestLayouts:
         write_trajectory_csv(trajectory, os.devnull)
         assert (len(mixed), np.count_nonzero(mixed), max(mixed)) == (blocks(20001), 7, 2)
 
-    @pytest.mark.parametrize("runs", [1, 2, scenarios._RUNS, scenarios._RUNS + 1, 300])
-    def test_runs_of_rows_against_percent_format(self, runs):
+    @pytest.mark.parametrize("runs", [2, 17, 300])
+    def test_columns_that_change_kind_against_percent_format(self, runs, mixed):
         """A column that changes sign, and another that changes exponent
-        width, between runs of rows: up to _RUNS runs are laid out one by
-        one, and more by the mask."""
+        width, between runs of rows, from once per block to every other
+        row: the block takes the mask in both columns."""
         rows = 600
         run = np.arange(rows) * runs // rows
         ramp = np.linspace(1.0, 2.0, rows)
         sign = np.where(run % 2, -1.0, 1.0)
-        table = np.column_stack([sign * ramp, ramp * 10.0 ** (run % 3 * 60), np.exp(ramp)])
+        table = np.column_stack([sign * ramp, ramp * 10.0 ** (run % 2 * 120), np.exp(ramp)])
         assert formatted(table) == expected_rows(table)
+        assert mixed == [2]
 
     @staticmethod
     def _table():
