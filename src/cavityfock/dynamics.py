@@ -377,23 +377,19 @@ def _check_positive(
     (_coordinates) whose matrix has an eigenvalue below NEGATIVITY_LIMIT,
     naming its step.
 
-    The samples are certified 4 096 at a time (_certified).  Only the
-    samples that fail are diagonalized, 512 at a time, to name the first
-    one below the limit.
+    The samples are certified 4 096 at a time (_certified).  The samples
+    that fail are diagonalized one at a time, in order, and the first one
+    below the limit is named.
     """
     for first in range(0, len(coordinates), 4096):
-        failed = first + np.flatnonzero(~_certified(coordinates[first : first + 4096], size))
-        for start in range(0, len(failed), 512):
-            part = failed[start : start + 512]
+        for index in first + np.flatnonzero(~_certified(coordinates[first : first + 4096], size)):
             with np.errstate(invalid="ignore"):  # an infinite coordinate lifts to NaN
-                states = _kept_states(coordinates[part], size, True)
-            smallest = _smallest_eigenvalues(states)
-            bad = ~(smallest >= NEGATIVITY_LIMIT)
-            if bad.any():
-                i = int(np.argmax(bad))
-                step = steps[part[i]]
+                state = _kept_states(coordinates[index : index + 1], size, True)
+            smallest = _smallest_eigenvalues(state)[0]
+            if not smallest >= NEGATIVITY_LIMIT:
+                step = steps[index]
                 raise IntegrationError(
-                    f"density matrix developed negative eigenvalue {smallest[i]:.3e} "
+                    f"density matrix developed negative eigenvalue {smallest:.3e} "
                     f"at step {step}, t={grid.time(step):g}; reduce dt"
                 )
 
@@ -409,42 +405,36 @@ def _certified(coordinates: np.ndarray, size: int) -> np.ndarray:
     of order k u |rho| of that (Higham, Accuracy and Stability of Numerical
     Algorithms, 2nd ed., ch. 10).  It runs on every sample at once, in real
     arithmetic on the coordinate columns: pivot j updates the trailing
-    entries, rho_il -= conj(rho_ji) rho_jl / d_j for j < i <= l.  A
-    coherence that is zero in every sample, as one never stepped is, is
-    skipped with every update it would feed.  A pivot that is not positive,
-    NaN included, fails its sample.
+    entries, rho_il -= conj(rho_ji) rho_jl / d_j for j < i <= l.  Every
+    upper pair (i, l) has its real and imaginary rows from the start, so
+    the entries that an update fills in need no bookkeeping.  At pivot j a
+    pair (j, i) that is zero in every sample at that moment, as a coherence
+    never stepped is, is skipped with every update it would feed; NaN is
+    nonzero.  A pivot that is not positive, NaN included, fails its sample.
     """
     upper = size * (size - 1) // 2
-    rows, cols = (index.tolist() for index in np.triu_indices(size, 1))
     work = coordinates.T.copy()  # a row per coordinate
     pivots = work[:size]
     pivots -= NEGATIVITY_LIMIT
-    nonzero = work[size:].any(axis=1)  # NaN is nonzero
-    live = np.flatnonzero(nonzero[:upper] | nonzero[upper:]).tolist()
-    # (i, l), i < l, to the rows of Re rho_il and Im rho_il
-    entries = {(rows[p], cols[p]): (work[size + p], work[size + upper + p]) for p in live}
+    real, imag = work[size : size + upper], work[size + upper : size + 2 * upper]
+    # the pair (i, l), i < l, is row row[i] + l of real and imag (np.triu_indices order)
+    row = [i * size - i * (i + 3) // 2 - 1 for i in range(size)]
     passed = np.ones(len(coordinates), dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for j in range(size):
             passed &= pivots[j] > 0.0
-            below = sorted(l for i, l in entries if i == j)
-            if not below:
-                continue
+            pairs = slice(row[j] + j + 1, row[j] + size)
+            nonzero = real[pairs].any(axis=1) | imag[pairs].any(axis=1)  # NaN is nonzero
+            below = (j + 1 + np.flatnonzero(nonzero)).tolist()
             inverse = 1.0 / pivots[j]
             for a, i in enumerate(below):
-                re_i, im_i = entries[j, i]
+                re_i, im_i = real[row[j] + i], imag[row[j] + i]
                 scaled_re, scaled_im = re_i * inverse, im_i * inverse
                 pivots[i] -= re_i * scaled_re + im_i * scaled_im
                 for l in below[a + 1 :]:
-                    re_l, im_l = entries[j, l]
-                    re = scaled_re * re_l + scaled_im * im_l  # conj(rho_ji) rho_jl / d_j
-                    im = scaled_re * im_l - scaled_im * re_l
-                    if (i, l) in entries:
-                        target_re, target_im = entries[i, l]
-                        target_re -= re
-                        target_im -= im
-                    else:  # fill-in: a new live entry
-                        entries[i, l] = -re, -im
+                    re_l, im_l = real[row[j] + l], imag[row[j] + l]
+                    real[row[i] + l] -= scaled_re * re_l + scaled_im * im_l
+                    imag[row[i] + l] -= scaled_re * im_l - scaled_im * re_l
     return passed
 
 

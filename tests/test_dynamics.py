@@ -1037,22 +1037,37 @@ class TestNegativityCheck:
             record_stack(self.MODEL, grid, samples)
 
     @pytest.mark.parametrize("lowest", [-1e-3, -1e-5, -3e-6, -5e-7, 0.0, 1e-7, 1e-3])
-    def test_fill_in_gets_the_verdict_of_the_full_spectrum(self, lowest):
+    @pytest.mark.parametrize("size", [4, 6])
+    def test_fill_in_gets_the_verdict_of_the_full_spectrum(self, size, lowest):
         """An arrow matrix, whose coherences all involve the first basis
-        state, fills in every other coherence at the first pivot.  A
-        multiple of I sets its smallest eigenvalue and keeps its pattern."""
+        state, fills in every other coherence at the first pivot, and the
+        later pivots read that fill-in.  A multiple of I sets its smallest
+        eigenvalue and keeps its pattern."""
         rng = np.random.default_rng(8)
-        arrow = np.diag(rng.uniform(0.1, 1.0, size=4)).astype(complex)
-        arrow[0, 1:] = rng.normal(size=3) + 1j * rng.normal(size=3)
+        arrow = np.diag(rng.uniform(0.1, 1.0, size=size)).astype(complex)
+        arrow[0, 1:] = rng.normal(size=size - 1) + 1j * rng.normal(size=size - 1)
         arrow[1:, 0] = arrow[0, 1:].conj()
-        arrow += (lowest - np.linalg.eigvalsh(arrow)[0]) * np.eye(4)
+        arrow += (lowest - np.linalg.eigvalsh(arrow)[0]) * np.eye(size)
         grid = TimeGrid(0.0, 1.0, 1.0)
         coordinates = _coordinates(np.array([arrow, arrow]))
         if np.linalg.eigvalsh(arrow)[0] >= NEGATIVITY_LIMIT:
-            dynamics._check_positive(coordinates, 4, grid.sample_steps, grid)
+            dynamics._check_positive(coordinates, size, grid.sample_steps, grid)
             return
         with pytest.raises(IntegrationError, match=f"eigenvalue {lowest:.3e} at step 0, t=0;"):
-            dynamics._check_positive(coordinates, 4, grid.sample_steps, grid)
+            dynamics._check_positive(coordinates, size, grid.sample_steps, grid)
+
+    def test_a_failure_that_diagonalizes_above_the_limit_is_passed_over(self):
+        """A diagonal entry exactly at the limit makes a zero pivot, which
+        fails the certificate, but not an eigenvalue below the limit: the
+        samples after it are still diagonalized, and the first one below
+        the limit is named."""
+        rng = np.random.default_rng(11)
+        at_limit = np.diag([0.5, 0.5 - NEGATIVITY_LIMIT, NEGATIVITY_LIMIT, 0.0, 0.0, 0.0])
+        fine, negative = embedded_density_stack(rng, [0, 1, 2, 3], 6, [1e-3, -3e-6])
+        stack = np.array([at_limit, fine, at_limit, negative])
+        assert not dynamics._certified(_coordinates(stack), 6)[[0, 2, 3]].any()
+        with pytest.raises(IntegrationError, match="eigenvalue -3.000e-06 at step 3, t=3;"):
+            record_stack(self.MODEL, TimeGrid(0.0, 3.0, 1.0), stack)
 
     @pytest.mark.parametrize("where", [(0, 2), (4, 5)], ids=["stepped", "outside_support"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])

@@ -621,21 +621,24 @@ class TestCli:
     @pytest.mark.parametrize(
         "preset, settings, message",
         [
-            ("fig2_stirap", ["delta_T=1e8"], "norm drifted to inf at step 10, t=-3.99"),
+            ("fig2_stirap", ["delta_T=1e8"], re.escape("norm drifted to inf at step 10, t=-3.99")),
             (
                 "fig2_tqd",
                 ["omega0_T=1e8", "stride=1"],
-                "norm drifted to 1.000022e+00 at step 303, t=-3.697",
+                re.escape("norm drifted to 1.000022e+00 at step 303, t=-3.697"),
             ),
             (
                 "fig2_stirap",
                 ["omega0_T=1000", "kappa_T=40", "dt_over_T=0.01"],
-                "trace drifted to 2.048000e+03 at step 240, t=-1.6",
+                # the drifted trace is the cancellation residue of four
+                # populations near 1e19: any regrouping of the step products
+                # moves it, so only its form is pinned
+                r"trace drifted to -?\d\.\d{6}e[+-]\d{2,3}" + re.escape(" at step 240, t=-1.6"),
             ),
             (
                 "fig2f_dissipative_tqd",
                 ["kappa_T=1.7e308", "n_max=3"],
-                "trace drifted to nan at step 10, t=-3.99",
+                re.escape("trace drifted to nan at step 10, t=-3.99"),
             ),
         ],
         ids=["square", "square_and_complex_state", "trace_sum", "decay_terms"],
@@ -648,17 +651,31 @@ class TestCli:
         the IntegrationError."""
         argv = ["run", "--preset", preset, "--out", str(tmp_path / "o.csv")]
         assert main(argv + [arg for setting in settings for arg in ("--set", setting)]) == 3
-        assert capsys.readouterr().err == f"error: {message}; reduce dt\n"
+        err = capsys.readouterr().err
+        assert re.fullmatch(f"error: {message}; reduce dt\n", err), err
         assert not (tmp_path / "o.csv").exists()
 
     @pytest.mark.parametrize("n_max", [1, 3])
-    def test_negative_eigenvalue_is_integration_failure(self, n_max, tmp_path, capsys):
-        # at dt = 0.05 T the trace holds but rho loses positivity at t = -0.5 T
+    def test_negative_eigenvalue_is_integration_failure(
+        self, n_max, tmp_path, capsys, monkeypatch
+    ):
+        # at dt = 0.05 T the trace holds but rho loses positivity at t = -0.5 T;
+        # that sample is the first to fail the certificate, and it alone is
+        # diagonalized
+        shapes = []
+        smallest_eigenvalues = cavityfock.dynamics._smallest_eigenvalues
+
+        def recorded(states):
+            shapes.append(states.shape)
+            return smallest_eigenvalues(states)
+
+        monkeypatch.setattr(cavityfock.dynamics, "_smallest_eigenvalues", recorded)
         out = tmp_path / "negative.csv"
         argv = ["run", "--preset", "fig2f_dissipative_tqd", "--set", "dt_over_T=0.05"]
         code = main(argv + ["--set", f"n_max={n_max}", "--out", str(out)])
         captured = capsys.readouterr()
         assert code == 3
+        assert [shape[0] for shape in shapes] == [1]
         assert captured.out == ""
         assert captured.err == (
             "error: density matrix developed negative eigenvalue -2.505e-06 at step 70, t=-0.5; "
