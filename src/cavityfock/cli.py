@@ -50,9 +50,10 @@ def _entries(items) -> dict[str, str]:
 
 
 def parse_config_file(path: str) -> dict[str, str]:
-    """Flat key=value file; blank lines and lines starting with # ignored."""
+    """Flat key=value file; blank lines and lines starting with # ignored.
+    A UTF-8 byte-order mark at its start is no part of the first line."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = [(f"{path}:{n}", line.strip()) for n, line in enumerate(handle, start=1)]
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -205,18 +205,23 @@ def _check_output(path: str) -> None:
     because of where it is.  A path that exists must be no directory and
     writable itself, as a file in a read-only directory or os.devnull may
     be.  Otherwise its directory must be one that exists and can be written.
-    The empty path names no file.  Nothing is created."""
+    A path that ends in a separator names a directory once its directory
+    is found.  The empty path names no file.  Nothing is created."""
     try:
         if not path:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
+        directory = IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         if os.path.isdir(path):
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if os.path.exists(path):
+            raise directory
+        if os.path.exists(path):  # never so with a trailing separator
             target, mode = path, os.W_OK
         else:
-            target, mode = os.path.dirname(path) or os.curdir, os.W_OK | os.X_OK
+            target = os.path.dirname(path.rstrip(os.sep)) or os.curdir
+            mode = os.W_OK | os.X_OK
             if not stat.S_ISDIR(os.stat(target).st_mode):  # raises as open would
                 raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR))
+            if path.endswith(os.sep):
+                raise directory
         if not os.access(target, mode):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
     except OSError as error:
@@ -264,12 +269,12 @@ def write_trajectory_csv(trajectory: Trajectory, path: str) -> None:
     bytes of all cells at once.  A finite cell whose rounding it cannot prove -
     within 2^-40 of a tie, subnormal, or with |x| outside [1e-283, 1e299) -
     is formatted by ``"%.16e" % x`` itself; on the presets that is no cell
-    at all.  Each distinct column is formatted once (_csv_blocks): a column
-    that is NaN in every row, such as that of a level or channel the model
-    lacks, is written as separators alone, a column of one value as one
-    text, and a column that repeats an earlier one bit for bit from that
-    column's cells.  Every block of rows is laid out by column slices
-    (_block_rows).
+    at all.  Each distinct column is formatted once (_csv_blocks), as one
+    of two kinds: a column of one value in every row is one text, empty for
+    NaN, as in a level or channel the model lacks, and any other column is
+    a column of the kernel's table, which a column that repeats an earlier
+    one bit for bit shares.  Every block of rows is laid out by column
+    slices (_block_rows).
     """
     table = _table(trajectory)
     with open(path, "wb") as handle:
@@ -299,88 +304,78 @@ def _csv_blocks(columns: list[np.ndarray]):
     """The rows of equal-length float columns as CSV bytes, one block of
     rows at a time: each cell as ``"%.16e" % x``, NaN cells empty.
 
-    Each distinct column is formatted once.  A column that is NaN in every
-    row is written as separators alone, and one that holds one value in
-    every row, its float64 bits, as the text of ``"%.16e"`` of that value.
-    A column whose bits equal an earlier column's reuses that column's
-    cells (int64 views, so -0.0 and +0.0 stay apart).  The others make the
-    table that _e16_cells formats block by block, and every block is laid
-    out by _block_rows.  The table and cell buffers are allocated, and the
-    bytes that every cell writes are laid out, once per call.
+    Each column is classified once, into one entry of a layout.  A column
+    whose float64 bits are the same in every row is the text of ``"%.16e"``
+    of that value, empty for NaN.  Any other column is the index of its
+    column in the table that _e16_cells formats block by block, which a
+    column that repeats an earlier one bit for bit shares with it (int64
+    views, so -0.0 and +0.0 stay apart).  Every block is laid out by
+    _block_rows.  The table and cell buffers are allocated, and the bytes
+    that every cell writes are laid out, once per call.
     """
-    rows, width = len(columns[0]), len(columns)
-    varying, sources, constants = [], {}, {}
-    for j, column in enumerate(columns):
-        if np.isnan(column).all():
-            continue
+    rows = len(columns[0])
+    varying, layout = [], []
+    for column in columns:
         bits = column.view(np.int64)
         if bits[0] == bits[-1] and (bits == bits[0]).all():
-            constants[j] = np.frombuffer(_fmt(column[0]).encode(), dtype=np.uint8)
+            layout.append(np.frombuffer(_fmt(column[0]).encode(), dtype=np.uint8))
             continue
-        for p, k in enumerate(varying):
-            other = columns[k].view(np.int64)
+        for p, other in enumerate(varying):
+            other = other.view(np.int64)
             if bits[0] == other[0] and bits[-1] == other[-1] and np.array_equal(bits, other):
-                sources[j] = p
+                layout.append(p)
                 break
         else:
-            sources[j] = len(varying)
-            varying.append(j)
-    step = max(1, min(rows, _BLOCK_CELLS // width))
+            layout.append(len(varying))
+            varying.append(column)
+    step = max(1, min(rows, _BLOCK_CELLS // len(columns)))
     table = np.empty((step, len(varying)))
     cells = np.empty((step * len(varying), _CELL), dtype=np.uint8)
     cells[:, _FIXED[0]] = _FIXED[1]
     for first in range(0, rows, step):
         part = table[: min(step, rows - first)]
-        for p, j in enumerate(varying):
-            part[:, p] = columns[j][first : first + step]
+        for p, column in enumerate(varying):
+            part[:, p] = column[first : first + step]
         kind = _e16_cells(part, cells).reshape(part.shape)
-        yield _block_rows(cells, kind, sources, constants, width)
+        yield _block_rows(cells, kind, layout)
 
 
-def _block_rows(
-    cells: np.ndarray, kind: np.ndarray, sources: dict, constants: dict, width: int
-) -> bytearray:
+def _block_rows(cells: np.ndarray, kind: np.ndarray, layout: list) -> bytearray:
     """The CSV bytes of a block of rows laid out by column slices.
 
     ``kind`` (rows, table columns) holds the kinds of the cells of
-    ``cells`` (_e16_cells).  Of the ``width`` columns, ``sources`` maps
-    each that the table holds to its column there, and ``constants`` each
-    of one value to its text; the others are empty.  A column of the table
-    is copied into the rows as one slice of its cells' slots: the text span
-    of its kind (_decimal_tables) when every cell of the column in this
-    block has one kind, and the whole slot otherwise.  The separators are
-    written once.  Only a block with such a mixed column is then
-    compressed: in each mixed cell the bytes that its kind does not write
-    are set to NUL, which no text holds, and the block's bytes are taken
-    without their NULs.  The rows are laid out in a bytearray, so that
-    the packing reads them in place.
+    ``cells`` (_e16_cells).  Each entry of ``layout`` (_csv_blocks) is a
+    column's one text, a uint8 array written in every row, or the index of
+    its column in the table.  A column of the table is copied into the
+    rows as one slice of its cells' slots: the text span of its kind
+    (_decimal_tables) when every cell of the column in this block has one
+    kind, and the whole slot otherwise; in each cell of such a mixed column
+    the bytes that its kind does not write are set to NUL, which no text
+    holds.  The separators are written once.  Only a block with a mixed
+    column is then compressed, its bytes taken without their NULs.  The
+    rows are laid out in a bytearray, so that the packing reads them in
+    place.
     """
     count = len(kind)
     kept, spans = _decimal_tables()[4:]
     mixed = (kind != kind[0]).any(axis=0)
     starts, stops = np.where(mixed[:, None], (0, _CELL), spans[kind[0]]).T
-    lengths = np.zeros(width, dtype=np.intp)
-    lengths[list(sources)] = (stops - starts)[list(sources.values())]
-    lengths[list(constants)] = [len(text) for text in constants.values()]
-    ends = np.cumsum(lengths + 1)  # one past each separator
+    slots = cells[: kind.size].reshape(kind.shape + (_CELL,))
+    texts = [
+        entry if isinstance(entry, np.ndarray) else slots[:, entry, starts[entry] : stops[entry]]
+        for entry in layout
+    ]
+    ends = np.cumsum([text.shape[-1] + 1 for text in texts])  # one past each separator
     block = bytearray(count * int(ends[-1]))
     rows = np.frombuffer(block, dtype=np.uint8).reshape(count, -1)
     rows[:, ends - 1] = ord(",")
     rows[:, -1] = ord("\n")
-    slots = cells[: kind.size].reshape(kind.shape + (_CELL,))
-    for j, p in sources.items():
-        end, start, stop = int(ends[j]), int(starts[p]), int(stops[p])
-        rows[:, end - 1 - (stop - start) : end - 1] = slots[:, p, start:stop]
-    for j, text in constants.items():
-        end = int(ends[j])
-        rows[:, end - 1 - len(text) : end - 1] = text
-    if not mixed.any():
-        return block
-    for j, p in sources.items():
-        if mixed[p]:
-            end = int(ends[j])
-            rows[:, end - 1 - _CELL : end - 1] &= np.take(kept, kind[:, p], axis=0)
-    return block.replace(b"\0", b"")
+    for end, text, entry in zip(ends.tolist(), texts, layout):
+        row_cells = rows[:, end - 1 - text.shape[-1] : end - 1]
+        row_cells[...] = text
+        if isinstance(entry, int) and mixed[entry]:
+            row_cells &= np.take(kept, kind[:, entry], axis=0)
+    return block.replace(b"\0", b"") if mixed.any() else block
 
 
 @lru_cache(maxsize=None)

@@ -162,7 +162,7 @@ def blocks(rows, width=len(CSV_COLUMNS)):
 class TestLayouts:
     """Every block is laid out by column slices, and only a block with a
     column that changes kind is compressed by a mask; a column that is NaN
-    in every row is never formatted."""
+    in every row is one empty text, and never reaches the kernel."""
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_stride_ten_is_one_block(self, name, mixed):
@@ -248,9 +248,42 @@ class TestLayouts:
         assert mixed == [0, 0]
         assert len(fallbacks) == 4 * rows
 
-    def test_all_nan_table_is_separators_alone(self, fallbacks):
+    def test_all_nan_table_is_separators_alone(self, fallbacks, digits):
+        """Each all-NaN column holds one value, whose text "%.16e" makes
+        once, empty; no cell reaches the kernel."""
         assert formatted(np.full((3, 4), np.nan)) == b",,,\n" * 3
-        assert not fallbacks
+        assert sum(digits) == 0
+        assert len(fallbacks) == 4
+
+    def test_every_column_kind_interleaved_over_two_blocks(self, mixed, digits, fallbacks):
+        """841 rows of 15 columns, blocks of 801 and 40 rows: all-NaN and
+        constant columns, a -0.0 constant, duplicates, a column that turns
+        finite in the first block and two that change sign in the second
+        lie between the table's columns.  Six distinct columns reach the
+        kernel; the seven single-valued ones are formatted once each."""
+        step = scenarios._BLOCK_CELLS // 15
+        rows = step + 40
+        t = np.linspace(-1.0, 0.02, rows)  # changes sign at row 824
+        ramp = np.exp(t)
+        nan, late = np.full(rows, np.nan), np.where(np.arange(rows) < 400, np.nan, ramp)
+        columns = [t, nan, np.full(rows, 0.1), np.full(rows, -0.0), t.copy(), late, ramp, nan]
+        columns += [late.copy(), -ramp, np.full(rows, 0.1), np.zeros(rows), 1e-150 * ramp, nan, -t]
+        table = np.column_stack(columns)
+        assert formatted(table) == expected_rows(table)
+        assert (sum(digits), len(fallbacks)) == (6 * rows, 7)
+        assert mixed == [1, 2]
+
+    def test_all_constant_table_has_no_table_column(self, mixed, digits):
+        """Two blocks of 15 single-valued columns, among them each class of
+        double: the rows are the texts alone, and no cell reaches the
+        kernel."""
+        rows = scenarios._BLOCK_CELLS // 15 + 40
+        values = [0.1, -0.0, 0.0, np.nan, -np.nan, math.inf, -math.inf, 5e-324, -1e300]
+        values += [1e-283, 1e299, -2.5e-120, 1278675322477191.75, 1.0, -1.0]
+        table = np.tile(values, (rows, 1))
+        assert formatted(table) == expected_rows(table)
+        assert sum(digits) == 0
+        assert mixed == [0, 0]
 
 
 class TestAgainstPercentFormat:

@@ -1,3 +1,4 @@
+import codecs
 import numbers
 import os
 import re
@@ -460,6 +461,35 @@ class TestCli:
         assert capsys.readouterr().err == message
         assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
 
+    def test_config_with_byte_order_mark_runs_as_without(self, tmp_path, capsys, monkeypatch):
+        """A UTF-8 byte-order mark before the first key gives the same exit
+        code, summary and CSV bytes as the same file without it."""
+        monkeypatch.chdir(tmp_path)
+        text = b"scenario=fig2_stirap\nstride=100\n"
+        results = []
+        for name, data in (("plain", text), ("bom", codecs.BOM_UTF8 + text)):
+            (tmp_path / f"{name}.cfg").write_bytes(data)
+            code = main(["run", "--config", f"{name}.cfg", "--out", f"{name}.csv"])
+            captured = capsys.readouterr()
+            summary = [
+                line
+                for line in captured.out.splitlines()
+                if not line.startswith(("wall_time_s=", "output_path="))
+            ]
+            results.append((code, summary, captured.err, (tmp_path / f"{name}.csv").read_bytes()))
+        assert results[0][0] == 0
+        assert results[1] == results[0]
+
+    def test_config_with_byte_order_mark_that_is_not_utf8_is_usage_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "bad.cfg").write_bytes(codecs.BOM_UTF8 + b"scenario=fig2_tqd\n\xff\n")
+        assert main(["run", "--config", "bad.cfg", "--out", "x.csv"]) == 2
+        message = "error: bad.cfg: not UTF-8 text (invalid start byte)\n"
+        assert capsys.readouterr().err == message
+        assert sorted(os.listdir(tmp_path)) == ["bad.cfg"]
+
     def test_unknown_key_is_usage_error(self, capsys):
         assert main(["run", "--set", "bogus_key=1"]) == 2
         assert "bogus_key" in capsys.readouterr().err
@@ -884,8 +914,20 @@ class TestCli:
             ("file/sub/x.csv", "[Errno 20] Not a directory"),
             ("directory", "[Errno 21] Is a directory"),
             ("", "[Errno 2] No such file or directory"),
+            (f"missing_dir{os.sep}", "[Errno 21] Is a directory"),
+            (f"file{os.sep}", "[Errno 21] Is a directory"),
+            (f"directory{os.sep}", "[Errno 21] Is a directory"),
         ],
-        ids=["missing", "not_a_directory", "below_a_file", "a_directory", "empty"],
+        ids=[
+            "missing",
+            "not_a_directory",
+            "below_a_file",
+            "a_directory",
+            "empty",
+            "missing_with_separator",
+            "file_with_separator",
+            "directory_with_separator",
+        ],
     )
     def test_unwritable_output_fails_before_any_simulation(
         self, argv, where, error, tmp_path, capsys, monkeypatch
@@ -894,7 +936,8 @@ class TestCli:
         with the error that opening the file would raise: exit 4, one line
         of stderr, nothing printed and nothing written.  An empty --out is
         the empty path, not the default file name, run from ``tmp_path`` so
-        that a default file would show there."""
+        that a default file would show there.  A path that ends in a
+        separator names a directory, as open() takes it on Linux."""
 
         def simulated(*args):
             raise AssertionError("simulated before the output was checked")
@@ -903,7 +946,7 @@ class TestCli:
         monkeypatch.chdir(tmp_path)
         (tmp_path / "file").write_text("")
         (tmp_path / "directory").mkdir()
-        out = str(tmp_path / where) if where else ""
+        out = os.path.join(tmp_path, where) if where else ""  # keeps a trailing separator
         assert main([*argv, "--preset", "fig2_tqd", "--out", out]) == 4
         captured = capsys.readouterr()
         assert captured.err == f"error: {error}: {out!r}\n"
